@@ -39,7 +39,7 @@ from .model import (
     save_checkpoint,
 )
 from .tensor import Rng
-from .trainer import SgdConfig, evaluate, grad_check, train
+from .trainer import SgdConfig, count_hits, evaluate, grad_check, train
 
 __all__ = ["ConfigError", "RunConfig", "parse_config_text", "config_to_text", "main"]
 
@@ -247,6 +247,9 @@ def build_model(cfg: RunConfig, input_dim: int, num_classes: int):
 
 
 def _component_configs(cfg: RunConfig) -> tuple[LossConfig, SgdConfig]:
+    for key in ("log_every", "eval_every"):
+        if getattr(cfg, key) < 1:
+            raise ConfigError(f"{key} must be at least 1, got {getattr(cfg, key)}")
     try:
         loss_cfg = LossConfig(
             margin=cfg.margin,
@@ -322,11 +325,6 @@ def cmd_train(args) -> int:
     return 2 if result["diverged"] else 0
 
 
-def _topk_hits(scores: np.ndarray, labels: np.ndarray, k: int) -> int:
-    top = np.argsort(-scores, axis=1, kind="stable")[:, :k]
-    return int(np.sum(top == labels[:, None]))
-
-
 def cmd_eval(args) -> int:
     cfg = _load_config(args.config)
     try:
@@ -341,20 +339,9 @@ def cmd_eval(args) -> int:
             f"checkpoint expects input dim {net.input_dim}, dataset has {ds.dim}"
         )
 
-    clf = bank.assemble()
-    top1_hits = 0
-    top5_hits = 0
-    want_top5 = bank.num_classes >= 5
-    for start in range(0, len(ds), 4096):
-        x = ds.features[start : start + 4096]
-        y = ds.labels[start : start + 4096]
-        feats, _ = net.forward(x)
-        scores = clf.scores(feats)
-        top1_hits += int(np.sum(np.argmax(scores, axis=1) == y))
-        if want_top5:
-            top5_hits += _topk_hits(scores, y, 5)
+    top1_hits, top5_hits = count_hits(net, bank, ds, top5=bank.num_classes >= 5)
     print(f"top1 accuracy: {top1_hits / len(ds):.6f}")
-    if want_top5:
+    if top5_hits is not None:
         print(f"top5 accuracy: {top5_hits / len(ds):.6f}")
     return 0
 
@@ -440,6 +427,8 @@ def run_gradcheck_grid(
 
 
 def cmd_gradcheck(args) -> int:
+    if args.instances < 1:
+        raise ConfigError(f"--instances must be at least 1, got {args.instances}")
     ok, _ = run_gradcheck_grid(
         seed=args.seed if args.seed is not None else 0,
         instances=args.instances,

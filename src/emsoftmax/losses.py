@@ -16,6 +16,8 @@ The diversity penalty for head v is ``tr(Wv Kv Wv^T)`` with
 the centering matrix ``H = I - (1/K) 11^T``. That equals the summed
 empirical HSIC between head Grams, up to the ``(K-1)^-2`` scaling which
 is kept in :func:`hsic_empirical` but dropped from the training penalty.
+Each pass normalizes every head and forms its centered Gram
+``Gu = H Wu^T Wu H`` once; every ``Kv`` is summed from those Grams.
 """
 
 from __future__ import annotations
@@ -33,14 +35,12 @@ __all__ = [
     "LossOutput",
     "linear_scores",
     "softmax_probs",
-    "cross_entropy",
-    "margin_adjusted_scores",
     "m_softmax_loss",
     "centering_matrix",
     "hsic_empirical",
     "normalize_classifier",
-    "diversity_kernel",
     "diversity_penalty",
+    "diversity_gradients",
     "em_softmax_forward",
     "em_softmax_backward",
 ]
@@ -118,29 +118,6 @@ def softmax_probs(z: np.ndarray) -> np.ndarray:
     shifted = z - np.max(z, axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / np.sum(e, axis=-1, keepdims=True)
-
-
-def cross_entropy(probs_row: np.ndarray, label: int) -> float:
-    """-log of the true-class probability, floored at PROB_FLOOR."""
-    probs_row = np.asarray(probs_row, dtype=np.float64)
-    if not 0 <= label < probs_row.shape[-1]:
-        raise ValueError(f"label {label} out of range for {probs_row.shape[-1]} classes")
-    return -float(np.log(max(float(probs_row[label]), PROB_FLOOR)))
-
-
-def margin_adjusted_scores(z_row: np.ndarray, label: int, m: float) -> np.ndarray:
-    """Copy of ``z_row`` with the true-class score lowered by ``m``.
-
-    Applied during training only; prediction always uses raw scores.
-    """
-    if m < 0:
-        raise ValueError("margin must be non-negative")
-    z_row = np.asarray(z_row, dtype=np.float64)
-    if not 0 <= label < z_row.shape[-1]:
-        raise ValueError(f"label {label} out of range for {z_row.shape[-1]} classes")
-    out = z_row.copy()
-    out[label] -= m
-    return out
 
 
 def _check_labels(labels, n: int, num_classes: int) -> np.ndarray:
@@ -226,22 +203,28 @@ def _check_bank(bank) -> list[np.ndarray]:
     return heads
 
 
-def diversity_kernel(bank, v: int) -> np.ndarray:
-    """Kv = sum over other heads u of H Wu_hat^T Wu_hat H (K x K, PSD)."""
-    heads = _check_bank(bank)
-    if not 0 <= v < len(heads):
-        raise ValueError(f"head index {v} out of range for bank of {len(heads)}")
+def _diversity_kernels(heads: list[np.ndarray]) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Normalized heads and every Kv (K x K, PSD) of a checked bank.
+
+    Each head is normalized and its centered Gram ``Gu = H Wu_hat^T
+    Wu_hat H`` formed once. Kv adds the other heads' Grams to a zero
+    matrix in ascending u; subtracting Gv from the sum of all Grams
+    would change the last bits of the penalty and both gradients.
+    """
     k = heads[0].shape[1]
     if k < 2:
         raise ValueError("diversity needs at least 2 classes (H degenerates at K=1)")
     h = centering_matrix(k)
-    acc = np.zeros((k, k))
-    for u, w in enumerate(heads):
-        if u == v:
-            continue
-        w_hat = normalize_classifier(w)
-        acc += h @ (w_hat.T @ w_hat) @ h
-    return acc
+    w_hats = [normalize_classifier(w) for w in heads]
+    grams = [h @ (w_hat.T @ w_hat) @ h for w_hat in w_hats]
+    kernels = []
+    for v in range(len(heads)):
+        acc = np.zeros((k, k))
+        for u, gram in enumerate(grams):
+            if u != v:
+                acc += gram
+        kernels.append(acc)
+    return w_hats, kernels
 
 
 def diversity_penalty(bank, v: int) -> float:
@@ -253,9 +236,39 @@ def diversity_penalty(bank, v: int) -> float:
     heads = _check_bank(bank)
     if len(heads) == 1:
         return 0.0
-    kv = diversity_kernel(heads, v)
-    w_hat = normalize_classifier(heads[v])
-    return float(np.sum((w_hat @ kv) * w_hat))
+    if not 0 <= v < len(heads):
+        raise ValueError(f"head index {v} out of range for bank of {len(heads)}")
+    w_hats, kernels = _diversity_kernels(heads)
+    return float(np.sum((w_hats[v] @ kernels[v]) * w_hats[v]))
+
+
+def diversity_gradients(bank, exact: bool) -> list[np.ndarray]:
+    """Gradient of the diversity term with respect to every raw head.
+
+    Default (detached) mode follows the per-head update rule: only head
+    v's own penalty contributes, Kv is frozen, and the normalization is
+    backpropagated as the frozen per-column scale 1/||w_k||, giving
+    2 Wv_hat Kv rescaled. Exact mode differentiates the full summed term
+    (every pairwise penalty sees head v twice, hence 4 Wv_hat Kv) through
+    the true normalization Jacobian (I - w_hat w_hat^T)/||w||. Needs a
+    bank of at least two heads.
+    """
+    heads = _check_bank(bank)
+    if len(heads) < 2:
+        raise ValueError("diversity gradients need at least 2 heads")
+    w_hats, kernels = _diversity_kernels(heads)
+    grads = []
+    for w, w_hat, kv in zip(heads, w_hats, kernels):
+        norms = np.sqrt(np.sum(w * w, axis=0))
+        if exact:
+            g_hat = 4.0 * (w_hat @ kv)
+            g_hat -= w_hat * np.sum(w_hat * g_hat, axis=0, keepdims=True)
+        else:
+            g_hat = 2.0 * (w_hat @ kv)
+        grad = g_hat / np.where(norms == 0.0, 1.0, norms)
+        grad[:, norms == 0.0] = 0.0
+        grads.append(grad)
+    return grads
 
 
 def em_softmax_forward(x_batch: np.ndarray, bank, labels, cfg: LossConfig) -> LossOutput:
@@ -280,35 +293,13 @@ def em_softmax_forward(x_batch: np.ndarray, bank, labels, cfg: LossConfig) -> Lo
 
     diversity = 0.0
     if len(heads) >= 2:
-        diversity = sum(diversity_penalty(heads, v) for v in range(len(heads)))
+        w_hats, kernels = _diversity_kernels(heads)
+        diversity = sum(
+            float(np.sum((w_hat @ kv) * w_hat)) for w_hat, kv in zip(w_hats, kernels)
+        )
 
     total = classification + cfg.diversity_weight * diversity
     return LossOutput(total, classification, diversity, probs_per_head)
-
-
-def _diversity_grad(heads: list[np.ndarray], v: int, exact: bool) -> np.ndarray:
-    """Gradient of the diversity term with respect to raw head v.
-
-    Default (detached) mode follows the per-head update rule: only head
-    v's own penalty contributes, Kv is frozen, and the normalization is
-    backpropagated as the frozen per-column scale 1/||w_k||, giving
-    2 Wv_hat Kv rescaled. Exact mode differentiates the full summed term
-    (every pairwise penalty sees head v twice, hence 4 Wv_hat Kv) through
-    the true normalization Jacobian (I - w_hat w_hat^T)/||w||.
-    """
-    w = heads[v]
-    kv = diversity_kernel(heads, v)
-    norms = np.sqrt(np.sum(w * w, axis=0))
-    safe = np.where(norms == 0.0, 1.0, norms)
-    w_hat = w / safe
-    if exact:
-        g_hat = 4.0 * (w_hat @ kv)
-        g_hat -= w_hat * np.sum(w_hat * g_hat, axis=0, keepdims=True)
-    else:
-        g_hat = 2.0 * (w_hat @ kv)
-    grad = g_hat / safe
-    grad[:, norms == 0.0] = 0.0
-    return grad
 
 
 def em_softmax_backward(
@@ -333,19 +324,19 @@ def em_softmax_backward(
     onehot = np.zeros((n, k))
     onehot[np.arange(n), labels] = 1.0
 
+    grads_div = None
+    if len(heads) >= 2 and cfg.diversity_weight != 0.0:
+        grads_div = diversity_gradients(heads, cfg.exact_diversity_grad)
     grads_bank = []
     grads_x = np.zeros((n, d))
-    with_diversity = len(heads) >= 2 and cfg.diversity_weight != 0.0
     for v, w in enumerate(heads):
         probs = fwd.probs_per_head[v]
         if probs.shape != (n, k):
             raise ValueError(f"stale forward output for head {v}: {probs.shape}")
         delta = (probs - onehot) / n
         grad_w = x_batch.T @ delta
-        if with_diversity:
-            grad_w = grad_w + cfg.diversity_weight * _diversity_grad(
-                heads, v, cfg.exact_diversity_grad
-            )
+        if grads_div is not None:
+            grad_w = grad_w + cfg.diversity_weight * grads_div[v]
         grads_bank.append(grad_w)
         grads_x += delta @ w.T
     return grads_bank, grads_x

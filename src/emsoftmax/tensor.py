@@ -17,9 +17,6 @@ import numpy as np
 __all__ = [
     "Rng",
     "as_matrix",
-    "matmul",
-    "transpose",
-    "trace",
     "gaussian_init",
     "xavier_scale",
 ]
@@ -119,31 +116,6 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     if out.shape[0] < 1 or out.shape[1] < 1:
         raise ValueError(f"{name} must have positive dimensions, got {out.shape}")
     return out
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with an explicit conformability check."""
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(
-            f"matmul dimension mismatch: a is {a.shape[0]}x{a.shape[1]}, "
-            f"b is {b.shape[0]}x{b.shape[1]}"
-        )
-    return a @ b
-
-
-def transpose(a) -> np.ndarray:
-    a = as_matrix(a, "a")
-    return np.ascontiguousarray(a.T)
-
-
-def trace(a) -> float:
-    """Sum of diagonal entries; input must be square."""
-    a = as_matrix(a, "a")
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"trace requires a square matrix, got {a.shape[0]}x{a.shape[1]}")
-    return float(np.trace(a))
 
 
 def xavier_scale(rows: int, cols: int) -> float:

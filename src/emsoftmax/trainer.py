@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset, minibatch_stream
-from .losses import LossConfig, em_softmax_backward, em_softmax_forward
+from .losses import LossConfig, diversity_gradients, em_softmax_backward, em_softmax_forward
 from .model import MlpFeatureExtractor, WeakClassifierBank
 from .tensor import Rng
 
@@ -37,6 +37,7 @@ __all__ = [
     "sgd_step",
     "TrainReport",
     "train",
+    "count_hits",
     "evaluate",
     "grad_check",
 ]
@@ -148,6 +149,35 @@ def _features_and_cache(net: MlpFeatureExtractor | None, x: np.ndarray):
     return net.forward(x)
 
 
+def count_hits(
+    net: MlpFeatureExtractor | None,
+    bank: WeakClassifierBank,
+    dataset: Dataset,
+    top5: bool = False,
+    chunk: int = 4096,
+) -> tuple[int, int | None]:
+    """Top-1 hits of the averaged classifier, streamed in chunks.
+
+    The second element counts labels among the five highest scores
+    (ties to the lower class index) when ``top5`` is set, else None.
+    """
+    clf = bank.assemble()
+    top1_hits = 0
+    top5_hits = 0 if top5 else None
+    # tolerate a diverged model's huge weights: its accuracy is still a
+    # well-defined (terrible) number
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, len(dataset), chunk):
+            feats, _ = _features_and_cache(net, dataset.features[start : start + chunk])
+            y = dataset.labels[start : start + chunk]
+            scores = clf.scores(feats)
+            top1_hits += int(np.sum(np.argmax(scores, axis=1) == y))
+            if top5:
+                top = np.argsort(-scores, axis=1, kind="stable")[:, :5]
+                top5_hits += int(np.sum(top == y[:, None]))
+    return top1_hits, top5_hits
+
+
 def evaluate(
     net: MlpFeatureExtractor | None,
     bank: WeakClassifierBank,
@@ -155,17 +185,7 @@ def evaluate(
     chunk: int = 4096,
 ) -> float:
     """Top-1 accuracy of the averaged classifier, streamed in chunks."""
-    clf = bank.assemble()
-    hits = 0
-    # tolerate a diverged model's huge weights: its accuracy is still a
-    # well-defined (terrible) number
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, len(dataset), chunk):
-            x = dataset.features[start : start + chunk]
-            feats, _ = _features_and_cache(net, x)
-            pred = clf.predict(feats)
-            hits += int(np.sum(pred == dataset.labels[start : start + chunk]))
-    return hits / len(dataset)
+    return count_hits(net, bank, dataset, chunk=chunk)[0] / len(dataset)
 
 
 def train(
@@ -351,15 +371,12 @@ def grad_check(
             worst = max(worst, abs(a_flat[j] - numeric) / denom)
         errors[name] = worst
 
-    div_mags = []
-    if bank.num_heads == 1 or check_cfg.diversity_weight == 0.0:
-        div_mags = [0.0] * bank.num_heads
-    else:
-        from .losses import _diversity_grad
-
-        for v in range(bank.num_heads):
-            g = check_cfg.diversity_weight * _diversity_grad(bank.heads, v, exact=True)
-            div_mags.append(float(np.max(np.abs(g))))
+    div_mags = [0.0] * bank.num_heads
+    if bank.num_heads >= 2 and check_cfg.diversity_weight != 0.0:
+        div_mags = [
+            float(np.max(np.abs(check_cfg.diversity_weight * g)))
+            for g in diversity_gradients(bank.heads, exact=True)
+        ]
 
     max_error = max(errors.values()) if errors else 0.0
     return {

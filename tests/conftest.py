@@ -43,6 +43,25 @@ def ref_hsic(k1, k2):
     return tr / (n - 1) ** 2
 
 
+def ref_diversity_kernel(bank, v):
+    """Kv = sum over heads u != v of H Wu_hat^T Wu_hat H, one head at a time.
+
+    Each head is normalized on the spot and the Grams are added to a zero
+    matrix in ascending u, the order the package uses, so tests may
+    compare against it with ``==``.
+    """
+    k = np.asarray(bank[0]).shape[1]
+    h = np.eye(k) - np.full((k, k), 1.0 / k)
+    kv = np.zeros((k, k))
+    for u, w in enumerate(bank):
+        if u == v:
+            continue
+        w = np.asarray(w, dtype=np.float64)
+        w_hat = w / np.sqrt(np.sum(w * w, axis=0))
+        kv += h @ (w_hat.T @ w_hat) @ h
+    return kv
+
+
 def central_diff(f, x, step=1e-6):
     """Entrywise central finite differences of scalar f at array x."""
     x = np.asarray(x, dtype=np.float64)

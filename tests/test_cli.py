@@ -157,6 +157,14 @@ class TestTrainCommand:
         cfg_path = write_quick(tmp_path, momentum="1.5")
         assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 1
 
+    @pytest.mark.parametrize("key", ["log_every", "eval_every"])
+    def test_zero_logging_interval_exits_one(self, tmp_path, capsys, key):
+        cfg_path = write_quick(tmp_path, **{key: "0"})
+        out = tmp_path / "x"
+        assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert f"{key} must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_divergent_run_exits_two_and_keeps_partial_report(self, tmp_path, capsys):
         cfg_path = write_quick(tmp_path, base_lr="10000.0", log_every="1")
         out = tmp_path / "boom"
@@ -209,6 +217,13 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         assert out.count("[ok]") == 13  # 12 grid cells + overall line
         assert "FAIL" not in out
+
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_non_positive_instances_exit_one(self, capsys, count):
+        assert main(["gradcheck", "--instances", count]) == 1
+        captured = capsys.readouterr()
+        assert "--instances must be at least 1" in captured.err
+        assert "[ok]" not in captured.out
 
     def test_corrupted_gradient_detected(self, capsys):
         assert main(["gradcheck", "--instances", "1", "--corrupt", "head0"]) == 2

@@ -3,20 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import central_diff, ref_hsic, ref_softmax_loss
+from conftest import central_diff, ref_diversity_kernel, ref_hsic, ref_softmax_loss
 from emsoftmax.losses import (
     PROB_FLOOR,
     LossConfig,
     centering_matrix,
-    cross_entropy,
-    diversity_kernel,
+    diversity_gradients,
     diversity_penalty,
     em_softmax_backward,
     em_softmax_forward,
     hsic_empirical,
     linear_scores,
     m_softmax_loss,
-    margin_adjusted_scores,
     normalize_classifier,
     softmax_probs,
 )
@@ -62,23 +60,25 @@ class TestCrossEntropyAndMargin:
         assert loss == pytest.approx(LN2, abs=1e-15)
 
     def test_cross_entropy_floors_tiny_probabilities(self):
-        assert cross_entropy(np.array([0.0, 1.0]), 0) == -np.log(PROB_FLOOR)
+        loss, probs = m_softmax_loss(np.array([[0.0, 1000.0]]), [0], 0.0)
+        assert probs[0, 0] == 0.0
+        assert loss == -np.log(PROB_FLOOR)
 
     def test_label_out_of_range(self):
         with pytest.raises(ValueError):
-            cross_entropy(np.array([0.5, 0.5]), 2)
-        with pytest.raises(ValueError):
             m_softmax_loss(np.zeros((1, 3)), [3], 0.0)
+        with pytest.raises(ValueError):
+            m_softmax_loss(np.zeros((1, 3)), [-1], 0.0)
 
     def test_margin_adjusts_only_true_class(self):
-        z = np.array([1.0, 2.0, 3.0])
-        adj = margin_adjusted_scores(z, 1, 0.7)
-        np.testing.assert_array_equal(adj, [1.0, 1.3, 3.0])
-        np.testing.assert_array_equal(z, [1.0, 2.0, 3.0])
+        z = np.array([[1.0, 2.0, 3.0]])
+        _, probs = m_softmax_loss(z, [1], 0.7)
+        np.testing.assert_array_equal(probs, softmax_probs(np.array([[1.0, 1.3, 3.0]])))
+        np.testing.assert_array_equal(z, [[1.0, 2.0, 3.0]])
 
     def test_negative_margin_rejected(self):
         with pytest.raises(ValueError):
-            margin_adjusted_scores(np.zeros(2), 0, -0.1)
+            m_softmax_loss(np.zeros((1, 2)), [0], -0.1)
         with pytest.raises(ValueError):
             m_softmax_loss(np.zeros((1, 2)), [0], -1.0)
         with pytest.raises(ValueError):
@@ -187,7 +187,7 @@ class TestDiversity:
     def test_kernel_is_symmetric_psd(self):
         rng = np.random.default_rng(4)
         bank = random_bank(rng, 6, 4, 3)
-        kv = diversity_kernel(bank, 1)
+        kv = ref_diversity_kernel(bank, 1)
         np.testing.assert_allclose(kv, kv.T, atol=1e-14)
         assert np.linalg.eigvalsh(kv).min() > -1e-12
 
@@ -226,12 +226,15 @@ class TestDiversity:
             assert diversity_penalty(bank, 0) == pytest.approx(expected, abs=1e-10)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            diversity_kernel([np.eye(2)], 1)
-        with pytest.raises(ValueError):
-            diversity_kernel([np.ones((2, 1)), np.ones((2, 1))], 0)
-        with pytest.raises(ValueError):
-            diversity_kernel([np.eye(2), np.eye(3)], 0)
+        with pytest.raises(ValueError, match="2 classes"):
+            diversity_penalty([np.ones((2, 1)), np.ones((2, 1))], 0)
+        with pytest.raises(ValueError, match="shape"):
+            diversity_penalty([np.eye(2), np.eye(3)], 0)
+        for v in (2, -1):
+            with pytest.raises(ValueError, match="out of range"):
+                diversity_penalty([np.eye(2), np.eye(2)], v)
+        with pytest.raises(ValueError, match="2 heads"):
+            diversity_gradients([np.eye(2)], exact=False)
 
 
 class TestForward:
@@ -335,8 +338,37 @@ class TestBackward:
         for v in range(2):
             norms = np.linalg.norm(bank[v], axis=0)
             w_hat = bank[v] / norms
-            expected = cls_only[v] + lam * (2.0 * w_hat @ diversity_kernel(bank, v)) / norms
+            expected = cls_only[v] + lam * (2.0 * w_hat @ ref_diversity_kernel(bank, v)) / norms
             np.testing.assert_allclose(grads[v], expected, atol=1e-13)
+
+    def test_six_heads_bitwise_equal_to_reference_kernel(self):
+        # pins the exact summation order of Kv: forward, detached and
+        # exact backward must not move a single bit against the loop
+        rng = np.random.default_rng(16)
+        x = rng.normal(size=(8, 24))
+        bank = [w * s for w, s in zip(random_bank(rng, 24, 10, 6), (0.1, 1, 2, 5, 0.5, 3))]
+        y = rng.integers(0, 10, size=8)
+        lam = 0.3
+        norms = [np.sqrt(np.sum(w * w, axis=0)) for w in bank]
+        w_hats = [w / nrm for w, nrm in zip(bank, norms)]
+        kernels = [ref_diversity_kernel(bank, v) for v in range(6)]
+
+        cfg = LossConfig(0.5, lam, 6)
+        fwd = em_softmax_forward(x, bank, y, cfg)
+        div = sum(float(np.sum((wh @ kv) * wh)) for wh, kv in zip(w_hats, kernels))
+        assert fwd.diversity_term == div
+        assert fwd.total_loss == fwd.classification_term + lam * div
+
+        cls_only = em_softmax_backward(x, bank, y, LossConfig(0.5, 0.0, 6), fwd)[0]
+        detached, _ = em_softmax_backward(x, bank, y, cfg, fwd)
+        exact_cfg = LossConfig(0.5, lam, 6, exact_diversity_grad=True)
+        exact, _ = em_softmax_backward(x, bank, y, exact_cfg, fwd)
+        for v in range(6):
+            g_hat = 2.0 * (w_hats[v] @ kernels[v])
+            assert (detached[v] == cls_only[v] + lam * (g_hat / norms[v])).all()
+            g_hat = 4.0 * (w_hats[v] @ kernels[v])
+            g_hat -= w_hats[v] * np.sum(w_hats[v] * g_hat, axis=0, keepdims=True)
+            assert (exact[v] == cls_only[v] + lam * (g_hat / norms[v])).all()
 
     def test_default_and_exact_modes_differ_when_diversity_active(self):
         rng = np.random.default_rng(14)

@@ -5,9 +5,6 @@ from emsoftmax.tensor import (
     Rng,
     as_matrix,
     gaussian_init,
-    matmul,
-    trace,
-    transpose,
     xavier_scale,
 )
 
@@ -123,28 +120,6 @@ class TestMatrixHelpers:
     def test_as_matrix_rejects_empty_dimensions(self):
         with pytest.raises(ValueError):
             as_matrix(np.zeros((0, 3)), "bad")
-
-    def test_matmul_matches_numpy(self):
-        rng = np.random.default_rng(42)
-        a = rng.normal(size=(4, 7))
-        b = rng.normal(size=(7, 3))
-        np.testing.assert_allclose(matmul(a, b), a @ b, rtol=0, atol=0)
-
-    def test_matmul_conformability(self):
-        with pytest.raises(ValueError):
-            matmul(np.zeros((2, 3)), np.zeros((4, 2)))
-
-    def test_transpose(self):
-        a = np.arange(6.0).reshape(2, 3)
-        t = transpose(a)
-        np.testing.assert_array_equal(t, a.T)
-        assert t.flags["C_CONTIGUOUS"]
-
-    def test_trace(self):
-        a = np.diag([1.0, 2.0, 3.0])
-        assert trace(a) == 6.0
-        with pytest.raises(ValueError):
-            trace(np.zeros((2, 3)))
 
 
 class TestInitializers:

@@ -9,6 +9,7 @@ from emsoftmax.trainer import (
     DivergenceError,
     SgdConfig,
     TrainReport,
+    count_hits,
     evaluate,
     grad_check,
     learning_rate,
@@ -211,6 +212,14 @@ class TestEvaluate:
         ds = blob_dataset(per=100)
         bank = WeakClassifierBank(ds.dim, ds.num_classes, 2, Rng(7))
         assert evaluate(None, bank, ds, chunk=7) == evaluate(None, bank, ds, chunk=10**6)
+
+    def test_hit_counts(self):
+        # scores [[1, 2, 0]]: label 1 is top-1, label 0 second, label 2 third
+        ds = Dataset(np.array([[1.0, 2.0, 0.0]] * 3), np.array([1, 0, 2]), 3)
+        bank = WeakClassifierBank(3, 3, 1, Rng(0))
+        bank.heads = [np.eye(3)]
+        assert count_hits(None, bank, ds) == (1, None)
+        assert count_hits(None, bank, ds, top5=True, chunk=2) == (1, 3)
 
 
 class TestGradCheck:
