@@ -326,13 +326,23 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = _load_config(args.config)
     try:
         net, bank = load_checkpoint(args.checkpoint)
     except (OSError, CheckpointError) as exc:
         raise ConfigError(f"cannot load checkpoint {args.checkpoint}: {exc}") from exc
+    artifact_dir = Path(args.checkpoint).parent
+    config = args.config
+    if config is None:
+        resolved = artifact_dir / "resolved.cfg"
+        if not resolved.exists():
+            raise ConfigError(
+                f"no resolved.cfg next to {args.checkpoint}; pass --config to name "
+                "the dataset"
+            )
+        config = str(resolved)
+    cfg = _load_config(config)
 
-    train_ds, eval_ds, _ = _replay_preprocessing(cfg, Path(args.checkpoint).parent)
+    train_ds, eval_ds, _ = _replay_preprocessing(cfg, artifact_dir)
     ds = train_ds if args.split == "train" else eval_ds
     if ds.dim != net.input_dim:
         raise ConfigError(
@@ -517,7 +527,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint")
     p_eval.add_argument("--checkpoint", required=True)
-    p_eval.add_argument("--config", help="config describing the dataset")
+    p_eval.add_argument(
+        "--config",
+        help="config describing the dataset (default: resolved.cfg next to the checkpoint)",
+    )
     p_eval.add_argument("--split", choices=("train", "eval"), default="eval")
     p_eval.set_defaults(func=cmd_eval)
 

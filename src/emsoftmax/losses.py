@@ -18,6 +18,14 @@ empirical HSIC between head Grams, up to the ``(K-1)^-2`` scaling which
 is kept in :func:`hsic_empirical` but dropped from the training penalty.
 Each pass normalizes every head and forms its centered Gram
 ``Gu = H Wu^T Wu H`` once; every ``Kv`` is summed from those Grams.
+
+One private core computes the loss over a stacked ``(..., V, d, K)``
+bank, with an optional leading batch axis of whole banks. The public
+entry points validate their inputs once and call it:
+:func:`em_softmax_forward` on one bank, :func:`em_softmax_totals` on a
+``(B, V, d, K)`` stack of banks (the gradient checker's finite
+differences), and :func:`diversity_penalty`/:func:`diversity_gradients`
+through the same kernel builder.
 """
 
 from __future__ import annotations
@@ -42,6 +50,7 @@ __all__ = [
     "diversity_penalty",
     "diversity_gradients",
     "em_softmax_forward",
+    "em_softmax_totals",
     "em_softmax_backward",
 ]
 
@@ -129,6 +138,19 @@ def _check_labels(labels, n: int, num_classes: int) -> np.ndarray:
     return labels.astype(np.int64)
 
 
+def _margin_softmax(scores: np.ndarray, labels: np.ndarray, m: float):
+    """Margin-adjusted softmax rows and per-row losses of (..., n, K) scores.
+
+    ``scores`` is overwritten with the adjusted scores; ``labels`` must
+    already be checked.
+    """
+    rows = np.arange(scores.shape[-2])
+    scores[..., rows, labels] -= m
+    probs = softmax_probs(scores)
+    picked = np.maximum(probs[..., rows, labels], PROB_FLOOR)
+    return -np.log(picked), probs
+
+
 def m_softmax_loss(z_batch: np.ndarray, labels, m: float) -> tuple[float, np.ndarray]:
     """Margin softmax loss of a batch of raw scores.
 
@@ -141,12 +163,8 @@ def m_softmax_loss(z_batch: np.ndarray, labels, m: float) -> tuple[float, np.nda
     z_batch = as_matrix(z_batch, "z_batch")
     n, k = z_batch.shape
     labels = _check_labels(labels, n, k)
-    adjusted = z_batch.copy()
-    adjusted[np.arange(n), labels] -= m
-    probs = softmax_probs(adjusted)
-    picked = np.maximum(probs[np.arange(n), labels], PROB_FLOOR)
-    loss = float(np.mean(-np.log(picked)))
-    return loss, probs
+    losses, probs = _margin_softmax(z_batch.copy(), labels, m)
+    return float(np.mean(losses)), probs
 
 
 def centering_matrix(n: int) -> np.ndarray:
@@ -174,12 +192,15 @@ def hsic_empirical(k1: np.ndarray, k2: np.ndarray) -> float:
 def normalize_classifier(w: np.ndarray) -> np.ndarray:
     """Scale every column (per-class weight vector) to unit L2 norm.
 
+    Accepts one d x K classifier or a stack ``(..., d, K)`` of them.
     Zero columns cannot be normalized; they are left as zero and flagged
     with a RuntimeWarning. The result is used only inside the diversity
     computation, never to overwrite the live classifier.
     """
-    w = as_matrix(w, "w")
-    norms = np.sqrt(np.sum(w * w, axis=0))
+    w = np.asarray(w, dtype=np.float64)
+    if w.ndim < 2 or w.shape[-2] < 1 or w.shape[-1] < 1:
+        raise ValueError(f"w must have shape (..., d, K) with d, K >= 1, got {w.shape}")
+    norms = np.sqrt(np.sum(w * w, axis=-2, keepdims=True))
     degenerate = norms == 0.0
     if degenerate.any():
         warnings.warn(
@@ -192,39 +213,61 @@ def normalize_classifier(w: np.ndarray) -> np.ndarray:
     return w / safe
 
 
-def _check_bank(bank) -> list[np.ndarray]:
+def _check_bank(bank) -> np.ndarray:
+    """The bank's heads stacked into one (V, d, K) float64 array."""
     if len(bank) < 1:
         raise ValueError("classifier bank is empty")
-    heads = [as_matrix(w, f"bank[{i}]") for i, w in enumerate(bank)]
-    shape = heads[0].shape
-    for i, w in enumerate(heads):
-        if w.shape != shape:
-            raise ValueError(f"bank[{i}] has shape {w.shape}, expected {shape}")
-    return heads
+    shape = as_matrix(bank[0], "bank[0]").shape
+    for i, w in enumerate(bank):
+        if np.shape(w) != shape:
+            raise ValueError(f"bank[{i}] has shape {np.shape(w)}, expected {shape}")
+    return np.array(bank, dtype=np.float64)
 
 
-def _diversity_kernels(heads: list[np.ndarray]) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Normalized heads and every Kv (K x K, PSD) of a checked bank.
+def _check_heads(num_heads: int, cfg: LossConfig) -> None:
+    if num_heads != cfg.num_heads:
+        raise ValueError(f"bank has {num_heads} heads, config says {cfg.num_heads}")
 
-    Each head is normalized and its centered Gram ``Gu = H Wu_hat^T
-    Wu_hat H`` formed once. Kv adds the other heads' Grams to a zero
-    matrix in ascending u; subtracting Gv from the sum of all Grams
-    would change the last bits of the penalty and both gradients.
+
+def _check_batch(x_batch, labels, d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    x_batch = as_matrix(x_batch, "x_batch")
+    if x_batch.shape[1] != d:
+        raise ValueError(
+            f"classifier expects features of dim {d}, got {x_batch.shape[1]}"
+        )
+    return x_batch, _check_labels(labels, x_batch.shape[0], k)
+
+
+def _diversity_kernels(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized heads and every Kv of a checked ``(..., V, d, K)`` bank.
+
+    Returns ``Wv_hat`` stacked like ``w`` and the Kv (K x K, PSD) stacked
+    as ``(..., V, K, K)``. Each head is normalized and its centered Gram
+    ``Gu = H Wu_hat^T Wu_hat H`` formed once. Kv adds the other heads'
+    Grams to a zero matrix in ascending u; subtracting Gv from the sum of
+    all Grams would change the last bits of the penalty and both
+    gradients.
     """
-    k = heads[0].shape[1]
+    k = w.shape[-1]
     if k < 2:
         raise ValueError("diversity needs at least 2 classes (H degenerates at K=1)")
     h = centering_matrix(k)
-    w_hats = [normalize_classifier(w) for w in heads]
-    grams = [h @ (w_hat.T @ w_hat) @ h for w_hat in w_hats]
-    kernels = []
-    for v in range(len(heads)):
-        acc = np.zeros((k, k))
-        for u, gram in enumerate(grams):
+    w_hats = normalize_classifier(w)
+    grams = h @ (np.swapaxes(w_hats, -1, -2) @ w_hats) @ h
+    kernels = np.zeros_like(grams)
+    num_heads = w.shape[-3]
+    for v in range(num_heads):
+        for u in range(num_heads):
             if u != v:
-                acc += gram
-        kernels.append(acc)
+                kernels[..., v, :, :] += grams[..., u, :, :]
     return w_hats, kernels
+
+
+def _head_penalties(w: np.ndarray) -> np.ndarray:
+    """tr(Wv_hat Kv Wv_hat^T) of every head of a checked bank: (..., V)."""
+    w_hats, kernels = _diversity_kernels(w)
+    terms = (w_hats @ kernels) * w_hats
+    return np.sum(terms.reshape(*terms.shape[:-2], -1), axis=-1)
 
 
 def diversity_penalty(bank, v: int) -> float:
@@ -233,13 +276,28 @@ def diversity_penalty(bank, v: int) -> float:
     Equals ``sum_{u != v} ||Wv_hat H Wu_hat^T||_F^2``, i.e. the summed
     pairwise HSIC of head v against the rest without the (K-1)^-2 scale.
     """
-    heads = _check_bank(bank)
-    if len(heads) == 1:
+    w = _check_bank(bank)
+    if len(w) == 1:
         return 0.0
-    if not 0 <= v < len(heads):
-        raise ValueError(f"head index {v} out of range for bank of {len(heads)}")
-    w_hats, kernels = _diversity_kernels(heads)
-    return float(np.sum((w_hats[v] @ kernels[v]) * w_hats[v]))
+    if not 0 <= v < len(w):
+        raise ValueError(f"head index {v} out of range for bank of {len(w)}")
+    return float(_head_penalties(w)[v])
+
+
+def _diversity_gradients(w: np.ndarray, exact: bool) -> list[np.ndarray]:
+    w_hats, kernels = _diversity_kernels(w)
+    grads = []
+    for w_v, w_hat, kv in zip(w, w_hats, kernels):
+        norms = np.sqrt(np.sum(w_v * w_v, axis=0))
+        if exact:
+            g_hat = 4.0 * (w_hat @ kv)
+            g_hat -= w_hat * np.sum(w_hat * g_hat, axis=0, keepdims=True)
+        else:
+            g_hat = 2.0 * (w_hat @ kv)
+        grad = g_hat / np.where(norms == 0.0, 1.0, norms)
+        grad[:, norms == 0.0] = 0.0
+        grads.append(grad)
+    return grads
 
 
 def diversity_gradients(bank, exact: bool) -> list[np.ndarray]:
@@ -253,22 +311,33 @@ def diversity_gradients(bank, exact: bool) -> list[np.ndarray]:
     the true normalization Jacobian (I - w_hat w_hat^T)/||w||. Needs a
     bank of at least two heads.
     """
-    heads = _check_bank(bank)
-    if len(heads) < 2:
+    w = _check_bank(bank)
+    if len(w) < 2:
         raise ValueError("diversity gradients need at least 2 heads")
-    w_hats, kernels = _diversity_kernels(heads)
-    grads = []
-    for w, w_hat, kv in zip(heads, w_hats, kernels):
-        norms = np.sqrt(np.sum(w * w, axis=0))
-        if exact:
-            g_hat = 4.0 * (w_hat @ kv)
-            g_hat -= w_hat * np.sum(w_hat * g_hat, axis=0, keepdims=True)
-        else:
-            g_hat = 2.0 * (w_hat @ kv)
-        grad = g_hat / np.where(norms == 0.0, 1.0, norms)
-        grad[:, norms == 0.0] = 0.0
-        grads.append(grad)
-    return grads
+    return _diversity_gradients(w, exact)
+
+
+def _loss_core(x_batch: np.ndarray, w: np.ndarray, labels: np.ndarray, cfg: LossConfig):
+    """Loss terms of checked inputs over a ``(..., V, d, K)`` bank stack.
+
+    Returns (classification, diversity, total), each shaped like the
+    leading batch axes of ``w``, and the margin-adjusted probabilities
+    ``(..., V, n, K)``. Heads are summed in ascending order from zero,
+    each head's batch mean taken on its own, so one bank gives the same
+    bits as the head-by-head formulation.
+    """
+    losses, probs = _margin_softmax(np.matmul(x_batch, w), labels, cfg.margin)
+    num_heads = w.shape[-3]
+    classification = 0.0
+    for v in range(num_heads):
+        classification = classification + np.mean(losses[..., v, :], axis=-1)
+    diversity = 0.0
+    if num_heads >= 2:
+        penalties = _head_penalties(w)
+        for v in range(num_heads):
+            diversity = diversity + penalties[..., v]
+    total = classification + cfg.diversity_weight * diversity
+    return classification, diversity, total, probs
 
 
 def em_softmax_forward(x_batch: np.ndarray, bank, labels, cfg: LossConfig) -> LossOutput:
@@ -278,28 +347,26 @@ def em_softmax_forward(x_batch: np.ndarray, bank, labels, cfg: LossConfig) -> Lo
     loss; diversity = sum over heads of their penalty (weight-only, so it
     is batch independent); total = classification + lambda * diversity.
     """
-    heads = _check_bank(bank)
-    if len(heads) != cfg.num_heads:
-        raise ValueError(f"bank has {len(heads)} heads, config says {cfg.num_heads}")
-    x_batch = as_matrix(x_batch, "x_batch")
+    w = _check_bank(bank)
+    _check_heads(len(w), cfg)
+    x_batch, labels = _check_batch(x_batch, labels, w.shape[1], w.shape[2])
+    classification, diversity, total, probs = _loss_core(x_batch, w, labels, cfg)
+    return LossOutput(float(total), float(classification), float(diversity), list(probs))
 
-    classification = 0.0
-    probs_per_head = []
-    for w in heads:
-        z = linear_scores(w, x_batch)
-        loss_v, probs_v = m_softmax_loss(z, labels, cfg.margin)
-        classification += loss_v
-        probs_per_head.append(probs_v)
 
-    diversity = 0.0
-    if len(heads) >= 2:
-        w_hats, kernels = _diversity_kernels(heads)
-        diversity = sum(
-            float(np.sum((w_hat @ kv) * w_hat)) for w_hat, kv in zip(w_hats, kernels)
-        )
+def em_softmax_totals(x_batch: np.ndarray, banks, labels, cfg: LossConfig) -> np.ndarray:
+    """Total loss of every bank in a ``(B, V, d, K)`` stack, shape (B,).
 
-    total = classification + cfg.diversity_weight * diversity
-    return LossOutput(total, classification, diversity, probs_per_head)
+    Entry b equals ``em_softmax_forward(x_batch, banks[b], labels,
+    cfg).total_loss`` up to rounding in the last bits; the whole stack
+    is validated once and scored in one pass.
+    """
+    banks = np.asarray(banks, dtype=np.float64)
+    if banks.ndim != 4 or 0 in banks.shape:
+        raise ValueError(f"banks must be a non-empty (B, V, d, K) stack, got {banks.shape}")
+    _check_heads(banks.shape[1], cfg)
+    x_batch, labels = _check_batch(x_batch, labels, banks.shape[2], banks.shape[3])
+    return _loss_core(x_batch, banks, labels, cfg)[2]
 
 
 def em_softmax_backward(
@@ -312,12 +379,10 @@ def em_softmax_backward(
     onehot) Wv^T / n``.
     """
     heads = _check_bank(bank)
-    if len(heads) != cfg.num_heads:
-        raise ValueError(f"bank has {len(heads)} heads, config says {cfg.num_heads}")
-    x_batch = as_matrix(x_batch, "x_batch")
-    n, d = x_batch.shape
-    k = heads[0].shape[1]
-    labels = _check_labels(labels, n, k)
+    _check_heads(len(heads), cfg)
+    _, d, k = heads.shape
+    x_batch, labels = _check_batch(x_batch, labels, d, k)
+    n = x_batch.shape[0]
     if len(fwd.probs_per_head) != len(heads):
         raise ValueError("forward output does not match the bank")
 
@@ -326,7 +391,7 @@ def em_softmax_backward(
 
     grads_div = None
     if len(heads) >= 2 and cfg.diversity_weight != 0.0:
-        grads_div = diversity_gradients(heads, cfg.exact_diversity_grad)
+        grads_div = _diversity_gradients(heads, cfg.exact_diversity_grad)
     grads_bank = []
     grads_x = np.zeros((n, d))
     for v, w in enumerate(heads):

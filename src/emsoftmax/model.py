@@ -35,7 +35,7 @@ _VERSION = 1
 
 
 class CheckpointError(Exception):
-    """A checkpoint file is unreadable: wrong magic, version, size, or CRC."""
+    """A checkpoint is unreadable: bad magic, version, size, CRC, or shapes."""
 
 
 class MlpFeatureExtractor:
@@ -102,10 +102,9 @@ class MlpFeatureExtractor:
         for i in range(last, -1, -1):
             a_in = cache[i]
             if i < last:
-                # ReLU mask from the recomputed pre-activation; cheaper to
-                # recompute than to cache both sides of every layer.
-                pre = a_in @ self.weights[i] + self.biases[i]
-                grad = grad * (pre > 0.0)
+                # ReLU mask from the next layer's input max(pre, 0), which
+                # is positive exactly where pre > 0 (NaN included).
+                grad = grad * (cache[i + 1] > 0.0)
             grad_w = a_in.T @ grad
             grad_b = np.sum(grad, axis=0, keepdims=True)
             param_grads[i] = (grad_w, grad_b)
@@ -236,10 +235,20 @@ def load_checkpoint(path) -> tuple[MlpFeatureExtractor, WeakClassifierBank]:
         raise CheckpointError(f"unsupported checkpoint version {version}")
     n_dims = r.u32()
     dims = [r.u32() for _ in range(n_dims)]
-    net = MlpFeatureExtractor(dims)
-    for i in range(len(dims) - 1):
+    try:
+        net = MlpFeatureExtractor(dims)
+    except ValueError as exc:
+        raise CheckpointError(f"bad layer dims {dims}: {exc}") from exc
+    for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
         net.weights[i] = r.array()
         net.biases[i] = r.array()
+        for name, a, want in (("w", net.weights[i], (fan_in, fan_out)),
+                              ("b", net.biases[i], (1, fan_out))):
+            if a.shape != want:
+                raise CheckpointError(
+                    f"layer {i} {name}{i} has shape {a.shape}, header dims {dims} "
+                    f"say {want}"
+                )
     num_heads = r.u32()
     feature_dim = r.u32()
     num_classes = r.u32()

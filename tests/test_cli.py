@@ -9,6 +9,8 @@ from emsoftmax.cli import (
     main,
     parse_config_text,
 )
+from emsoftmax.model import MlpFeatureExtractor, WeakClassifierBank, save_checkpoint
+from emsoftmax.tensor import Rng
 
 QUICK = """
 dataset = synthetic
@@ -205,6 +207,34 @@ class TestEvalCommand:
         other = write_quick(tmp_path, name="other.cfg", synth_dim=9)
         assert main(["eval", "--checkpoint", str(out / "model.ckpt"), "--config", str(other)]) == 1
         assert "dim" in capsys.readouterr().err
+
+    def test_without_config_uses_resolved_cfg(self, tmp_path, capsys):
+        cfg_path = write_quick(tmp_path)
+        out = tmp_path / "run"
+        main(["train", "--config", str(cfg_path), "--out", str(out)])
+        train_acc = capsys.readouterr().out.strip().split()[-1]
+        assert main(["eval", "--checkpoint", str(out / "model.ckpt")]) == 0
+        assert f"top1 accuracy: {train_acc}" in capsys.readouterr().out
+
+    def test_without_any_config_exits_one(self, tmp_path, capsys):
+        cfg_path = write_quick(tmp_path)
+        out = tmp_path / "run"
+        main(["train", "--config", str(cfg_path), "--out", str(out)])
+        capsys.readouterr()
+        (out / "resolved.cfg").unlink()
+        assert main(["eval", "--checkpoint", str(out / "model.ckpt")]) == 1
+        assert "--config" in capsys.readouterr().err
+
+    def test_inconsistent_checkpoint_exits_one(self, tmp_path, capsys):
+        cfg_path = write_quick(tmp_path)
+        out = tmp_path / "run"
+        net = MlpFeatureExtractor([8, 12, 8], Rng(1))
+        net.weights[0] = np.zeros((8, 11))
+        out.mkdir()
+        save_checkpoint(out / "model.ckpt", net, WeakClassifierBank(8, 4, 2, Rng(2)))
+        code = main(["eval", "--checkpoint", str(out / "model.ckpt"), "--config", str(cfg_path)])
+        assert code == 1
+        assert "w0" in capsys.readouterr().err
 
     def test_missing_checkpoint_exits_one(self, tmp_path, capsys):
         cfg_path = write_quick(tmp_path)

@@ -12,6 +12,7 @@ from emsoftmax.losses import (
     diversity_penalty,
     em_softmax_backward,
     em_softmax_forward,
+    em_softmax_totals,
     hsic_empirical,
     linear_scores,
     m_softmax_loss,
@@ -182,6 +183,16 @@ class TestNormalizeClassifier:
         np.testing.assert_array_equal(w_hat[:, 1], [0.0, 0.0])
         np.testing.assert_array_equal(w_hat[:, 0], [1.0, 0.0])
 
+    def test_stack_matches_each_matrix_bitwise(self):
+        w = np.random.default_rng(8).normal(size=(3, 2, 6, 4))
+        w_hat = normalize_classifier(w)
+        for idx in np.ndindex(3, 2):
+            assert (w_hat[idx] == normalize_classifier(w[idx])).all()
+
+    def test_rejects_vectors(self):
+        with pytest.raises(ValueError, match="shape"):
+            normalize_classifier(np.ones(3))
+
 
 class TestDiversity:
     def test_kernel_is_symmetric_psd(self):
@@ -271,6 +282,35 @@ class TestForward:
         x = np.array([[1.0, 0.0]])
         out = em_softmax_forward(x, [np.eye(2)], [0], LossConfig(1.0, 0.0, 1))
         np.testing.assert_allclose(out.probs_per_head[0], [[0.5, 0.5]], atol=1e-15)
+
+
+class TestTotals:
+    @pytest.mark.parametrize("v", [1, 2, 3, 6])
+    @pytest.mark.parametrize("margin", [0.0, 1.0])
+    @pytest.mark.parametrize("lam", [0.0, 0.1])
+    def test_matches_per_bank_forward(self, v, margin, lam):
+        rng = np.random.default_rng(100 + v)
+        cfg = LossConfig(margin, lam, v)
+        for n in range(1, 6):
+            d, k = int(rng.integers(2, 7)), int(rng.integers(2, 6))
+            banks = rng.normal(size=(7, v, d, k)) * rng.uniform(0.1, 3.0, size=(7, v, 1, 1))
+            x = rng.normal(size=(n, d))
+            y = rng.integers(0, k, size=n)
+            totals = em_softmax_totals(x, banks, y, cfg)
+            assert totals.shape == (7,)
+            expected = [em_softmax_forward(x, list(b), y, cfg).total_loss for b in banks]
+            np.testing.assert_allclose(totals, expected, rtol=0.0, atol=1e-13)
+
+    def test_validation(self):
+        x, y = np.zeros((2, 3)), [0, 1]
+        with pytest.raises(ValueError, match="stack"):
+            em_softmax_totals(x, np.zeros((2, 3, 2)), y, LossConfig(0, 0, 2))
+        with pytest.raises(ValueError, match="heads"):
+            em_softmax_totals(x, np.ones((4, 1, 3, 2)), y, LossConfig(0, 0, 2))
+        with pytest.raises(ValueError, match="dim"):
+            em_softmax_totals(x, np.ones((4, 2, 5, 2)), y, LossConfig(0, 0, 2))
+        with pytest.raises(ValueError, match="labels"):
+            em_softmax_totals(x, np.ones((4, 2, 3, 2)), [0, 2], LossConfig(0, 0, 2))
 
 
 class TestBackward:

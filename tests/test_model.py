@@ -208,3 +208,25 @@ class TestCheckpoint:
         path.write_bytes(bytes(blob) + struct.pack("<I", crc))
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("layer, shape", [("w0", (20, 31)), ("b1", (1, 23))])
+    def test_layer_shape_must_match_header_dims(self, tmp_path, layer, shape):
+        # a CRC-valid file whose arrays disagree with its own header
+        net = MlpFeatureExtractor([20, 32, 24], Rng(1))
+        bank = WeakClassifierBank(24, 10, 2, Rng(2))
+        params = net.weights if layer[0] == "w" else net.biases
+        params[int(layer[1])] = np.zeros(shape)
+        path = tmp_path / "x.ckpt"
+        save_checkpoint(path, net, bank)
+        with pytest.raises(CheckpointError, match=layer):
+            load_checkpoint(path)
+
+    def test_unbuildable_header_dims(self, tmp_path):
+        import zlib
+
+        # magic, version 1, one layer dim: no network can have that shape
+        blob = b"EMSM" + struct.pack("<III", 1, 1, 20)
+        path = tmp_path / "x.ckpt"
+        path.write_bytes(blob + struct.pack("<I", zlib.crc32(blob) & 0xFFFFFFFF))
+        with pytest.raises(CheckpointError, match="dims"):
+            load_checkpoint(path)

@@ -3,6 +3,7 @@ import pytest
 
 from emsoftmax.data import Dataset, SyntheticSpec, synth_blobs
 from emsoftmax.losses import LossConfig
+from emsoftmax import trainer
 from emsoftmax.model import MlpFeatureExtractor, WeakClassifierBank
 from emsoftmax.tensor import Rng
 from emsoftmax.trainer import (
@@ -248,6 +249,54 @@ class TestGradCheck:
         )
         assert not res["passed"]
         assert res["block_errors"]["head1"] > 1e-3
+
+    @staticmethod
+    def wide_bank_check(monkeypatch, **kwargs):
+        # 2 heads of 50 x 10: 2000 perturbed banks of 1000 values each, so
+        # at about 1e6 values per chunk the banks need at least two calls
+        calls = []
+        totals = trainer.em_softmax_totals
+
+        def counted(*args):
+            calls.append(args[1].shape[0])
+            return totals(*args)
+
+        monkeypatch.setattr(trainer, "em_softmax_totals", counted)
+        rng = Rng(21)
+        bank = WeakClassifierBank(50, 10, 2, rng.spawn(1))
+        x = rng.spawn(2).normal((3, 50))
+        res = grad_check(None, bank, x, [0, 4, 9], LossConfig(1.0, 0.1, 2), **kwargs)
+        assert len(calls) >= 2 and sum(calls) == 2 * 2 * 50 * 10
+        return res
+
+    def test_bank_spanning_several_chunks_passes(self, monkeypatch):
+        res = self.wide_bank_check(monkeypatch)
+        assert res["passed"], res
+
+    def test_corruption_detected_across_chunks(self, monkeypatch):
+        res = self.wide_bank_check(monkeypatch, corrupt_block="head1")
+        assert not res["passed"]
+        assert res["block_errors"]["head1"] > 1e-3
+        assert res["block_errors"]["head0"] <= 1e-5
+
+    def test_zero_column_bank_warns(self):
+        ds = blob_dataset(per=3, dim=4)
+        bank = WeakClassifierBank(ds.dim, ds.num_classes, 2, Rng(3))
+        bank.heads[0][:, 1] = 0.0
+        with pytest.warns(RuntimeWarning, match="zero column"):
+            grad_check(None, bank, ds.features[:2], ds.labels[:2], LossConfig(0.0, 0.1, 2))
+
+    def test_nan_differences_fail(self, monkeypatch):
+        # the network blocks come first and are finite; a NaN in a later
+        # block must still fail the check
+        monkeypatch.setattr(
+            trainer, "em_softmax_totals", lambda _x, banks, *_: np.full(len(banks), np.nan)
+        )
+        ds = blob_dataset(per=4, dim=5)
+        net, bank = fresh_model(ds, heads=2, hidden=(4,), feat=3)
+        res = grad_check(net, bank, ds.features[:3], ds.labels[:3], LossConfig(0.5, 0.1, 2))
+        assert np.isnan(res["block_errors"]["head0"])
+        assert not res["passed"]
 
     def test_unknown_corrupt_block_rejected(self):
         ds = blob_dataset(per=3, dim=4)
