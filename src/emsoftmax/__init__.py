@@ -15,13 +15,11 @@ from .losses import (
     diversity_penalty,
     em_softmax_backward,
     em_softmax_forward,
-    hsic_empirical,
     m_softmax_loss,
     normalize_classifier,
     softmax_probs,
 )
 from .model import (
-    EnsembleClassifier,
     MlpFeatureExtractor,
     WeakClassifierBank,
     load_checkpoint,
@@ -43,11 +41,9 @@ __all__ = [
     "diversity_penalty",
     "em_softmax_backward",
     "em_softmax_forward",
-    "hsic_empirical",
     "m_softmax_loss",
     "normalize_classifier",
     "softmax_probs",
-    "EnsembleClassifier",
     "MlpFeatureExtractor",
     "WeakClassifierBank",
     "load_checkpoint",

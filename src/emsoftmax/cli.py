@@ -29,6 +29,7 @@ from .data import (
     mean_subtract,
     save_mean,
     synth_blobs,
+    write_atomic,
 )
 from .losses import LossConfig, diversity_penalty
 from .model import (
@@ -290,8 +291,8 @@ def run_training(cfg: RunConfig, quiet: bool = False) -> dict:
 
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "report.csv").write_text(report.to_csv(include_timing=cfg.timing_in_csv))
-    (out / "resolved.cfg").write_text(config_to_text(cfg))
+    write_atomic(out / "report.csv", report.to_csv(include_timing=cfg.timing_in_csv).encode())
+    write_atomic(out / "resolved.cfg", config_to_text(cfg).encode())
     save_checkpoint(out / "model.ckpt", net, bank)
     if mean is not None:
         save_mean(out / "mean.bin", mean)
@@ -500,7 +501,7 @@ def cmd_sweep(args) -> int:
         mean_div = sum(divs) / len(divs)
         lines.append(f"{token},mean,{mean_acc:.6f},{mean_div:.10g}")
         print(f"{args.sweep_param}={token}: mean accuracy {mean_acc:.6f}")
-    (out / "sweep.csv").write_text("\n".join(lines) + "\n")
+    write_atomic(out / "sweep.csv", ("\n".join(lines) + "\n").encode())
     if any_diverged:
         print("at least one sweep cell diverged", file=sys.stderr)
         return 2

@@ -17,6 +17,7 @@ exercisable end to end.
 from __future__ import annotations
 
 import gzip
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -34,6 +35,7 @@ __all__ = [
     "mean_subtract",
     "save_mean",
     "load_mean",
+    "write_atomic",
     "SyntheticSpec",
     "synth_blobs",
     "epoch_batches",
@@ -171,12 +173,28 @@ def mean_subtract(train: Dataset, *others: Dataset):
     return (*out, mean)
 
 
+def write_atomic(path, payload: bytes) -> None:
+    """Replace ``path`` with ``payload`` in one step.
+
+    The bytes go to a temporary file in the same directory, which
+    ``os.replace`` then moves over ``path``; a write that fails midway
+    removes the temporary file and leaves any previous ``path`` intact.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_mean(path, mean: np.ndarray) -> None:
     """Persist the preprocessing mean so eval runs can reapply it."""
     mean = np.ascontiguousarray(np.asarray(mean, dtype=np.float64).ravel(), dtype="<f8")
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<I", mean.size))
-        fh.write(mean.tobytes())
+    write_atomic(path, struct.pack("<I", mean.size) + mean.tobytes())
 
 
 def load_mean(path) -> np.ndarray:

@@ -14,10 +14,10 @@ Four losses share the machinery here:
 The diversity penalty for head v is ``tr(Wv Kv Wv^T)`` with
 ``Kv = sum_{u != v} H Wu^T Wu H`` built from column-normalized heads and
 the centering matrix ``H = I - (1/K) 11^T``. That equals the summed
-empirical HSIC between head Grams, up to the ``(K-1)^-2`` scaling which
-is kept in :func:`hsic_empirical` but dropped from the training penalty.
-Each pass normalizes every head and forms its centered Gram
-``Gu = H Wu^T Wu H`` once; every ``Kv`` is summed from those Grams.
+empirical HSIC between head Grams, up to the ``(K-1)^-2`` scaling that
+the training penalty drops. Each pass normalizes every head and forms
+its centered Gram ``Gu = H Wu^T Wu H`` once; every ``Kv`` is summed from
+those Grams.
 
 One private core computes the loss over a stacked ``(..., V, d, K)``
 bank, with an optional leading batch axis of whole banks. The public
@@ -25,11 +25,15 @@ entry points validate their inputs once and call it:
 :func:`em_softmax_forward` on one bank, :func:`em_softmax_totals` on a
 ``(B, V, d, K)`` stack of banks (the gradient checker's finite
 differences), and :func:`diversity_penalty`/:func:`diversity_gradients`
-through the same kernel builder.
+through the same kernel builder. The forward keeps its checked inputs,
+probabilities, normalized heads and kernels, and
+:func:`em_softmax_backward` works from them over the whole stack, so
+one training step builds the kernels once.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -41,11 +45,9 @@ __all__ = [
     "PROB_FLOOR",
     "LossConfig",
     "LossOutput",
-    "linear_scores",
     "softmax_probs",
     "m_softmax_loss",
     "centering_matrix",
-    "hsic_empirical",
     "normalize_classifier",
     "diversity_penalty",
     "diversity_gradients",
@@ -84,10 +86,10 @@ class LossConfig:
     exact_diversity_grad: bool = False
 
     def __post_init__(self):
-        if self.margin < 0:
-            raise ValueError("margin must be non-negative")
-        if self.diversity_weight < 0:
-            raise ValueError("diversity_weight must be non-negative")
+        for name in ("margin", "diversity_weight"):
+            value = getattr(self, name)
+            if not math.isfinite(value) or value < 0:
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
         if self.num_heads < 1:
             raise ValueError("num_heads must be at least 1")
 
@@ -97,24 +99,15 @@ class LossOutput:
     """Forward result: total = classification + lambda * diversity.
 
     ``probs_per_head`` holds the margin-adjusted softmax rows of every
-    head, which is exactly what the backward pass consumes.
+    head, shape ``(V, n, K)``. :func:`em_softmax_forward` also attaches a
+    private record of its checked inputs and diversity kernels, which
+    :func:`em_softmax_backward` consumes.
     """
 
     total_loss: float
     classification_term: float
     diversity_term: float
-    probs_per_head: list[np.ndarray]
-
-
-def linear_scores(w: np.ndarray, x_batch: np.ndarray) -> np.ndarray:
-    """Per-class scores z[i, k] = x_i . w_k for a bias-free classifier."""
-    w = as_matrix(w, "w")
-    x_batch = as_matrix(x_batch, "x_batch")
-    if w.shape[0] != x_batch.shape[1]:
-        raise ValueError(
-            f"classifier expects features of dim {w.shape[0]}, got {x_batch.shape[1]}"
-        )
-    return x_batch @ w
+    probs_per_head: np.ndarray
 
 
 def softmax_probs(z: np.ndarray) -> np.ndarray:
@@ -158,8 +151,8 @@ def m_softmax_loss(z_batch: np.ndarray, labels, m: float) -> tuple[float, np.nda
     matrix used by the backward pass. ``m = 0`` reproduces plain softmax
     cross-entropy bit for bit.
     """
-    if m < 0:
-        raise ValueError("margin must be non-negative")
+    if not math.isfinite(m) or m < 0:
+        raise ValueError(f"margin must be finite and non-negative, got {m}")
     z_batch = as_matrix(z_batch, "z_batch")
     n, k = z_batch.shape
     labels = _check_labels(labels, n, k)
@@ -172,21 +165,6 @@ def centering_matrix(n: int) -> np.ndarray:
     if n < 1:
         raise ValueError("centering matrix needs n >= 1")
     return np.eye(n) - np.full((n, n), 1.0 / n)
-
-
-def hsic_empirical(k1: np.ndarray, k2: np.ndarray) -> float:
-    """Empirical HSIC (n-1)^-2 tr(K1 H K2 H) of two n x n Gram matrices."""
-    k1 = as_matrix(k1, "k1")
-    k2 = as_matrix(k2, "k2")
-    if k1.shape[0] != k1.shape[1] or k2.shape[0] != k2.shape[1]:
-        raise ValueError("hsic_empirical needs square Gram matrices")
-    if k1.shape != k2.shape:
-        raise ValueError(f"Gram shapes differ: {k1.shape} vs {k2.shape}")
-    n = k1.shape[0]
-    if n < 2:
-        raise ValueError("hsic_empirical needs n >= 2")
-    h = centering_matrix(n)
-    return float(np.trace(k1 @ h @ k2 @ h)) / (n - 1) ** 2
 
 
 def normalize_classifier(w: np.ndarray) -> np.ndarray:
@@ -243,10 +221,10 @@ def _diversity_kernels(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``Wv_hat`` stacked like ``w`` and the Kv (K x K, PSD) stacked
     as ``(..., V, K, K)``. Each head is normalized and its centered Gram
-    ``Gu = H Wu_hat^T Wu_hat H`` formed once. Kv adds the other heads'
-    Grams to a zero matrix in ascending u; subtracting Gv from the sum of
-    all Grams would change the last bits of the penalty and both
-    gradients.
+    ``Gu = H Wu_hat^T Wu_hat H`` formed once. Every Kv starts from a zero
+    matrix and gains each other head's Gram in ascending u (one pass over
+    u adds Gu to all Kv with v != u); subtracting Gv from the sum of all
+    Grams would change the last bits of the penalty and both gradients.
     """
     k = w.shape[-1]
     if k < 2:
@@ -255,17 +233,15 @@ def _diversity_kernels(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     w_hats = normalize_classifier(w)
     grams = h @ (np.swapaxes(w_hats, -1, -2) @ w_hats) @ h
     kernels = np.zeros_like(grams)
-    num_heads = w.shape[-3]
-    for v in range(num_heads):
-        for u in range(num_heads):
-            if u != v:
-                kernels[..., v, :, :] += grams[..., u, :, :]
+    for u in range(w.shape[-3]):
+        gram = grams[..., u, None, :, :]
+        kernels[..., :u, :, :] += gram
+        kernels[..., u + 1 :, :, :] += gram
     return w_hats, kernels
 
 
-def _head_penalties(w: np.ndarray) -> np.ndarray:
-    """tr(Wv_hat Kv Wv_hat^T) of every head of a checked bank: (..., V)."""
-    w_hats, kernels = _diversity_kernels(w)
+def _head_penalties(w_hats: np.ndarray, kernels: np.ndarray) -> np.ndarray:
+    """tr(Wv_hat Kv Wv_hat^T) of every head, from its kernels: (..., V)."""
     terms = (w_hats @ kernels) * w_hats
     return np.sum(terms.reshape(*terms.shape[:-2], -1), axis=-1)
 
@@ -281,26 +257,22 @@ def diversity_penalty(bank, v: int) -> float:
         return 0.0
     if not 0 <= v < len(w):
         raise ValueError(f"head index {v} out of range for bank of {len(w)}")
-    return float(_head_penalties(w)[v])
+    return float(_head_penalties(*_diversity_kernels(w))[v])
 
 
-def _diversity_gradients(w: np.ndarray, exact: bool) -> list[np.ndarray]:
-    w_hats, kernels = _diversity_kernels(w)
-    grads = []
-    for w_v, w_hat, kv in zip(w, w_hats, kernels):
-        norms = np.sqrt(np.sum(w_v * w_v, axis=0))
-        if exact:
-            g_hat = 4.0 * (w_hat @ kv)
-            g_hat -= w_hat * np.sum(w_hat * g_hat, axis=0, keepdims=True)
-        else:
-            g_hat = 2.0 * (w_hat @ kv)
-        grad = g_hat / np.where(norms == 0.0, 1.0, norms)
-        grad[:, norms == 0.0] = 0.0
-        grads.append(grad)
-    return grads
+def _diversity_gradients(w, w_hats, kernels, exact: bool) -> np.ndarray:
+    """Diversity gradient of every head of ``w`` from its kernels: (V, d, K)."""
+    norms = np.sqrt(np.sum(w * w, axis=-2, keepdims=True))
+    if exact:
+        g_hat = 4.0 * (w_hats @ kernels)
+        g_hat -= w_hats * np.sum(w_hats * g_hat, axis=-2, keepdims=True)
+    else:
+        g_hat = 2.0 * (w_hats @ kernels)
+    zero = norms == 0.0
+    return np.where(zero, 0.0, g_hat / np.where(zero, 1.0, norms))
 
 
-def diversity_gradients(bank, exact: bool) -> list[np.ndarray]:
+def diversity_gradients(bank, exact: bool) -> np.ndarray:
     """Gradient of the diversity term with respect to every raw head.
 
     Default (detached) mode follows the per-head update rule: only head
@@ -309,22 +281,23 @@ def diversity_gradients(bank, exact: bool) -> list[np.ndarray]:
     2 Wv_hat Kv rescaled. Exact mode differentiates the full summed term
     (every pairwise penalty sees head v twice, hence 4 Wv_hat Kv) through
     the true normalization Jacobian (I - w_hat w_hat^T)/||w||. Needs a
-    bank of at least two heads.
+    bank of at least two heads; returns a ``(V, d, K)`` array.
     """
     w = _check_bank(bank)
     if len(w) < 2:
         raise ValueError("diversity gradients need at least 2 heads")
-    return _diversity_gradients(w, exact)
+    return _diversity_gradients(w, *_diversity_kernels(w), exact)
 
 
 def _loss_core(x_batch: np.ndarray, w: np.ndarray, labels: np.ndarray, cfg: LossConfig):
     """Loss terms of checked inputs over a ``(..., V, d, K)`` bank stack.
 
     Returns (classification, diversity, total), each shaped like the
-    leading batch axes of ``w``, and the margin-adjusted probabilities
-    ``(..., V, n, K)``. Heads are summed in ascending order from zero,
-    each head's batch mean taken on its own, so one bank gives the same
-    bits as the head-by-head formulation.
+    leading batch axes of ``w``, the margin-adjusted probabilities
+    ``(..., V, n, K)`` and the diversity pair ``(Wv_hat, Kv)`` (None for a
+    single head). Heads are summed in ascending order from zero, each
+    head's batch mean taken on its own, so one bank gives the same bits
+    as the head-by-head formulation.
     """
     losses, probs = _margin_softmax(np.matmul(x_batch, w), labels, cfg.margin)
     num_heads = w.shape[-3]
@@ -332,12 +305,14 @@ def _loss_core(x_batch: np.ndarray, w: np.ndarray, labels: np.ndarray, cfg: Loss
     for v in range(num_heads):
         classification = classification + np.mean(losses[..., v, :], axis=-1)
     diversity = 0.0
+    pair = None
     if num_heads >= 2:
-        penalties = _head_penalties(w)
+        pair = _diversity_kernels(w)
+        penalties = _head_penalties(*pair)
         for v in range(num_heads):
             diversity = diversity + penalties[..., v]
     total = classification + cfg.diversity_weight * diversity
-    return classification, diversity, total, probs
+    return classification, diversity, total, probs, pair
 
 
 def em_softmax_forward(x_batch: np.ndarray, bank, labels, cfg: LossConfig) -> LossOutput:
@@ -350,8 +325,10 @@ def em_softmax_forward(x_batch: np.ndarray, bank, labels, cfg: LossConfig) -> Lo
     w = _check_bank(bank)
     _check_heads(len(w), cfg)
     x_batch, labels = _check_batch(x_batch, labels, w.shape[1], w.shape[2])
-    classification, diversity, total, probs = _loss_core(x_batch, w, labels, cfg)
-    return LossOutput(float(total), float(classification), float(diversity), list(probs))
+    classification, diversity, total, probs, pair = _loss_core(x_batch, w, labels, cfg)
+    out = LossOutput(float(total), float(classification), float(diversity), probs)
+    out._saved = (x_batch, w, labels, probs, pair)
+    return out
 
 
 def em_softmax_totals(x_batch: np.ndarray, banks, labels, cfg: LossConfig) -> np.ndarray:
@@ -371,37 +348,40 @@ def em_softmax_totals(x_batch: np.ndarray, banks, labels, cfg: LossConfig) -> np
 
 def em_softmax_backward(
     x_batch: np.ndarray, bank, labels, cfg: LossConfig, fwd: LossOutput
-) -> tuple[list[np.ndarray], np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Analytic gradients of the total loss from a matching forward pass.
 
-    Returns per-head gradients ``x^T (probs - onehot)/n + lambda *
-    d(diversity)/dWv`` and the feature gradient ``sum_v (probs_v -
-    onehot) Wv^T / n``.
+    Returns the ``(V, d, K)`` head gradients ``x^T (probs - onehot)/n +
+    lambda * d(diversity)/dWv`` and the feature gradient ``sum_v (probs_v
+    - onehot) Wv^T / n``. The inputs, probabilities and diversity
+    kernels are the ones ``fwd`` saved; the arguments are only checked
+    against their shapes, and ``cfg`` supplies lambda and the diversity
+    gradient mode.
     """
-    heads = _check_bank(bank)
-    _check_heads(len(heads), cfg)
-    _, d, k = heads.shape
-    x_batch, labels = _check_batch(x_batch, labels, d, k)
-    n = x_batch.shape[0]
-    if len(fwd.probs_per_head) != len(heads):
-        raise ValueError("forward output does not match the bank")
+    saved = getattr(fwd, "_saved", None)
+    if saved is None:
+        raise ValueError("forward output was not produced by em_softmax_forward")
+    x, w, y, probs, pair = saved
+    num_heads, d, k = w.shape
+    n = x.shape[0]
+    _check_heads(num_heads, cfg)
+    if (len(bank) != num_heads or np.shape(bank[0]) != (d, k)
+            or np.shape(x_batch) != (n, d) or np.shape(labels) != (n,)):
+        raise ValueError(
+            f"stale forward output: it saw {num_heads} heads of {(d, k)} and "
+            f"{n} rows of dim {d}"
+        )
 
-    onehot = np.zeros((n, k))
-    onehot[np.arange(n), labels] = 1.0
-
-    grads_div = None
-    if len(heads) >= 2 and cfg.diversity_weight != 0.0:
-        grads_div = _diversity_gradients(heads, cfg.exact_diversity_grad)
-    grads_bank = []
+    delta = probs.copy()
+    delta[:, np.arange(n), y] -= 1.0
+    delta /= n
+    grads_bank = np.matmul(x.T, delta)
+    if pair is not None and cfg.diversity_weight != 0.0:
+        grads_bank += cfg.diversity_weight * _diversity_gradients(
+            w, *pair, cfg.exact_diversity_grad
+        )
+    per_head_x = np.matmul(delta, np.swapaxes(w, -1, -2))
     grads_x = np.zeros((n, d))
-    for v, w in enumerate(heads):
-        probs = fwd.probs_per_head[v]
-        if probs.shape != (n, k):
-            raise ValueError(f"stale forward output for head {v}: {probs.shape}")
-        delta = (probs - onehot) / n
-        grad_w = x_batch.T @ delta
-        if grads_div is not None:
-            grad_w = grad_w + cfg.diversity_weight * grads_div[v]
-        grads_bank.append(grad_w)
-        grads_x += delta @ w.T
+    for v in range(num_heads):
+        grads_x += per_head_x[v]
     return grads_bank, grads_x

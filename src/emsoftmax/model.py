@@ -2,9 +2,11 @@
 
 The network is deliberately modest: a stack of affine+ReLU layers with a
 linear output producing the feature vector that the bank of weak linear
-classifiers scores. At test time the bank collapses into one averaged
-classifier ``W = (1/V) sum_v Wv`` so prediction cost does not grow with
-the ensemble size.
+classifiers scores. The bank holds its V heads as one ``(V, d, K)``
+array, which the loss scores and SGD updates as one block. At test time
+it collapses into one averaged ``(d, K)`` classifier
+``W = (1/V) sum_v Wv`` so prediction cost does not grow with the
+ensemble size.
 
 Checkpoints are a self-describing little-endian binary format (magic,
 version, layer dims, raw float64 payload, CRC-32 trailer). Loading
@@ -19,12 +21,12 @@ import zlib
 
 import numpy as np
 
+from .data import write_atomic
 from .tensor import Rng, as_matrix, gaussian_init, xavier_scale
 
 __all__ = [
     "MlpFeatureExtractor",
     "WeakClassifierBank",
-    "EnsembleClassifier",
     "CheckpointError",
     "save_checkpoint",
     "load_checkpoint",
@@ -115,9 +117,10 @@ class MlpFeatureExtractor:
 class WeakClassifierBank:
     """V weak linear classifiers (d x K each) over a shared feature space.
 
-    Heads are initialized from per-head spawned RNG streams so each head
-    starts at a different point; identical starts would make the
-    diversity penalty's symmetry hard to break.
+    ``heads`` is one C-contiguous ``(V, d, K)`` float64 array; ``heads[v]``
+    is head v. Heads are initialized from per-head spawned RNG streams so
+    each head starts at a different point; identical starts would make
+    the diversity penalty's symmetry hard to break.
     """
 
     def __init__(self, feature_dim: int, num_classes: int, num_heads: int, rng: Rng):
@@ -128,39 +131,18 @@ class WeakClassifierBank:
         self.feature_dim = int(feature_dim)
         self.num_classes = int(num_classes)
         scale = xavier_scale(feature_dim, num_classes)
-        self.heads = [
+        self.heads = np.array([
             gaussian_init(feature_dim, num_classes, scale, rng.spawn(1000 + v))
             for v in range(num_heads)
-        ]
+        ])
 
     @property
     def num_heads(self) -> int:
         return len(self.heads)
 
-    def assemble(self) -> "EnsembleClassifier":
-        """Average the heads into the single test-time classifier."""
-        w_avg = np.mean(np.stack(self.heads), axis=0)
-        return EnsembleClassifier(w_avg)
-
-
-class EnsembleClassifier:
-    """Test-time classifier holding the averaged weight matrix."""
-
-    def __init__(self, w_avg: np.ndarray):
-        self.w_avg = as_matrix(w_avg, "w_avg")
-
-    def scores(self, features: np.ndarray) -> np.ndarray:
-        features = as_matrix(features, "features")
-        if features.shape[1] != self.w_avg.shape[0]:
-            raise ValueError(
-                f"classifier expects features of dim {self.w_avg.shape[0]}, "
-                f"got {features.shape[1]}"
-            )
-        return features @ self.w_avg
-
-    def predict(self, features: np.ndarray) -> np.ndarray:
-        """Argmax labels; ties resolve to the lowest class index."""
-        return np.argmax(self.scores(features), axis=1)
+    def assemble(self) -> np.ndarray:
+        """The single test-time classifier: the mean of the heads, (d, K)."""
+        return self.heads.mean(axis=0)
 
 
 def _pack_array(a: np.ndarray) -> bytes:
@@ -193,7 +175,7 @@ class _Reader:
 
 
 def save_checkpoint(path, net: MlpFeatureExtractor, bank: WeakClassifierBank) -> None:
-    """Write network + bank to ``path`` with a CRC-32 trailer."""
+    """Write network + bank to ``path`` with a CRC-32 trailer, atomically."""
     body = bytearray()
     body += struct.pack("<I", _VERSION)
     body += struct.pack("<I", len(net.layer_dims))
@@ -209,8 +191,7 @@ def save_checkpoint(path, net: MlpFeatureExtractor, bank: WeakClassifierBank) ->
         body += _pack_array(w)
     blob = _MAGIC + bytes(body)
     crc = zlib.crc32(blob) & 0xFFFFFFFF
-    with open(path, "wb") as fh:
-        fh.write(blob + struct.pack("<I", crc))
+    write_atomic(path, blob + struct.pack("<I", crc))
 
 
 def load_checkpoint(path) -> tuple[MlpFeatureExtractor, WeakClassifierBank]:
@@ -252,14 +233,23 @@ def load_checkpoint(path) -> tuple[MlpFeatureExtractor, WeakClassifierBank]:
     num_heads = r.u32()
     feature_dim = r.u32()
     num_classes = r.u32()
+    if num_heads < 1:
+        raise CheckpointError("bank header says 0 heads")
+    if feature_dim != dims[-1]:
+        raise CheckpointError(
+            f"bank expects {feature_dim}-dim features, network emits {dims[-1]}"
+        )
     bank = WeakClassifierBank.__new__(WeakClassifierBank)
     bank.feature_dim = feature_dim
     bank.num_classes = num_classes
-    bank.heads = [r.array() for _ in range(num_heads)]
-    for i, w in enumerate(bank.heads):
+    heads = [r.array() for _ in range(num_heads)]
+    for i, w in enumerate(heads):
         if w.shape != (feature_dim, num_classes):
             raise CheckpointError(
                 f"head {i} has shape {w.shape}, header says "
                 f"({feature_dim}, {num_classes})"
             )
+    bank.heads = np.array(heads, dtype=np.float64).reshape(
+        num_heads, feature_dim, num_classes
+    )
     return net, bank

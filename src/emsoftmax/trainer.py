@@ -21,6 +21,7 @@ change the features, so they are still differenced entry by entry.
 
 from __future__ import annotations
 
+import math
 import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -69,6 +70,9 @@ class SgdConfig:
     batch_size: int = 256
 
     def __post_init__(self):
+        for name in ("base_lr", "weight_decay", "lr_drop_factor"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.base_lr <= 0:
             raise ValueError("base_lr must be positive")
         if not 0 <= self.momentum < 1:
@@ -174,7 +178,7 @@ def count_hits(
     The second element counts labels among the five highest scores
     (ties to the lower class index) when ``top5`` is set, else None.
     """
-    clf = bank.assemble()
+    w_avg = bank.assemble()
     top1_hits = 0
     top5_hits = 0 if top5 else None
     # tolerate a diverged model's huge weights: its accuracy is still a
@@ -183,7 +187,7 @@ def count_hits(
         for start in range(0, len(dataset), chunk):
             feats, _ = _features_and_cache(net, dataset.features[start : start + chunk])
             y = dataset.labels[start : start + chunk]
-            scores = clf.scores(feats)
+            scores = feats @ w_avg
             top1_hits += int(np.sum(np.argmax(scores, axis=1) == y))
             if top5:
                 top = np.argsort(-scores, axis=1, kind="stable")[:, :5]
@@ -237,8 +241,8 @@ def train(
 
     net_params = [] if net is None else list(net.weights) + list(net.biases)
     net_decay = [] if net is None else [True] * len(net.weights) + [False] * len(net.biases)
-    params = net_params + list(bank.heads)
-    decay_flags = net_decay + [True] * bank.num_heads
+    params = net_params + [bank.heads]
+    decay_flags = net_decay + [True]
     velocities = [np.zeros_like(p) for p in params]
 
     t0 = time.perf_counter()
@@ -259,13 +263,13 @@ def train(
             grads_bank, grads_feats = em_softmax_backward(feats, bank.heads, y, loss_cfg, fwd)
 
             if net is None:
-                grads = grads_bank
+                grads = [grads_bank]
             else:
                 layer_grads, _ = net.backward(cache, grads_feats)
                 grads = (
                     [gw for gw, _ in layer_grads]
                     + [gb for _, gb in layer_grads]
-                    + grads_bank
+                    + [grads_bank]
                 )
 
             lr = learning_rate(sgd_cfg, it)
@@ -326,9 +330,8 @@ def _bank_differences(feats, bank_heads, y, loss_cfg, step) -> np.ndarray:
     Bank 2j is the bank with entry j set to ``orig + step``, bank 2j + 1
     the same with ``orig - step``; all 2P of them are scored in chunks.
     """
-    base = np.stack(bank_heads)
-    flat = base.ravel()
-    num_heads, d, k = base.shape
+    flat = bank_heads.ravel()
+    num_heads, d, k = bank_heads.shape
     per_bank = num_heads * k * max(d, feats.shape[0], k)
     chunk = max(1, _FD_CHUNK_VALUES // per_bank)
     totals = np.empty(2 * flat.size)
@@ -342,7 +345,7 @@ def _bank_differences(feats, bank_heads, y, loss_cfg, step) -> np.ndarray:
         totals[banks] = em_softmax_totals(
             feats, stack.reshape(banks.size, num_heads, d, k), y, loss_cfg
         )
-    return ((totals[0::2] - totals[1::2]) / (2 * step)).reshape(base.shape)
+    return ((totals[0::2] - totals[1::2]) / (2 * step)).reshape(bank_heads.shape)
 
 
 def grad_check(

@@ -3,7 +3,9 @@
 These are deliberately written with different formulations than the
 package (log-sum-exp instead of max-shifted exponentials, the expanded
 HSIC trace instead of explicit centering) so agreement actually means
-something.
+something. The exceptions are the head-by-head references that pin the
+package's summation order bit for bit: ``ref_diversity_kernel`` and
+``ref_em_softmax_backward``.
 """
 
 import numpy as np
@@ -43,6 +45,33 @@ def ref_hsic(k1, k2):
     return tr / (n - 1) ** 2
 
 
+def hsic_empirical(k1, k2):
+    """Empirical HSIC (n-1)^-2 tr(K1 H K2 H) of two n x n Gram matrices.
+
+    The textbook estimator with an explicit centering matrix (Gretton et
+    al. 2005), against which the package's diversity penalty is checked.
+    """
+    k1 = np.asarray(k1, dtype=np.float64)
+    k2 = np.asarray(k2, dtype=np.float64)
+    if k1.ndim != 2 or k1.shape[0] != k1.shape[1] or k2.ndim != 2 or k2.shape[0] != k2.shape[1]:
+        raise ValueError("hsic_empirical needs square Gram matrices")
+    if k1.shape != k2.shape:
+        raise ValueError(f"Gram shapes differ: {k1.shape} vs {k2.shape}")
+    n = k1.shape[0]
+    if n < 2:
+        raise ValueError("hsic_empirical needs n >= 2")
+    h = np.eye(n) - np.full((n, n), 1.0 / n)
+    return float(np.trace(k1 @ h @ k2 @ h)) / (n - 1) ** 2
+
+
+def _unit_columns(w):
+    """Column norms of one head and the head scaled to unit columns
+    (zero columns stay zero, as in the package)."""
+    w = np.asarray(w, dtype=np.float64)
+    norms = np.sqrt(np.sum(w * w, axis=0))
+    return norms, w / np.where(norms == 0.0, 1.0, norms)
+
+
 def ref_diversity_kernel(bank, v):
     """Kv = sum over heads u != v of H Wu_hat^T Wu_hat H, one head at a time.
 
@@ -56,10 +85,46 @@ def ref_diversity_kernel(bank, v):
     for u, w in enumerate(bank):
         if u == v:
             continue
-        w = np.asarray(w, dtype=np.float64)
-        w_hat = w / np.sqrt(np.sum(w * w, axis=0))
+        w_hat = _unit_columns(w)[1]
         kv += h @ (w_hat.T @ w_hat) @ h
     return kv
+
+
+def ref_em_softmax_backward(x_batch, bank, labels, cfg, fwd):
+    """The loss backward one head at a time, from ``fwd.probs_per_head``.
+
+    Same signature and results as ``em_softmax_backward``: head gradients
+    stacked ``(V, d, K)`` and the feature gradient summed over heads in
+    ascending order. Written as the per-head loop (2-D products, Kv from
+    :func:`ref_diversity_kernel`), so the stacked backward may be compared
+    against it with ``==``.
+    """
+    x = np.asarray(x_batch, dtype=np.float64)
+    heads = [np.asarray(w, dtype=np.float64) for w in bank]
+    labels = np.asarray(labels, dtype=np.int64)
+    n, d = x.shape
+    onehot = np.zeros((n, heads[0].shape[1]))
+    onehot[np.arange(n), labels] = 1.0
+    diverse = len(heads) >= 2 and cfg.diversity_weight != 0.0
+    grads = []
+    grads_x = np.zeros((n, d))
+    for v, w in enumerate(heads):
+        delta = (fwd.probs_per_head[v] - onehot) / n
+        grad_w = x.T @ delta
+        if diverse:
+            norms, w_hat = _unit_columns(w)
+            kv = ref_diversity_kernel(heads, v)
+            if cfg.exact_diversity_grad:
+                g_hat = 4.0 * (w_hat @ kv)
+                g_hat -= w_hat * np.sum(w_hat * g_hat, axis=0, keepdims=True)
+            else:
+                g_hat = 2.0 * (w_hat @ kv)
+            grad = g_hat / np.where(norms == 0.0, 1.0, norms)
+            grad[:, norms == 0.0] = 0.0
+            grad_w = grad_w + cfg.diversity_weight * grad
+        grads.append(grad_w)
+        grads_x += delta @ w.T
+    return np.stack(grads), grads_x
 
 
 def central_diff(f, x, step=1e-6):

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import ref_softmax_loss
+from conftest import hsic_empirical, ref_softmax_loss
 from emsoftmax.cli import main, run_gradcheck_grid
 from emsoftmax.data import SyntheticSpec, load_idx_pair, synth_blobs
 from emsoftmax.losses import (
@@ -22,14 +22,12 @@ from emsoftmax.losses import (
     diversity_penalty,
     em_softmax_backward,
     em_softmax_forward,
-    hsic_empirical,
-    linear_scores,
     normalize_classifier,
     softmax_probs,
 )
 from emsoftmax.model import MlpFeatureExtractor, WeakClassifierBank
 from emsoftmax.tensor import Rng
-from emsoftmax.trainer import SgdConfig, train
+from emsoftmax.trainer import SgdConfig, count_hits, train
 
 MNIST_DIR = os.environ.get("MNIST_DIR", "")
 
@@ -182,7 +180,7 @@ def test_marginless_path_is_bitwise_identical_to_ensemble_softmax():
 
         cls = 0.0
         for w in bank:
-            probs = softmax_probs(linear_scores(w, x))
+            probs = softmax_probs(x @ w)
             picked = np.maximum(probs[np.arange(n), y], PROB_FLOOR)
             cls += float(np.mean(-np.log(picked)))
         div = sum(diversity_penalty(bank, u) for u in range(v))
@@ -290,20 +288,21 @@ def test_second_head_helps_then_returns_diminish(family_accuracies):
 # ---------------------------------------------------------------------------
 
 
+def assert_single_head_assembly_is_exact(ds):
+    bank = WeakClassifierBank(ds.dim, ds.num_classes, 1, Rng(3))
+    direct = np.argmax(ds.features @ bank.heads[0], axis=1)
+    assembled = np.argmax(ds.features @ bank.assemble(), axis=1)
+    assert np.array_equal(assembled, direct)
+    assert count_hits(None, bank, ds, chunk=97)[0] == int(np.sum(direct == ds.labels))
+
+
 def test_single_head_ensemble_prediction_equals_direct_argmax():
     _, eval_ds = split_blobs(seed=5, **HARD)
-    bank = WeakClassifierBank(HARD["dim"], HARD["classes"], 1, Rng(3))
-    direct = np.argmax(eval_ds.features @ bank.heads[0], axis=1)
-    assembled = bank.assemble().predict(eval_ds.features)
-    assert np.array_equal(assembled, direct)
+    assert_single_head_assembly_is_exact(eval_ds)
 
 
 def test_single_head_ensemble_prediction_equals_direct_argmax_on_mnist(mnist):
-    _, test_ds = mnist
-    bank = WeakClassifierBank(test_ds.dim, 10, 1, Rng(3))
-    direct = np.argmax(test_ds.features @ bank.heads[0], axis=1)
-    assembled = bank.assemble().predict(test_ds.features)
-    assert np.array_equal(assembled, direct)
+    assert_single_head_assembly_is_exact(mnist[1])
 
 
 # ---------------------------------------------------------------------------

@@ -159,6 +159,19 @@ class TestTrainCommand:
         cfg_path = write_quick(tmp_path, momentum="1.5")
         assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 1
 
+    @pytest.mark.parametrize("key, value", [("lambda", "nan"), ("margin", "inf"),
+                                            ("base_lr", "inf"), ("weight_decay", "nan"),
+                                            ("lr_drop_factor", "inf")])
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_non_finite_hyperparameter_exits_one(self, tmp_path, capsys, key, value, command):
+        cfg_path = write_quick(tmp_path, **{key: value})
+        argv = [command, "--config", str(cfg_path), "--out", str(tmp_path / "x")]
+        if command == "sweep":
+            argv += ["--sweep-param", "v", "--sweep-values", "2", "--sweep-seeds", "4"]
+        assert main(argv) == 1
+        field = "diversity_weight" if key == "lambda" else key
+        assert f"{field} must be finite" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key", ["log_every", "eval_every"])
     def test_zero_logging_interval_exits_one(self, tmp_path, capsys, key):
         cfg_path = write_quick(tmp_path, **{key: "0"})

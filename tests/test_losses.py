@@ -1,9 +1,18 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import central_diff, ref_diversity_kernel, ref_hsic, ref_softmax_loss
+from conftest import (
+    central_diff,
+    hsic_empirical,
+    ref_diversity_kernel,
+    ref_em_softmax_backward,
+    ref_hsic,
+    ref_softmax_loss,
+)
 from emsoftmax.losses import (
     PROB_FLOOR,
     LossConfig,
@@ -13,8 +22,7 @@ from emsoftmax.losses import (
     em_softmax_backward,
     em_softmax_forward,
     em_softmax_totals,
-    hsic_empirical,
-    linear_scores,
+    LossOutput,
     m_softmax_loss,
     normalize_classifier,
     softmax_probs,
@@ -84,6 +92,15 @@ class TestCrossEntropyAndMargin:
             m_softmax_loss(np.zeros((1, 2)), [0], -1.0)
         with pytest.raises(ValueError):
             LossConfig(margin=-0.5)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", ["margin", "diversity_weight"])
+    def test_non_finite_hyperparameters_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            LossConfig(**{name: value})
+        if name == "margin":
+            with pytest.raises(ValueError, match="margin must be finite"):
+                m_softmax_loss(np.zeros((1, 2)), [0], value)
 
     def test_zero_margin_is_plain_softmax_bitwise(self):
         rng = np.random.default_rng(1)
@@ -437,6 +454,50 @@ class TestBackward:
             expected = x.T @ ((fwd.probs_per_head[v] - onehot) / n)
             np.testing.assert_array_equal(grads[v], expected)
 
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_matches_per_head_reference_bitwise(self, exact):
+        # random banks with V 1-6, n 1-8 and some zero columns: the stacked
+        # backward must reproduce the head-by-head loop bit for bit
+        rng = np.random.default_rng(30 + exact)
+        for trial in range(60):
+            v, n = int(rng.integers(1, 7)), int(rng.integers(1, 9))
+            d, k = int(rng.integers(2, 7)), int(rng.integers(2, 6))
+            bank = rng.normal(size=(v, d, k)) * rng.uniform(0.1, 3.0, size=(v, 1, 1))
+            if trial % 3 == 0:
+                bank[rng.integers(v), :, rng.integers(k)] = 0.0
+            x = rng.normal(size=(n, d))
+            y = rng.integers(0, k, size=n)
+            cfg = LossConfig(float(rng.choice([0.0, 0.7])), float(rng.choice([0.0, 0.3])), v,
+                             exact_diversity_grad=exact)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                fwd = em_softmax_forward(x, bank, y, cfg)
+            grads, gx = em_softmax_backward(x, bank, y, cfg, fwd)
+            ref_grads, ref_gx = ref_em_softmax_backward(x, list(bank), y, cfg, fwd)
+            assert grads.shape == (v, d, k)
+            assert (grads == ref_grads).all()
+            assert (gx == ref_gx).all()
+
+    @pytest.mark.parametrize("case", ["rows", "bank_heads", "cfg_heads", "not_a_forward"])
+    def test_mismatched_forward_rejected(self, case):
+        rng = np.random.default_rng(17)
+        x, y = rng.normal(size=(3, 4)), np.array([0, 2, 1])
+        bank = rng.normal(size=(2, 4, 3))
+        cfg = LossConfig(0.5, 0.1, 2)
+        fwd = em_softmax_forward(x, bank, y, cfg)
+        args = {"x_batch": x, "bank": bank, "labels": y, "cfg": cfg, "fwd": fwd}
+        if case == "rows":
+            args["fwd"] = em_softmax_forward(x[:2], bank, y[:2], cfg)
+        elif case == "bank_heads":
+            args["bank"] = rng.normal(size=(3, 4, 3))
+        elif case == "cfg_heads":
+            args["cfg"] = LossConfig(0.5, 0.1, 3)
+        else:
+            args["fwd"] = LossOutput(fwd.total_loss, fwd.classification_term,
+                                     fwd.diversity_term, fwd.probs_per_head)
+        with pytest.raises(ValueError):
+            em_softmax_backward(**args)
+
     def test_stale_forward_rejected(self):
         x = np.zeros((2, 2))
         bank = [np.eye(2)]
@@ -444,14 +505,3 @@ class TestBackward:
         fwd = em_softmax_forward(np.zeros((3, 2)), bank, [0, 1, 0], cfg)
         with pytest.raises(ValueError):
             em_softmax_backward(x, bank, [0, 1], cfg, fwd)
-
-
-class TestLinearScores:
-    def test_values(self):
-        x = np.array([[1.0, 2.0]])
-        w = np.array([[1.0, 0.0], [0.0, 1.0]])
-        np.testing.assert_array_equal(linear_scores(w, x), [[1.0, 2.0]])
-
-    def test_dim_mismatch(self):
-        with pytest.raises(ValueError, match="dim"):
-            linear_scores(np.zeros((3, 2)), np.zeros((1, 2)))

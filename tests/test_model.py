@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 
 from conftest import central_diff
+from emsoftmax import data
+from emsoftmax.data import Dataset
 from emsoftmax.model import (
     CheckpointError,
-    EnsembleClassifier,
     MlpFeatureExtractor,
     WeakClassifierBank,
     load_checkpoint,
     save_checkpoint,
 )
 from emsoftmax.tensor import Rng
+from emsoftmax.trainer import count_hits
 
 
 class TestMlpFeatureExtractor:
@@ -115,15 +117,19 @@ class TestWeakClassifierBank:
         for wa, wb in zip(a.heads, b.heads):
             np.testing.assert_array_equal(wa, wb)
 
+    def test_heads_are_one_contiguous_array(self):
+        bank = WeakClassifierBank(6, 4, 3, Rng(5))
+        assert bank.heads.shape == (3, 6, 4) and bank.heads.dtype == np.float64
+        assert bank.heads.flags["C_CONTIGUOUS"]
+
     def test_assemble_averages_heads(self):
         bank = WeakClassifierBank(3, 2, 2, Rng(0))
-        bank.heads = [np.full((3, 2), 1.0), np.full((3, 2), 3.0)]
-        clf = bank.assemble()
-        np.testing.assert_array_equal(clf.w_avg, np.full((3, 2), 2.0))
+        bank.heads = np.stack([np.full((3, 2), 1.0), np.full((3, 2), 3.0)])
+        np.testing.assert_array_equal(bank.assemble(), np.full((3, 2), 2.0))
 
     def test_single_head_assemble_is_identity(self):
         bank = WeakClassifierBank(4, 3, 1, Rng(2))
-        np.testing.assert_array_equal(bank.assemble().w_avg, bank.heads[0])
+        np.testing.assert_array_equal(bank.assemble(), bank.heads[0])
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -133,20 +139,29 @@ class TestWeakClassifierBank:
 
 
 class TestEnsembleClassifier:
+    """The assembled (averaged) classifier, as ``count_hits`` scores it."""
+
+    @staticmethod
+    def hits(w_avg, features, labels):
+        bank = WeakClassifierBank(*w_avg.shape, 1, Rng(0))
+        bank.heads = np.asarray(w_avg, dtype=np.float64)[None]
+        features = np.asarray(features, dtype=np.float64)
+        return count_hits(None, bank, Dataset(features, np.asarray(labels), w_avg.shape[1]))[0]
+
     def test_predict_argmax(self):
-        clf = EnsembleClassifier(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        pred = clf.predict(np.array([[2.0, 1.0], [0.1, 0.4]]))
-        np.testing.assert_array_equal(pred, [0, 1])
+        w = np.array([[1.0, 0.0], [0.0, 1.0]])
+        feats = [[2.0, 1.0], [0.1, 0.4]]
+        assert self.hits(w, feats, [0, 1]) == 2
+        assert self.hits(w, feats, [1, 0]) == 0
 
     def test_ties_resolve_to_lowest_index(self):
-        clf = EnsembleClassifier(np.eye(3))
-        pred = clf.predict(np.array([[1.0, 1.0, 1.0], [0.0, 2.0, 2.0]]))
-        np.testing.assert_array_equal(pred, [0, 1])
+        feats = [[1.0, 1.0, 1.0], [0.0, 2.0, 2.0]]
+        assert self.hits(np.eye(3), feats, [0, 1]) == 2
+        assert self.hits(np.eye(3), feats, [2, 2]) == 0
 
     def test_dim_mismatch(self):
-        clf = EnsembleClassifier(np.eye(3))
         with pytest.raises(ValueError, match="dim"):
-            clf.scores(np.zeros((1, 4)))
+            self.hits(np.eye(3), np.zeros((1, 4)), [0])
 
 
 class TestCheckpoint:
@@ -169,6 +184,34 @@ class TestCheckpoint:
         assert bank2.feature_dim == 3 and bank2.num_classes == 4
         for a, b in zip(bank.heads, bank2.heads):
             np.testing.assert_array_equal(a, b)
+
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        net, bank = self.make_pair()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, net, bank)
+        before = path.read_bytes()
+        real_open = open
+
+        class HalfWriter:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, payload):
+                self.fh.write(payload[: len(payload) // 2])
+                raise OSError("disk full")
+
+        monkeypatch.setattr(data, "open", lambda *a: HalfWriter(real_open(*a)), raising=False)
+        bank.heads[0] += 1.0
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, net, bank)
+        assert path.read_bytes() == before
+        assert [f.name for f in tmp_path.iterdir()] == ["model.ckpt"]
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "x.ckpt"
@@ -219,6 +262,19 @@ class TestCheckpoint:
         path = tmp_path / "x.ckpt"
         save_checkpoint(path, net, bank)
         with pytest.raises(CheckpointError, match=layer):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("bank_shape, match", [((0, 3, 4), "0 heads"),
+                                                   ((2, 6, 4), "6-dim features")])
+    def test_bank_header_must_fit_network(self, tmp_path, bank_shape, match):
+        # a CRC-valid file whose bank cannot score the network's features
+        net = MlpFeatureExtractor([5, 4, 3], Rng(11))
+        bank = WeakClassifierBank(3, 4, 1, Rng(12))
+        bank.heads = np.ones(bank_shape)
+        bank.feature_dim = bank_shape[1]
+        path = tmp_path / "x.ckpt"
+        save_checkpoint(path, net, bank)
+        with pytest.raises(CheckpointError, match=match):
             load_checkpoint(path)
 
     def test_unbuildable_header_dims(self, tmp_path):

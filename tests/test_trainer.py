@@ -1,6 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from conftest import ref_em_softmax_backward
+from emsoftmax.cli import RunConfig, run_training
 from emsoftmax.data import Dataset, SyntheticSpec, synth_blobs
 from emsoftmax.losses import LossConfig
 from emsoftmax import trainer
@@ -52,6 +56,12 @@ class TestSgdConfig:
             SgdConfig(lr_drop_iters=(200, 100))
         with pytest.raises(ValueError):
             SgdConfig(batch_size=0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("name", ["base_lr", "weight_decay", "lr_drop_factor"])
+    def test_non_finite_values_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            SgdConfig(**{name: value})
 
 
 class TestLearningRate:
@@ -108,6 +118,22 @@ class TestSgdStep:
                 0.1,
                 cfg,
             )
+
+    def test_bank_block_equals_per_head_blocks_bitwise(self):
+        # the bank is updated as one (V, d, K) block; the update is
+        # elementwise, so it must equal V separate (d, K) blocks exactly
+        cfg = SgdConfig(momentum=0.9, weight_decay=0.01)
+        rng = np.random.default_rng(4)
+        bank = rng.normal(size=(6, 5, 3))
+        heads = [w.copy() for w in bank]
+        vel = np.zeros_like(bank)
+        head_vels = [np.zeros_like(w) for w in heads]
+        for lr in (0.1, 0.1, 0.01):
+            grads = rng.normal(size=bank.shape)
+            sgd_step([bank], [grads], [vel], [True], lr, cfg)
+            sgd_step(heads, list(grads), head_vels, [True] * 6, lr, cfg)
+        assert (bank == np.stack(heads)).all()
+        assert (vel == np.stack(head_vels)).all()
 
     def test_shape_mismatch(self):
         cfg = SgdConfig()
@@ -180,6 +206,23 @@ class TestTrain:
         )
         assert rep.final_eval_accuracy > 0.9
 
+    def test_checkpoint_matches_per_head_reference_backward(self, tmp_path, monkeypatch):
+        # the README configuration with six heads, 200 steps: the stacked
+        # backward and the per-head reference must give the same bytes
+        cfg = RunConfig(
+            synth_classes=10, synth_samples=150, synth_eval_samples=200, synth_dim=20,
+            synth_noise=1.8, hidden_dims=(32,), feature_dim=24, margin=0.5,
+            diversity_weight=0.1, heads=6, lr_drop_iters=(500, 700), max_iters=200,
+            batch_size=128, seed=1,
+        )
+        blobs = []
+        for name in ("stacked", "reference"):
+            if name == "reference":
+                monkeypatch.setattr(trainer, "em_softmax_backward", ref_em_softmax_backward)
+            run_training(replace(cfg, out_dir=str(tmp_path / name)), quiet=True)
+            blobs.append((tmp_path / name / "model.ckpt").read_bytes())
+        assert blobs[0] == blobs[1]
+
 
 class TestTrainReportCsv:
     def test_header_and_zero_timing_column(self):
@@ -206,7 +249,7 @@ class TestEvaluate:
         feats = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
         ds = Dataset(feats, np.array([0, 1, 1]), 2)
         bank = WeakClassifierBank(2, 2, 1, Rng(0))
-        bank.heads = [np.eye(2)]
+        bank.heads = np.eye(2)[None]
         assert evaluate(None, bank, ds) == pytest.approx(2.0 / 3.0)
 
     def test_chunking_matches_single_shot(self):
@@ -218,7 +261,7 @@ class TestEvaluate:
         # scores [[1, 2, 0]]: label 1 is top-1, label 0 second, label 2 third
         ds = Dataset(np.array([[1.0, 2.0, 0.0]] * 3), np.array([1, 0, 2]), 3)
         bank = WeakClassifierBank(3, 3, 1, Rng(0))
-        bank.heads = [np.eye(3)]
+        bank.heads = np.eye(3)[None]
         assert count_hits(None, bank, ds) == (1, None)
         assert count_hits(None, bank, ds, top5=True, chunk=2) == (1, 3)
 
