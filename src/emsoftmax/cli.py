@@ -21,13 +21,13 @@ from pathlib import Path
 import numpy as np
 
 from .data import (
-    Dataset,
     IdxFormatError,
     SyntheticSpec,
     load_idx_pair,
     load_mean,
     mean_subtract,
     save_mean,
+    subtract_mean,
     synth_blobs,
     write_atomic,
 )
@@ -343,8 +343,20 @@ def cmd_eval(args) -> int:
         config = str(resolved)
     cfg = _load_config(config)
 
-    train_ds, eval_ds, _ = _replay_preprocessing(cfg, artifact_dir)
+    # preprocess only the scored split: subtracting from both would hold a
+    # second copy of the data at the command's peak memory
+    train_ds, eval_ds, _ = load_datasets(replace(cfg, mean_subtract=False))
     ds = train_ds if args.split == "train" else eval_ds
+    if cfg.mean_subtract:
+        mean_path = artifact_dir / "mean.bin"
+        if mean_path.exists():
+            mean = load_mean(mean_path)
+        else:
+            mean = np.mean(train_ds.features, axis=0)
+        try:
+            (ds,) = subtract_mean(mean, ds)
+        except ValueError as exc:
+            raise ConfigError(f"cannot subtract the training mean: {exc}") from exc
     if ds.dim != net.input_dim:
         raise ConfigError(
             f"checkpoint expects input dim {net.input_dim}, dataset has {ds.dim}"
@@ -355,31 +367,6 @@ def cmd_eval(args) -> int:
     if top5_hits is not None:
         print(f"top5 accuracy: {top5_hits / len(ds):.6f}")
     return 0
-
-
-def _replay_preprocessing(cfg: RunConfig, artifact_dir: Path):
-    """Rebuild datasets for eval, reusing the stored training mean if any."""
-    if not cfg.mean_subtract:
-        return load_datasets(cfg)
-    raw_cfg = replace(cfg, mean_subtract=False)
-    train_ds, eval_ds, _ = load_datasets(raw_cfg)
-    mean_path = artifact_dir / "mean.bin"
-    if mean_path.exists():
-        mean = load_mean(mean_path)
-        if mean.shape[0] != train_ds.dim:
-            raise ConfigError(
-                f"stored mean has dim {mean.shape[0]}, dataset has {train_ds.dim}"
-            )
-        train_ds = Dataset(
-            train_ds.features - mean, train_ds.labels, train_ds.num_classes,
-            train_ds.synthetic,
-        )
-        eval_ds = Dataset(
-            eval_ds.features - mean, eval_ds.labels, eval_ds.num_classes,
-            eval_ds.synthetic,
-        )
-        return train_ds, eval_ds, mean
-    return mean_subtract(train_ds, eval_ds)
 
 
 def _rand_int(rng: Rng, lo: int, hi: int) -> int:

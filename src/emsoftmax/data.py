@@ -6,7 +6,7 @@ distribution files: magic 0x00000803 for uint8 image tensors and
 two-byte gzip signature, so both ``t10k-images-idx3-ubyte`` and
 ``t10k-images-idx3-ubyte.gz`` work unchanged. Pixels scale to [0, 1];
 the only other preprocessing offered is global mean subtraction with the
-training mean applied to every split.
+training mean applied to every split (or a stored mean reapplied).
 
 When no image data is on disk, :func:`synth_blobs` generates a
 deterministic Gaussian-mixture classification problem from the same
@@ -33,6 +33,7 @@ __all__ = [
     "load_idx_labels",
     "load_idx_pair",
     "mean_subtract",
+    "subtract_mean",
     "save_mean",
     "load_mean",
     "write_atomic",
@@ -163,14 +164,19 @@ def mean_subtract(train: Dataset, *others: Dataset):
     preprocessing.
     """
     mean = np.mean(train.features, axis=0)
+    return (*subtract_mean(mean, train, *others), mean)
+
+
+def subtract_mean(mean: np.ndarray, *splits: Dataset) -> list[Dataset]:
+    """Each split with a given feature mean subtracted, as new Datasets."""
     out = []
-    for ds in (train, *others):
-        if ds.dim != train.dim:
-            raise ValueError(f"split has dim {ds.dim}, train has {train.dim}")
+    for ds in splits:
+        if mean.shape != (ds.dim,):
+            raise ValueError(f"split has dim {ds.dim}, mean has shape {mean.shape}")
         out.append(
             Dataset(ds.features - mean, ds.labels.copy(), ds.num_classes, ds.synthetic)
         )
-    return (*out, mean)
+    return out
 
 
 def write_atomic(path, payload: bytes) -> None:

@@ -75,7 +75,7 @@ class MlpFeatureExtractor:
         return self.layer_dims[-1]
 
     def forward(self, x_batch: np.ndarray):
-        """Features plus the cache of pre-activations the backward needs."""
+        """Features plus the cache of each layer's input the backward needs."""
         a = as_matrix(x_batch, "x_batch")
         if a.shape[1] != self.input_dim:
             raise ValueError(
@@ -93,25 +93,20 @@ class MlpFeatureExtractor:
     def backward(self, cache, grad_features: np.ndarray):
         """Backpropagate a feature gradient through the stack.
 
-        Returns ([(grad_w, grad_b), ...] aligned with the layers, and the
-        gradient with respect to the input batch.
+        Returns [(grad_w, grad_b), ...] aligned with the layers. The
+        gradient with respect to the input batch is not formed.
         """
         grad = as_matrix(grad_features, "grad_features")
         if len(cache) != len(self.weights):
             raise ValueError("cache does not match the network depth")
         param_grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(self.weights)
-        last = len(self.weights) - 1
-        for i in range(last, -1, -1):
-            a_in = cache[i]
-            if i < last:
-                # ReLU mask from the next layer's input max(pre, 0), which
-                # is positive exactly where pre > 0 (NaN included).
-                grad = grad * (cache[i + 1] > 0.0)
-            grad_w = a_in.T @ grad
-            grad_b = np.sum(grad, axis=0, keepdims=True)
-            param_grads[i] = (grad_w, grad_b)
-            grad = grad @ self.weights[i].T
-        return param_grads, grad
+        for i in range(len(self.weights) - 1, -1, -1):
+            param_grads[i] = (cache[i].T @ grad, np.sum(grad, axis=0, keepdims=True))
+            if i > 0:
+                # ReLU mask from this layer's input max(pre, 0), which is
+                # positive exactly where pre > 0 (NaN included).
+                grad = (grad @ self.weights[i].T) * (cache[i] > 0.0)
+        return param_grads
 
 
 class WeakClassifierBank:

@@ -8,7 +8,9 @@ L2 regularization folded into the gradient:
 
 Biases are exempt from weight decay. The learning rate starts at
 ``base_lr`` and is multiplied by ``lr_drop_factor`` at each iteration
-listed in ``lr_drop_iters``.
+listed in ``lr_drop_iters``. Every gradient block is checked for
+non-finite values before any block is updated, so a diverged step
+leaves the whole model at its last consistent state.
 
 :func:`grad_check` compares every analytic gradient block against
 central finite differences of the scalar loss and is the backbone of the
@@ -109,19 +111,27 @@ def sgd_step(params, grads, velocities, decay_flags, lr: float, cfg: SgdConfig) 
     """One in-place momentum update over parallel parameter lists.
 
     decay_flags marks which entries receive weight decay (weights yes,
-    biases no). Raises DivergenceError on any non-finite gradient so the
-    caller can stop before NaNs poison the model.
+    biases no). Every block's shapes and gradient are checked before any
+    block moves: a non-finite gradient anywhere raises DivergenceError
+    and leaves every parameter and velocity as it was. Each block then
+    takes one temporary, ``lr * (g + wd * p)`` computed in place.
     """
     if not (len(params) == len(grads) == len(velocities) == len(decay_flags)):
         raise ValueError("parameter, gradient, velocity, flag lists must align")
-    for p, g, vel, decayed in zip(params, grads, velocities, decay_flags):
+    for p, g, vel in zip(params, grads, velocities):
         if p.shape != g.shape or p.shape != vel.shape:
             raise ValueError(f"shape mismatch: {p.shape} vs {g.shape} vs {vel.shape}")
         if not np.isfinite(g).all():
             raise DivergenceError("non-finite gradient")
-        step = g + cfg.weight_decay * p if decayed else g
+    for p, g, vel, decayed in zip(params, grads, velocities, decay_flags):
+        if decayed:
+            step = np.multiply(p, cfg.weight_decay)
+            step += g
+            step *= lr
+        else:
+            step = np.multiply(g, lr)
         vel *= cfg.momentum
-        vel -= lr * step
+        vel -= step
         p += vel
 
 
@@ -220,8 +230,8 @@ def train(
 
     ``net`` may be None to train the bank directly on raw features. The
     batch order is fully determined by ``seed``. On divergence (loss
-    above 1e6 or non-finite values) the loop halts, keeps the last state,
-    and flags the report instead of raising.
+    above 1e6 or non-finite values) the loop halts, keeps the state from
+    before the failing update, and flags the report instead of raising.
     """
     if bank.num_heads != loss_cfg.num_heads:
         raise ValueError(
@@ -265,7 +275,7 @@ def train(
             if net is None:
                 grads = [grads_bank]
             else:
-                layer_grads, _ = net.backward(cache, grads_feats)
+                layer_grads = net.backward(cache, grads_feats)
                 grads = (
                     [gw for gw, _ in layer_grads]
                     + [gb for _, gb in layer_grads]
@@ -397,7 +407,7 @@ def grad_check(
 
     blocks: list[tuple[str, np.ndarray, np.ndarray]] = []
     if net is not None:
-        layer_grads, _ = net.backward(cache, grads_feats)
+        layer_grads = net.backward(cache, grads_feats)
         for i, (gw, gb) in enumerate(layer_grads):
             blocks.append((f"w{i}", net.weights[i], gw))
             blocks.append((f"b{i}", net.biases[i], gb))

@@ -3,9 +3,9 @@
 These are deliberately written with different formulations than the
 package (log-sum-exp instead of max-shifted exponentials, the expanded
 HSIC trace instead of explicit centering) so agreement actually means
-something. The exceptions are the head-by-head references that pin the
-package's summation order bit for bit: ``ref_diversity_kernel`` and
-``ref_em_softmax_backward``.
+something. The exceptions are the references that pin the package's
+operation order bit for bit: ``ref_diversity_kernel``,
+``ref_em_softmax_backward``, ``ref_mlp_backward`` and ``ref_sgd_step``.
 """
 
 import numpy as np
@@ -125,6 +125,43 @@ def ref_em_softmax_backward(x_batch, bank, labels, cfg, fwd):
         grads.append(grad_w)
         grads_x += delta @ w.T
     return np.stack(grads), grads_x
+
+
+def ref_mlp_backward(net, cache, grad_features):
+    """The MLP backward written as the full chain rule, input gradient
+    included: ([(grad_w, grad_b), ...], grad_x). The mask is applied to
+    the gradient leaving each hidden layer, so the package's parameter
+    gradients may be compared against it with ``==``.
+    """
+    grad = np.asarray(grad_features, dtype=np.float64)
+    param_grads = [None] * len(net.weights)
+    last = len(net.weights) - 1
+    for i in range(last, -1, -1):
+        a_in = cache[i]
+        if i < last:
+            grad = grad * (cache[i + 1] > 0.0)
+        grad_w = a_in.T @ grad
+        grad_b = np.sum(grad, axis=0, keepdims=True)
+        param_grads[i] = (grad_w, grad_b)
+        grad = grad @ net.weights[i].T
+    return param_grads, grad
+
+
+def ref_sgd_step(params, grads, velocities, decay_flags, lr, cfg):
+    """Momentum SGD with out-of-place temporaries, block by block:
+
+        step = g + wd * p    (g when the block is not decayed)
+        v   -= lr * step     after v *= momentum
+        p   += v
+
+    The package computes ``lr * (g + wd * p)`` in place; IEEE + and * are
+    commutative, so its results must equal these with ``==``.
+    """
+    for p, g, vel, decayed in zip(params, grads, velocities, decay_flags):
+        step = g + cfg.weight_decay * p if decayed else g
+        vel *= cfg.momentum
+        vel -= lr * step
+        p += vel
 
 
 def central_diff(f, x, step=1e-6):

@@ -9,6 +9,7 @@ from emsoftmax.cli import (
     main,
     parse_config_text,
 )
+from emsoftmax.data import save_mean
 from emsoftmax.model import MlpFeatureExtractor, WeakClassifierBank, save_checkpoint
 from emsoftmax.tensor import Rng
 
@@ -248,6 +249,24 @@ class TestEvalCommand:
         code = main(["eval", "--checkpoint", str(out / "model.ckpt"), "--config", str(cfg_path)])
         assert code == 1
         assert "w0" in capsys.readouterr().err
+
+    def test_stored_mean_reapplied(self, tmp_path, capsys):
+        cfg_path = write_quick(tmp_path, mean_subtract="true")
+        out = tmp_path / "run"
+        main(["train", "--config", str(cfg_path), "--out", str(out)])
+        train_acc = capsys.readouterr().out.strip().split()[-1]
+        assert (out / "mean.bin").exists()
+        assert main(["eval", "--checkpoint", str(out / "model.ckpt")]) == 0
+        assert f"top1 accuracy: {train_acc}" in capsys.readouterr().out
+
+    def test_stored_mean_dim_mismatch_exits_one(self, tmp_path, capsys):
+        cfg_path = write_quick(tmp_path, mean_subtract="true")
+        out = tmp_path / "run"
+        main(["train", "--config", str(cfg_path), "--out", str(out)])
+        capsys.readouterr()
+        save_mean(out / "mean.bin", np.zeros(7))
+        assert main(["eval", "--checkpoint", str(out / "model.ckpt")]) == 1
+        assert "mean" in capsys.readouterr().err
 
     def test_missing_checkpoint_exits_one(self, tmp_path, capsys):
         cfg_path = write_quick(tmp_path)

@@ -16,6 +16,7 @@ from emsoftmax.data import (
     mean_subtract,
     minibatch_stream,
     save_mean,
+    subtract_mean,
     synth_blobs,
 )
 from emsoftmax.tensor import Rng
@@ -124,6 +125,16 @@ class TestMeanSubtract:
         b = Dataset(np.zeros((2, 4)), np.zeros(2, dtype=int), 1)
         with pytest.raises(ValueError):
             mean_subtract(a, b)
+
+    def test_given_mean_applied_to_each_split(self):
+        a = Dataset(np.array([[1.0, 3.0], [3.0, 5.0]]), np.array([0, 1]), 2)
+        b = Dataset(np.array([[10.0, 10.0]]), np.array([0]), 2)
+        new_a, new_b = subtract_mean(np.array([0.5, -1.0]), a, b)
+        np.testing.assert_array_equal(new_a.features, [[0.5, 4.0], [2.5, 6.0]])
+        np.testing.assert_array_equal(new_b.features, [[9.5, 11.0]])
+        np.testing.assert_array_equal(a.features, [[1.0, 3.0], [3.0, 5.0]])
+        with pytest.raises(ValueError, match="mean has shape"):
+            subtract_mean(np.zeros(3), a)
 
     def test_mean_round_trip(self, tmp_path):
         mean = np.array([1.5, -2.25, 0.0])

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import ref_em_softmax_backward
+from conftest import ref_em_softmax_backward, ref_sgd_step
 from emsoftmax.cli import RunConfig, run_training
 from emsoftmax.data import Dataset, SyntheticSpec, synth_blobs
 from emsoftmax.losses import LossConfig
@@ -139,6 +139,39 @@ class TestSgdStep:
         cfg = SgdConfig()
         with pytest.raises(ValueError):
             sgd_step([np.zeros((2, 2))], [np.zeros((2, 1))], [np.zeros((2, 2))], [True], 0.1, cfg)
+
+    def test_non_finite_later_block_leaves_every_block_unchanged(self):
+        # the check covers every block before the first update, so a
+        # diverged step cannot leave the earlier blocks half-stepped
+        cfg = SgdConfig(momentum=0.9, weight_decay=0.01)
+        rng = np.random.default_rng(6)
+        params = [rng.normal(size=(4, 3)), rng.normal(size=(1, 3)), rng.normal(size=(2, 3, 5))]
+        velocities = [rng.normal(size=p.shape) for p in params]
+        grads = [rng.normal(size=p.shape) for p in params]
+        grads[-1][1, 2, 0] = np.nan
+        before = [a.copy() for a in params + velocities]
+        with pytest.raises(DivergenceError):
+            sgd_step(params, grads, velocities, [True, False, True], 0.1, cfg)
+        for a, b in zip(before, params + velocities):
+            assert a.tobytes() == b.tobytes()
+
+    def test_matches_reference_bitwise(self):
+        # several steps over decayed and undecayed blocks across two lr drops
+        cfg = SgdConfig(base_lr=0.1, momentum=0.9, weight_decay=0.0005, lr_drop_iters=(3, 5))
+        rng = np.random.default_rng(8)
+        shapes = [(13, 7), (7, 5), (1, 7), (1, 5), (3, 5, 4)]
+        flags = [True, True, False, False, True]
+        params = [rng.normal(size=s) for s in shapes]
+        ref_params = [p.copy() for p in params]
+        vels = [np.zeros(s) for s in shapes]
+        ref_vels = [np.zeros(s) for s in shapes]
+        for it in range(8):
+            lr = learning_rate(cfg, it)
+            grads = [rng.normal(scale=10.0 ** rng.integers(-6, 3), size=s) for s in shapes]
+            sgd_step(params, grads, vels, flags, lr, cfg)
+            ref_sgd_step(ref_params, grads, ref_vels, flags, lr, cfg)
+            for a, b in zip(params + vels, ref_params + ref_vels):
+                assert (a == b).all()
 
 
 class TestTrain:
