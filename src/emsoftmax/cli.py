@@ -3,9 +3,15 @@
 Runs are described by a flat ``key = value`` config file (``#`` starts a
 comment). Unknown keys are rejected, and every training run writes the
 fully resolved config back next to its artifacts, so a run directory is
-always self-describing and re-runnable. All commands are deterministic
-given the config: re-running produces byte-identical CSVs (wall-clock
-timing is therefore left out of the CSV unless explicitly enabled).
+always self-describing and re-runnable. Config values are checked
+before any data is read or any training starts. All commands are
+deterministic given the config: re-running produces byte-identical CSVs
+(wall-clock timing is therefore left out of the CSV unless explicitly
+enabled).
+
+Each split is read into one float64 array, and mean subtraction works in
+place on it; ``eval`` reads only the split it scores (plus the training
+split when it must recompute a mean that was not stored).
 
 Exit codes: 0 success, 1 usage or config error, 2 numerical failure
 (training divergence or a failed gradient check).
@@ -14,6 +20,7 @@ Exit codes: 0 success, 1 usage or config error, 2 numerical failure
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -21,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import (
+    Dataset,
     IdxFormatError,
     SyntheticSpec,
     load_idx_pair,
@@ -178,6 +186,8 @@ def _load_config(path: str | None) -> RunConfig:
     return parse_config_text(p.read_text())
 
 
+_MNIST_CLASSES = 10
+_SPLITS = ("train", "eval")
 _MNIST_STEMS = {
     "train_images": "train-images-idx3-ubyte",
     "train_labels": "train-labels-idx1-ubyte",
@@ -194,8 +204,33 @@ def _find_idx(directory: str, stem: str) -> Path:
     raise ConfigError(f"missing {stem}[.gz] in {directory or '(unset mnist_dir)'}")
 
 
-def load_datasets(cfg: RunConfig):
-    """(train, eval, mean-or-None) for the configured data source."""
+def _check_data_config(cfg: RunConfig) -> None:
+    """Reject data-source values that describe no dataset."""
+    if cfg.dataset not in ("synthetic", "mnist"):
+        raise ConfigError(f"dataset must be 'synthetic' or 'mnist', got {cfg.dataset!r}")
+    if cfg.dataset == "mnist" and not cfg.mnist_dir:
+        raise ConfigError("dataset = mnist requires mnist_dir")
+    if cfg.limit_train < 0:
+        raise ConfigError("limit_train must be non-negative")
+    _check_positive(cfg, "synth_classes", "synth_samples", "synth_eval_samples", "synth_dim")
+    if not (math.isfinite(cfg.synth_noise) and cfg.synth_noise > 0):
+        raise ConfigError(f"synth_noise must be finite and positive, got {cfg.synth_noise}")
+
+
+def _check_positive(cfg: RunConfig, *keys: str) -> None:
+    for key in keys:
+        if getattr(cfg, key) < 1:
+            raise ConfigError(f"{key} must be at least 1, got {getattr(cfg, key)}")
+
+
+def _load_splits(cfg: RunConfig, names) -> dict[str, Dataset]:
+    """The named splits ("train", "eval") of the configured source, raw.
+
+    Each split is a fresh float64 array that the caller owns and may
+    preprocess in place; ``limit_train`` applies to the train split.
+    """
+    _check_data_config(cfg)
+    names = [name for name in _SPLITS if name in names]
     if cfg.dataset == "synthetic":
         per_class = cfg.synth_samples + cfg.synth_eval_samples
         spec = SyntheticSpec(
@@ -206,33 +241,37 @@ def load_datasets(cfg: RunConfig):
             seed=cfg.seed,
         )
         full = synth_blobs(spec)
-        train_idx, eval_idx = [], []
-        for c in range(cfg.synth_classes):
-            base = c * per_class
-            train_idx.extend(range(base, base + cfg.synth_samples))
-            eval_idx.extend(range(base + cfg.synth_samples, base + per_class))
-        train_ds, eval_ds = full.take(train_idx), full.take(eval_idx)
-    elif cfg.dataset == "mnist":
-        if not cfg.mnist_dir:
-            raise ConfigError("dataset = mnist requires mnist_dir")
-        train_ds = load_idx_pair(
-            _find_idx(cfg.mnist_dir, _MNIST_STEMS["train_images"]),
-            _find_idx(cfg.mnist_dir, _MNIST_STEMS["train_labels"]),
-            num_classes=10,
-        )
-        eval_ds = load_idx_pair(
-            _find_idx(cfg.mnist_dir, _MNIST_STEMS["eval_images"]),
-            _find_idx(cfg.mnist_dir, _MNIST_STEMS["eval_labels"]),
-            num_classes=10,
-        )
+        bounds = {"train": (0, cfg.synth_samples), "eval": (cfg.synth_samples, per_class)}
+        bases = np.arange(cfg.synth_classes)[:, None] * per_class
+        splits = {name: full.take((bases + np.arange(*bounds[name])).ravel()) for name in names}
     else:
-        raise ConfigError(f"dataset must be 'synthetic' or 'mnist', got {cfg.dataset!r}")
+        splits = {
+            name: load_idx_pair(
+                _find_idx(cfg.mnist_dir, _MNIST_STEMS[f"{name}_images"]),
+                _find_idx(cfg.mnist_dir, _MNIST_STEMS[f"{name}_labels"]),
+                num_classes=_MNIST_CLASSES,
+            )
+            for name in names
+        }
+    if cfg.limit_train and "train" in splits:
+        train_ds = splits["train"]
+        splits["train"] = train_ds.take(np.arange(min(cfg.limit_train, len(train_ds))))
+    return splits
 
-    if cfg.limit_train:
-        if cfg.limit_train < 0:
-            raise ConfigError("limit_train must be non-negative")
-        train_ds = train_ds.take(np.arange(min(cfg.limit_train, len(train_ds))))
 
+def load_datasets(cfg: RunConfig):
+    """(train, eval, mean-or-None) for the configured data source.
+
+    With ``mean_subtract`` the training mean is subtracted in place from
+    the freshly loaded splits, so each split exists as one float64 array.
+    """
+    splits = _load_splits(cfg, _SPLITS)
+    train_ds, eval_ds = splits["train"], splits["eval"]
+    if train_ds.dim != eval_ds.dim:
+        raise IdxFormatError(
+            f"{cfg.mnist_dir}: train images have dim {train_ds.dim} but eval images "
+            f"have dim {eval_ds.dim}"
+        )
     mean = None
     if cfg.mean_subtract:
         train_ds, eval_ds, mean = mean_subtract(train_ds, eval_ds)
@@ -248,9 +287,19 @@ def build_model(cfg: RunConfig, input_dim: int, num_classes: int):
 
 
 def _component_configs(cfg: RunConfig) -> tuple[LossConfig, SgdConfig]:
-    for key in ("log_every", "eval_every"):
-        if getattr(cfg, key) < 1:
-            raise ConfigError(f"{key} must be at least 1, got {getattr(cfg, key)}")
+    """Check the model and training values; the loss and SGD settings.
+
+    The data-source values are checked where the data is read.
+    """
+    _check_positive(cfg, "log_every", "eval_every", "feature_dim")
+    if any(width < 1 for width in cfg.hidden_dims):
+        raise ConfigError(f"hidden_dims must all be at least 1, got {_fmt(cfg.hidden_dims)}")
+    num_classes = _MNIST_CLASSES if cfg.dataset == "mnist" else cfg.synth_classes
+    if cfg.heads >= 2 and num_classes == 1:
+        raise ConfigError(
+            f"heads = {cfg.heads} needs at least 2 classes for the diversity term, "
+            f"the data has {num_classes}"
+        )
     try:
         loss_cfg = LossConfig(
             margin=cfg.margin,
@@ -343,18 +392,18 @@ def cmd_eval(args) -> int:
         config = str(resolved)
     cfg = _load_config(config)
 
-    # preprocess only the scored split: subtracting from both would hold a
-    # second copy of the data at the command's peak memory
-    train_ds, eval_ds, _ = load_datasets(replace(cfg, mean_subtract=False))
-    ds = train_ds if args.split == "train" else eval_ds
+    mean_path = artifact_dir / "mean.bin"
+    mean = load_mean(mean_path) if cfg.mean_subtract and mean_path.exists() else None
+    # read the scored split, and the training split only to score it or to
+    # recompute a mean that was not stored
+    recompute = cfg.mean_subtract and mean is None
+    splits = _load_splits(cfg, (args.split, "train") if recompute else (args.split,))
+    ds = splits[args.split]
     if cfg.mean_subtract:
-        mean_path = artifact_dir / "mean.bin"
-        if mean_path.exists():
-            mean = load_mean(mean_path)
-        else:
-            mean = np.mean(train_ds.features, axis=0)
+        if recompute:
+            mean = np.mean(splits["train"].features, axis=0)
         try:
-            (ds,) = subtract_mean(mean, ds)
+            subtract_mean(mean, ds)
         except ValueError as exc:
             raise ConfigError(f"cannot subtract the training mean: {exc}") from exc
     if ds.dim != net.input_dim:
@@ -468,6 +517,10 @@ def cmd_sweep(args) -> int:
     if not seeds:
         raise ConfigError("sweep needs at least one seed")
 
+    # check every cell's config before the first cell trains
+    _check_data_config(cfg)
+    for value in parsed:
+        _component_configs(replace(cfg, **{field_name: value}))
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     lines = ["value,seed,accuracy,div_term"]

@@ -4,9 +4,12 @@ The IDX reader covers the classic big-endian format used by the MNIST
 distribution files: magic 0x00000803 for uint8 image tensors and
 0x00000801 for uint8 label vectors. Gzipped files are detected from the
 two-byte gzip signature, so both ``t10k-images-idx3-ubyte`` and
-``t10k-images-idx3-ubyte.gz`` work unchanged. Pixels scale to [0, 1];
-the only other preprocessing offered is global mean subtraction with the
-training mean applied to every split (or a stored mean reapplied).
+``t10k-images-idx3-ubyte.gz`` work unchanged. Pixels scale to [0, 1]:
+the reader views the file's payload in place and makes one float64 copy
+of it, the array the model sees. The only other preprocessing offered is
+global mean subtraction with the training mean applied to every split
+(or a stored mean reapplied); it works in place on the given splits, so
+no second copy of the data exists at any point.
 
 When no image data is on disk, :func:`synth_blobs` generates a
 deterministic Gaussian-mixture classification problem from the same
@@ -17,6 +20,7 @@ exercisable end to end.
 from __future__ import annotations
 
 import gzip
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -85,12 +89,10 @@ class Dataset:
 
     def take(self, indices) -> "Dataset":
         """Row subset (copy) with the same class count."""
+        # integer-array indexing always returns a fresh array
         indices = np.asarray(indices, dtype=np.int64)
         return Dataset(
-            self.features[indices].copy(),
-            self.labels[indices].copy(),
-            self.num_classes,
-            self.synthetic,
+            self.features[indices], self.labels[indices], self.num_classes, self.synthetic
         )
 
 
@@ -117,25 +119,25 @@ def load_idx_images(path) -> np.ndarray:
     """Flattened image matrix (n x rows*cols) scaled to [0, 1]."""
     blob = _read_bytes(path)
     count, rows, cols = _header(blob, path, _IMAGE_MAGIC, 3)
-    body = blob[16:]
     expected = count * rows * cols
-    if len(body) != expected:
+    if len(blob) - 16 != expected:
         raise IdxFormatError(
-            f"{path}: payload is {len(body)} bytes, header implies {expected}"
+            f"{path}: payload is {len(blob) - 16} bytes, header implies {expected}"
         )
-    pixels = np.frombuffer(body, dtype=np.uint8).reshape(count, rows * cols)
-    return pixels.astype(np.float64) / 255.0
+    pixels = np.frombuffer(blob, dtype=np.uint8, offset=16).reshape(count, rows * cols)
+    images = pixels.astype(np.float64)
+    images /= 255.0
+    return images
 
 
 def load_idx_labels(path) -> np.ndarray:
     blob = _read_bytes(path)
     (count,) = _header(blob, path, _LABEL_MAGIC, 1)
-    body = blob[8:]
-    if len(body) != count:
+    if len(blob) - 8 != count:
         raise IdxFormatError(
-            f"{path}: payload is {len(body)} bytes, header implies {count}"
+            f"{path}: payload is {len(blob) - 8} bytes, header implies {count}"
         )
-    return np.frombuffer(body, dtype=np.uint8).astype(np.int64)
+    return np.frombuffer(blob, dtype=np.uint8, offset=8).astype(np.int64)
 
 
 def load_idx_pair(image_path, label_path, num_classes: int | None = None) -> Dataset:
@@ -157,26 +159,27 @@ def load_idx_pair(image_path, label_path, num_classes: int | None = None) -> Dat
 
 
 def mean_subtract(train: Dataset, *others: Dataset):
-    """Subtract the training-set feature mean from every split.
+    """Subtract the training-set feature mean from every split, in place.
 
-    Returns (new_train, *new_others, mean_vector). The mean comes from
-    the training split only so evaluation data never leaks into
-    preprocessing.
+    Returns (train, *others, mean_vector): the same Dataset objects, now
+    centred. The mean comes from the training split only so evaluation
+    data never leaks into preprocessing.
     """
     mean = np.mean(train.features, axis=0)
-    return (*subtract_mean(mean, train, *others), mean)
+    subtract_mean(mean, train, *others)
+    return (train, *others, mean)
 
 
-def subtract_mean(mean: np.ndarray, *splits: Dataset) -> list[Dataset]:
-    """Each split with a given feature mean subtracted, as new Datasets."""
-    out = []
+def subtract_mean(mean: np.ndarray, *splits: Dataset) -> None:
+    """Subtract a given feature mean from each split's features in place.
+
+    Every split's dim is checked before any of them changes.
+    """
     for ds in splits:
         if mean.shape != (ds.dim,):
             raise ValueError(f"split has dim {ds.dim}, mean has shape {mean.shape}")
-        out.append(
-            Dataset(ds.features - mean, ds.labels.copy(), ds.num_classes, ds.synthetic)
-        )
-    return out
+    for ds in splits:
+        ds.features -= mean
 
 
 def write_atomic(path, payload: bytes) -> None:
@@ -232,8 +235,8 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.num_classes < 1 or self.samples_per_class < 1 or self.dim < 1:
             raise ValueError("num_classes, samples_per_class, dim must be positive")
-        if self.noise_std <= 0:
-            raise ValueError("noise_std must be positive")
+        if not (math.isfinite(self.noise_std) and self.noise_std > 0):
+            raise ValueError("noise_std must be finite and positive")
 
 
 def synth_blobs(spec: SyntheticSpec) -> Dataset:

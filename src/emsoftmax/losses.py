@@ -301,9 +301,12 @@ def _loss_core(x_batch: np.ndarray, w: np.ndarray, labels: np.ndarray, cfg: Loss
     """
     losses, probs = _margin_softmax(np.matmul(x_batch, w), labels, cfg.margin)
     num_heads = w.shape[-3]
+    # the fancy-indexed losses are not C-contiguous, and a mean over that
+    # layout sums in another order; a contiguous copy gives each head's bits
+    head_means = np.mean(np.ascontiguousarray(losses), axis=-1)
     classification = 0.0
     for v in range(num_heads):
-        classification = classification + np.mean(losses[..., v, :], axis=-1)
+        classification = classification + head_means[..., v]
     diversity = 0.0
     pair = None
     if num_heads >= 2:

@@ -1,3 +1,7 @@
+import struct
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,7 +13,7 @@ from emsoftmax.cli import (
     main,
     parse_config_text,
 )
-from emsoftmax.data import save_mean
+from emsoftmax.data import IdxFormatError, save_mean
 from emsoftmax.model import MlpFeatureExtractor, WeakClassifierBank, save_checkpoint
 from emsoftmax.tensor import Rng
 
@@ -47,6 +51,27 @@ def write_quick(tmp_path, name="run.cfg", **overrides):
     path = tmp_path / name
     path.write_text("\n".join(f"{k} = {v}" for k, v in base.items()) + "\n")
     return path
+
+
+def write_idx_split(directory, split, rows, side, seed):
+    """Random uint8 ``side`` x ``side`` images and labels in 0..9 as IDX files."""
+    g = np.random.default_rng(seed)
+    labels = np.arange(rows) % 10
+    images = g.integers(0, 256, size=(rows, side, side), dtype=np.uint8)
+    images[:, : side // 2, : side // 2] = (labels * 25).astype(np.uint8)[:, None, None]
+    (directory / f"{split}-images-idx3-ubyte").write_bytes(
+        struct.pack(">IIII", 0x803, rows, side, side) + images.tobytes()
+    )
+    (directory / f"{split}-labels-idx1-ubyte").write_bytes(
+        struct.pack(">II", 0x801, rows) + labels.astype(np.uint8).tobytes()
+    )
+
+
+def idx_config(directory, **overrides):
+    return replace(
+        parse_config_text(QUICK),
+        dataset="mnist", mnist_dir=str(directory), **overrides,
+    )
 
 
 class TestConfigFormat:
@@ -128,6 +153,47 @@ class TestDatasetResolution:
         with pytest.raises(ConfigError, match="dataset"):
             load_datasets(parse_config_text("dataset = cifar"))
 
+    @pytest.mark.parametrize("source", ["synthetic", "idx"])
+    @pytest.mark.parametrize("limit", [0, 23])
+    def test_mean_subtract_equals_copying_reference(self, tmp_path, source, limit):
+        write_idx_split(tmp_path, "train", 60, 6, seed=1)
+        write_idx_split(tmp_path, "t10k", 20, 6, seed=2)
+        cfg = parse_config_text(QUICK) if source == "synthetic" else idx_config(tmp_path)
+        cfg = replace(cfg, limit_train=limit)
+        raw_train, raw_eval, no_mean = load_datasets(cfg)
+        train, evald, mean = load_datasets(replace(cfg, mean_subtract=True))
+        assert no_mean is None
+        # the out-of-place reference: raw - mean on separate copies
+        ref_mean = np.mean(raw_train.features, axis=0)
+        assert np.array_equal(mean, ref_mean)
+        assert np.array_equal(train.features, raw_train.features - ref_mean)
+        assert np.array_equal(evald.features, raw_eval.features - ref_mean)
+        assert np.array_equal(train.labels, raw_train.labels)
+        assert len(train) == (limit or len(raw_train))
+
+    def test_mean_subtract_holds_one_copy_of_each_split(self, tmp_path):
+        write_idx_split(tmp_path, "train", 500, 28, seed=1)
+        write_idx_split(tmp_path, "t10k", 100, 28, seed=2)
+        cfg = idx_config(tmp_path, mean_subtract=True)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            splits = load_datasets(cfg)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert splits[2] is not None
+        # one float64 copy per split plus one file's bytes at a time; a
+        # raw and a centred copy of both splits side by side read 2.0
+        assert peak / held <= 1.25
+
+    @pytest.mark.parametrize("mean_subtract", [False, True])
+    def test_split_size_mismatch_names_both_dims(self, tmp_path, mean_subtract):
+        write_idx_split(tmp_path, "train", 30, 20, seed=1)
+        write_idx_split(tmp_path, "t10k", 10, 28, seed=2)
+        with pytest.raises(IdxFormatError, match="dim 400.*dim 784"):
+            load_datasets(idx_config(tmp_path, mean_subtract=mean_subtract))
+
 
 class TestTrainCommand:
     def test_writes_artifacts_and_prints_accuracy(self, tmp_path, capsys):
@@ -187,6 +253,70 @@ class TestTrainCommand:
         assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 2
         assert "diverged" in capsys.readouterr().err
         assert (out / "report.csv").exists()
+
+
+INVALID_VALUES = [
+    ({"feature_dim": "0"}, "feature_dim must be at least 1"),
+    ({"hidden_dims": "0"}, "hidden_dims must all be at least 1"),
+    ({"hidden_dims": "12,0"}, "hidden_dims must all be at least 1"),
+    ({"synth_noise": "0"}, "synth_noise must be finite and positive"),
+    ({"synth_noise": "nan"}, "synth_noise must be finite and positive"),
+    ({"synth_samples": "0"}, "synth_samples must be at least 1"),
+    ({"synth_eval_samples": "0"}, "synth_eval_samples must be at least 1"),
+    ({"synth_classes": "0"}, "synth_classes must be at least 1"),
+    ({"synth_dim": "0"}, "synth_dim must be at least 1"),
+    ({"synth_classes": "1", "heads": "2"}, "heads = 2 needs at least 2 classes"),
+]
+# values eval reads: the dataset's, not the model's (those come from the checkpoint)
+DATA_KEYS = {"synth_noise", "synth_samples", "synth_eval_samples", "synth_classes", "synth_dim"}
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("overrides, message", INVALID_VALUES)
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_invalid_value_exits_one_before_training(
+        self, tmp_path, capsys, overrides, message, command
+    ):
+        cfg_path = write_quick(tmp_path, **overrides)
+        out = tmp_path / "x"
+        argv = [command, "--config", str(cfg_path), "--out", str(out)]
+        if command == "sweep":
+            argv += ["--sweep-param", "lambda", "--sweep-values", "0.1", "--sweep-seeds", "4"]
+        assert main(argv) == 1
+        assert f"emsoftmax: error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "overrides, message", [c for c in INVALID_VALUES if DATA_KEYS.issuperset(c[0])]
+    )
+    def test_invalid_data_value_exits_one_in_eval(self, tmp_path, capsys, overrides, message):
+        out = tmp_path / "run"
+        out.mkdir()
+        net = MlpFeatureExtractor([8, 12, 8], Rng(1))
+        save_checkpoint(out / "model.ckpt", net, WeakClassifierBank(8, 4, 2, Rng(2)))
+        cfg_path = write_quick(tmp_path, **overrides)
+        code = main(["eval", "--checkpoint", str(out / "model.ckpt"), "--config", str(cfg_path)])
+        assert code == 1
+        assert f"emsoftmax: error: {message}" in capsys.readouterr().err
+
+    def test_sweep_checks_every_cell_before_the_first(self, tmp_path, capsys):
+        cfg_path = write_quick(tmp_path, synth_classes="1", heads="1")
+        out = tmp_path / "s"
+        argv = ["sweep", "--config", str(cfg_path), "--out", str(out),
+                "--sweep-param", "v", "--sweep-values", "1,2", "--sweep-seeds", "4"]
+        assert main(argv) == 1
+        assert "heads = 2 needs at least 2 classes" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_split_size_mismatch_exits_one_before_training(self, tmp_path, capsys):
+        write_idx_split(tmp_path, "train", 30, 20, seed=1)
+        write_idx_split(tmp_path, "t10k", 10, 28, seed=2)
+        cfg_path = write_quick(tmp_path, dataset="mnist", mnist_dir=tmp_path)
+        out = tmp_path / "x"
+        assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "emsoftmax: error:" in err and "dim 400" in err and "dim 784" in err
+        assert not out.exists()
 
 
 class TestEvalCommand:
@@ -267,6 +397,24 @@ class TestEvalCommand:
         save_mean(out / "mean.bin", np.zeros(7))
         assert main(["eval", "--checkpoint", str(out / "model.ckpt")]) == 1
         assert "mean" in capsys.readouterr().err
+
+    def test_stored_mean_needs_no_training_files(self, tmp_path, capsys):
+        data_dir = tmp_path / "idx"
+        data_dir.mkdir()
+        write_idx_split(data_dir, "train", 120, 8, seed=1)
+        write_idx_split(data_dir, "t10k", 40, 8, seed=2)
+        cfg_path = write_quick(tmp_path, dataset="mnist", mnist_dir=data_dir, mean_subtract="true")
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
+        train_acc = capsys.readouterr().out.strip().split()[-1]
+        for name in ("train-images-idx3-ubyte", "train-labels-idx1-ubyte"):
+            (data_dir / name).unlink()
+        assert main(["eval", "--checkpoint", str(out / "model.ckpt")]) == 0
+        assert f"top1 accuracy: {train_acc}" in capsys.readouterr().out
+        # without the stored mean, eval recomputes it from the training split
+        (out / "mean.bin").unlink()
+        assert main(["eval", "--checkpoint", str(out / "model.ckpt")]) == 1
+        assert "train-images" in capsys.readouterr().err
 
     def test_missing_checkpoint_exits_one(self, tmp_path, capsys):
         cfg_path = write_quick(tmp_path)

@@ -129,10 +129,12 @@ class TestMeanSubtract:
     def test_given_mean_applied_to_each_split(self):
         a = Dataset(np.array([[1.0, 3.0], [3.0, 5.0]]), np.array([0, 1]), 2)
         b = Dataset(np.array([[10.0, 10.0]]), np.array([0]), 2)
-        new_a, new_b = subtract_mean(np.array([0.5, -1.0]), a, b)
-        np.testing.assert_array_equal(new_a.features, [[0.5, 4.0], [2.5, 6.0]])
-        np.testing.assert_array_equal(new_b.features, [[9.5, 11.0]])
-        np.testing.assert_array_equal(a.features, [[1.0, 3.0], [3.0, 5.0]])
+        a_features = a.features
+        assert subtract_mean(np.array([0.5, -1.0]), a, b) is None
+        # in place: the same arrays now hold the centred values
+        assert a.features is a_features
+        np.testing.assert_array_equal(a.features, [[0.5, 4.0], [2.5, 6.0]])
+        np.testing.assert_array_equal(b.features, [[9.5, 11.0]])
         with pytest.raises(ValueError, match="mean has shape"):
             subtract_mean(np.zeros(3), a)
 
@@ -183,6 +185,8 @@ class TestSyntheticBlobs:
             SyntheticSpec(0, 1, 1, 1.0, 0)
         with pytest.raises(ValueError):
             SyntheticSpec(1, 1, 1, 0.0, 0)
+        with pytest.raises(ValueError, match="finite"):
+            SyntheticSpec(1, 1, 1, float("nan"), 0)
 
 
 class TestBatching:

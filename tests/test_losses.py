@@ -318,6 +318,19 @@ class TestTotals:
             expected = [em_softmax_forward(x, list(b), y, cfg).total_loss for b in banks]
             np.testing.assert_allclose(totals, expected, rtol=0.0, atol=1e-13)
 
+    @pytest.mark.parametrize("v", [1, 2, 6])
+    def test_bitwise_equal_to_per_bank_forward(self, v):
+        # batches long enough that a strided head mean sums in another order
+        rng = np.random.default_rng(200 + v)
+        cfg = LossConfig(0.5, 0.1, v)
+        for n in (9, 64, 129):
+            banks = rng.normal(size=(5, v, 6, 4))
+            x = rng.normal(size=(n, 6))
+            y = rng.integers(0, 4, size=n)
+            totals = em_softmax_totals(x, banks, y, cfg)
+            expected = [em_softmax_forward(x, list(b), y, cfg).total_loss for b in banks]
+            assert totals.tolist() == expected
+
     def test_validation(self):
         x, y = np.zeros((2, 3)), [0, 1]
         with pytest.raises(ValueError, match="stack"):
