@@ -15,7 +15,6 @@ from .losses import (
     diversity_penalty,
     em_softmax_backward,
     em_softmax_forward,
-    m_softmax_loss,
     normalize_classifier,
     softmax_probs,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "diversity_penalty",
     "em_softmax_backward",
     "em_softmax_forward",
-    "m_softmax_loss",
     "normalize_classifier",
     "softmax_probs",
     "MlpFeatureExtractor",

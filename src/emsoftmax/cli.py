@@ -113,37 +113,16 @@ def _fmt(value) -> str:
     return str(value)
 
 
-# config key -> (dataclass field, parser). "lambda" is a keyword, hence
-# the one naming indirection.
-_KEY_TO_FIELD = {
-    "dataset": ("dataset", str),
-    "mnist_dir": ("mnist_dir", str),
-    "mean_subtract": ("mean_subtract", _parse_bool),
-    "limit_train": ("limit_train", int),
-    "synth_classes": ("synth_classes", int),
-    "synth_samples": ("synth_samples", int),
-    "synth_eval_samples": ("synth_eval_samples", int),
-    "synth_dim": ("synth_dim", int),
-    "synth_noise": ("synth_noise", float),
-    "hidden_dims": ("hidden_dims", _parse_int_tuple),
-    "feature_dim": ("feature_dim", int),
-    "margin": ("margin", float),
-    "lambda": ("diversity_weight", float),
-    "heads": ("heads", int),
-    "base_lr": ("base_lr", float),
-    "momentum": ("momentum", float),
-    "weight_decay": ("weight_decay", float),
-    "lr_drop_iters": ("lr_drop_iters", _parse_int_tuple),
-    "lr_drop_factor": ("lr_drop_factor", float),
-    "max_iters": ("max_iters", int),
-    "batch_size": ("batch_size", int),
-    "seed": ("seed", int),
-    "log_every": ("log_every", int),
-    "eval_every": ("eval_every", int),
-    "timing_in_csv": ("timing_in_csv", _parse_bool),
-    "out_dir": ("out_dir", str),
+# config key -> (dataclass field, parser), one per RunConfig field. A key
+# is its field's name, except that diversity_weight is written "lambda"
+# (a Python keyword); the parser follows the type of the field's default.
+_PARSERS = {bool: _parse_bool, int: int, float: float, str: str, tuple: _parse_int_tuple}
+_FIELD_TO_KEY = {
+    f.name: "lambda" if f.name == "diversity_weight" else f.name for f in fields(RunConfig)
 }
-_FIELD_TO_KEY = {f: k for k, (f, _) in _KEY_TO_FIELD.items()}
+_KEY_TO_FIELD = {
+    _FIELD_TO_KEY[f.name]: (f.name, _PARSERS[type(f.default)]) for f in fields(RunConfig)
+}
 
 
 def parse_config_text(text: str) -> RunConfig:
@@ -424,6 +403,12 @@ def _rand_int(rng: Rng, lo: int, hi: int) -> int:
     return lo + min(int(u * (hi - lo + 1)), hi - lo)
 
 
+# head counts of the gradcheck grid; the grid is bank-only, so its blocks
+# are the heads, and only those of the smallest bank are in every cell
+_GRID_HEADS = (1, 2, 3)
+_GRID_BLOCKS = tuple(f"head{v}" for v in range(min(_GRID_HEADS)))
+
+
 def run_gradcheck_grid(
     seed: int,
     instances: int,
@@ -443,7 +428,7 @@ def run_gradcheck_grid(
     cell = 0
     for m in (0.0, 1.0):
         for lam in (0.0, 0.1):
-            for v in (1, 2, 3):
+            for v in _GRID_HEADS:
                 cell += 1
                 cell_worst = 0.0
                 for j in range(instances):
@@ -476,6 +461,13 @@ def run_gradcheck_grid(
 def cmd_gradcheck(args) -> int:
     if args.instances < 1:
         raise ConfigError(f"--instances must be at least 1, got {args.instances}")
+    if not (math.isfinite(args.tolerance) and args.tolerance > 0):
+        raise ConfigError(f"--tolerance must be finite and positive, got {args.tolerance}")
+    if args.corrupt is not None and args.corrupt not in _GRID_BLOCKS:
+        raise ConfigError(
+            f"--corrupt must name a block every grid cell has ({', '.join(_GRID_BLOCKS)}), "
+            f"got {args.corrupt!r}"
+        )
     ok, _ = run_gradcheck_grid(
         seed=args.seed if args.seed is not None else 0,
         instances=args.instances,

@@ -24,18 +24,19 @@ bank, with an optional leading batch axis of whole banks. The public
 entry points validate their inputs once and call it:
 :func:`em_softmax_forward` on one bank, :func:`em_softmax_totals` on a
 ``(B, V, d, K)`` stack of banks (the gradient checker's finite
-differences), and :func:`diversity_penalty`/:func:`diversity_gradients`
-through the same kernel builder. The forward keeps its checked inputs,
-probabilities, normalized heads and kernels, and
-:func:`em_softmax_backward` works from them over the whole stack, so
-one training step builds the kernels once.
+differences), and :func:`diversity_penalty` through the same kernel
+builder. The forward records its checked inputs, config, probabilities,
+normalized heads and kernels in its output, and
+:func:`em_softmax_backward` takes that output alone and works from the
+record over the whole stack, so one training step builds the kernels
+once.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,11 +47,9 @@ __all__ = [
     "LossConfig",
     "LossOutput",
     "softmax_probs",
-    "m_softmax_loss",
     "centering_matrix",
     "normalize_classifier",
     "diversity_penalty",
-    "diversity_gradients",
     "em_softmax_forward",
     "em_softmax_totals",
     "em_softmax_backward",
@@ -99,15 +98,19 @@ class LossOutput:
     """Forward result: total = classification + lambda * diversity.
 
     ``probs_per_head`` holds the margin-adjusted softmax rows of every
-    head, shape ``(V, n, K)``. :func:`em_softmax_forward` also attaches a
-    private record of its checked inputs and diversity kernels, which
-    :func:`em_softmax_backward` consumes.
+    head, shape ``(V, n, K)``. ``_record`` is the forward's private
+    record: its checked features, its own copy of the bank, the labels,
+    the probabilities, the diversity pair ``(Wv_hat, Kv)`` and the
+    config. :func:`em_softmax_forward` fills it in and
+    :func:`em_softmax_backward` reads it; an output built by hand leaves
+    it None and has no backward.
     """
 
     total_loss: float
     classification_term: float
     diversity_term: float
     probs_per_head: np.ndarray
+    _record: tuple | None = field(default=None, repr=False, compare=False)
 
 
 def softmax_probs(z: np.ndarray) -> np.ndarray:
@@ -144,22 +147,6 @@ def _margin_softmax(scores: np.ndarray, labels: np.ndarray, m: float):
     return -np.log(picked), probs
 
 
-def m_softmax_loss(z_batch: np.ndarray, labels, m: float) -> tuple[float, np.ndarray]:
-    """Margin softmax loss of a batch of raw scores.
-
-    Returns the batch-mean loss and the margin-adjusted probability
-    matrix used by the backward pass. ``m = 0`` reproduces plain softmax
-    cross-entropy bit for bit.
-    """
-    if not math.isfinite(m) or m < 0:
-        raise ValueError(f"margin must be finite and non-negative, got {m}")
-    z_batch = as_matrix(z_batch, "z_batch")
-    n, k = z_batch.shape
-    labels = _check_labels(labels, n, k)
-    losses, probs = _margin_softmax(z_batch.copy(), labels, m)
-    return float(np.mean(losses)), probs
-
-
 def centering_matrix(n: int) -> np.ndarray:
     """H = I - (1/n) 11^T; symmetric, idempotent, annihilates constants."""
     if n < 1:
@@ -192,14 +179,15 @@ def normalize_classifier(w: np.ndarray) -> np.ndarray:
 
 
 def _check_bank(bank) -> np.ndarray:
-    """The bank's heads stacked into one (V, d, K) float64 array."""
-    if len(bank) < 1:
-        raise ValueError("classifier bank is empty")
-    shape = as_matrix(bank[0], "bank[0]").shape
-    for i, w in enumerate(bank):
-        if np.shape(w) != shape:
-            raise ValueError(f"bank[{i}] has shape {np.shape(w)}, expected {shape}")
-    return np.array(bank, dtype=np.float64)
+    """The bank's heads stacked into one new (V, d, K) float64 array.
+
+    Heads of different shapes fail in numpy with an "inhomogeneous shape"
+    ValueError.
+    """
+    w = np.array(bank, dtype=np.float64)
+    if w.ndim != 3 or 0 in w.shape:
+        raise ValueError(f"bank must have shape (V, d, K) with V, d, K >= 1, got {w.shape}")
+    return w
 
 
 def _check_heads(num_heads: int, cfg: LossConfig) -> None:
@@ -260,8 +248,16 @@ def diversity_penalty(bank, v: int) -> float:
     return float(_head_penalties(*_diversity_kernels(w))[v])
 
 
-def _diversity_gradients(w, w_hats, kernels, exact: bool) -> np.ndarray:
-    """Diversity gradient of every head of ``w`` from its kernels: (V, d, K)."""
+def _diversity_grads(w, w_hats, kernels, exact: bool) -> np.ndarray:
+    """Diversity gradient of every head of ``w`` from its kernels: (V, d, K).
+
+    Default (detached) mode follows the per-head update rule: only head
+    v's own penalty contributes, Kv is frozen, and the normalization is
+    backpropagated as the frozen per-column scale 1/||w_k||, giving
+    2 Wv_hat Kv rescaled. Exact mode differentiates the full summed term
+    (every pairwise penalty sees head v twice, hence 4 Wv_hat Kv) through
+    the true normalization Jacobian (I - w_hat w_hat^T)/||w||.
+    """
     norms = np.sqrt(np.sum(w * w, axis=-2, keepdims=True))
     if exact:
         g_hat = 4.0 * (w_hats @ kernels)
@@ -270,23 +266,6 @@ def _diversity_gradients(w, w_hats, kernels, exact: bool) -> np.ndarray:
         g_hat = 2.0 * (w_hats @ kernels)
     zero = norms == 0.0
     return np.where(zero, 0.0, g_hat / np.where(zero, 1.0, norms))
-
-
-def diversity_gradients(bank, exact: bool) -> np.ndarray:
-    """Gradient of the diversity term with respect to every raw head.
-
-    Default (detached) mode follows the per-head update rule: only head
-    v's own penalty contributes, Kv is frozen, and the normalization is
-    backpropagated as the frozen per-column scale 1/||w_k||, giving
-    2 Wv_hat Kv rescaled. Exact mode differentiates the full summed term
-    (every pairwise penalty sees head v twice, hence 4 Wv_hat Kv) through
-    the true normalization Jacobian (I - w_hat w_hat^T)/||w||. Needs a
-    bank of at least two heads; returns a ``(V, d, K)`` array.
-    """
-    w = _check_bank(bank)
-    if len(w) < 2:
-        raise ValueError("diversity gradients need at least 2 heads")
-    return _diversity_gradients(w, *_diversity_kernels(w), exact)
 
 
 def _loss_core(x_batch: np.ndarray, w: np.ndarray, labels: np.ndarray, cfg: LossConfig):
@@ -329,9 +308,8 @@ def em_softmax_forward(x_batch: np.ndarray, bank, labels, cfg: LossConfig) -> Lo
     _check_heads(len(w), cfg)
     x_batch, labels = _check_batch(x_batch, labels, w.shape[1], w.shape[2])
     classification, diversity, total, probs, pair = _loss_core(x_batch, w, labels, cfg)
-    out = LossOutput(float(total), float(classification), float(diversity), probs)
-    out._saved = (x_batch, w, labels, probs, pair)
-    return out
+    return LossOutput(float(total), float(classification), float(diversity), probs,
+                      (x_batch, w, labels, probs, pair, cfg))
 
 
 def em_softmax_totals(x_batch: np.ndarray, banks, labels, cfg: LossConfig) -> np.ndarray:
@@ -349,42 +327,32 @@ def em_softmax_totals(x_batch: np.ndarray, banks, labels, cfg: LossConfig) -> np
     return _loss_core(x_batch, banks, labels, cfg)[2]
 
 
-def em_softmax_backward(
-    x_batch: np.ndarray, bank, labels, cfg: LossConfig, fwd: LossOutput
-) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic gradients of the total loss from a matching forward pass.
+def em_softmax_backward(fwd: LossOutput) -> tuple[np.ndarray, np.ndarray]:
+    """Analytic gradients of the total loss that ``fwd`` computed.
 
     Returns the ``(V, d, K)`` head gradients ``x^T (probs - onehot)/n +
     lambda * d(diversity)/dWv`` and the feature gradient ``sum_v (probs_v
-    - onehot) Wv^T / n``. The inputs, probabilities and diversity
-    kernels are the ones ``fwd`` saved; the arguments are only checked
-    against their shapes, and ``cfg`` supplies lambda and the diversity
-    gradient mode.
+    - onehot) Wv^T / n``. Everything comes from the record that
+    :func:`em_softmax_forward` kept in ``fwd``: the inputs, the
+    probabilities, the diversity kernels, and the config, which supplies
+    lambda and the diversity gradient mode.
     """
-    saved = getattr(fwd, "_saved", None)
-    if saved is None:
+    record = getattr(fwd, "_record", None)
+    if record is None:
         raise ValueError("forward output was not produced by em_softmax_forward")
-    x, w, y, probs, pair = saved
-    num_heads, d, k = w.shape
+    x, w, y, probs, pair, cfg = record
     n = x.shape[0]
-    _check_heads(num_heads, cfg)
-    if (len(bank) != num_heads or np.shape(bank[0]) != (d, k)
-            or np.shape(x_batch) != (n, d) or np.shape(labels) != (n,)):
-        raise ValueError(
-            f"stale forward output: it saw {num_heads} heads of {(d, k)} and "
-            f"{n} rows of dim {d}"
-        )
 
     delta = probs.copy()
     delta[:, np.arange(n), y] -= 1.0
     delta /= n
     grads_bank = np.matmul(x.T, delta)
     if pair is not None and cfg.diversity_weight != 0.0:
-        grads_bank += cfg.diversity_weight * _diversity_gradients(
+        grads_bank += cfg.diversity_weight * _diversity_grads(
             w, *pair, cfg.exact_diversity_grad
         )
     per_head_x = np.matmul(delta, np.swapaxes(w, -1, -2))
-    grads_x = np.zeros((n, d))
-    for v in range(num_heads):
+    grads_x = np.zeros(x.shape)
+    for v in range(w.shape[0]):
         grads_x += per_head_x[v]
     return grads_bank, grads_x

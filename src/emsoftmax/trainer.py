@@ -26,14 +26,13 @@ from __future__ import annotations
 import math
 import time
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .data import Dataset, minibatch_stream
 from .losses import (
     LossConfig,
-    diversity_gradients,
     em_softmax_backward,
     em_softmax_forward,
     em_softmax_totals,
@@ -270,7 +269,7 @@ def train(
             if not np.isfinite(fwd.total_loss) or fwd.total_loss > _LOSS_CEILING:
                 report.diverged = True
                 break
-            grads_bank, grads_feats = em_softmax_backward(feats, bank.heads, y, loss_cfg, fwd)
+            grads_bank, grads_feats = em_softmax_backward(fwd)
 
             if net is None:
                 grads = [grads_bank]
@@ -388,22 +387,16 @@ def grad_check(
     ``"head0"`` or ``"w1"``) before comparison — the self-test that the
     checker can actually fail.
 
-    Returns a dict with per-block errors, the overall max, a ``passed``
-    flag, and the largest diversity-gradient magnitude per head (exactly
-    zero for a single-head bank).
+    Returns a dict with the per-block errors (``block_errors``), the
+    overall max (``max_error``) and a ``passed`` flag.
     """
-    check_cfg = LossConfig(
-        margin=loss_cfg.margin,
-        diversity_weight=loss_cfg.diversity_weight,
-        num_heads=loss_cfg.num_heads,
-        exact_diversity_grad=True,
-    )
+    check_cfg = replace(loss_cfg, exact_diversity_grad=True)
     x = np.asarray(x_batch, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
 
     feats, cache = _features_and_cache(net, x)
     fwd = em_softmax_forward(feats, bank.heads, y, check_cfg)
-    grads_bank, grads_feats = em_softmax_backward(feats, bank.heads, y, check_cfg, fwd)
+    grads_bank, grads_feats = em_softmax_backward(fwd)
 
     blocks: list[tuple[str, np.ndarray, np.ndarray]] = []
     if net is not None:
@@ -435,18 +428,10 @@ def grad_check(
         denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-3)
         errors[name] = float(np.max(np.abs(analytic - numeric) / denom))
 
-    div_mags = [0.0] * bank.num_heads
-    if bank.num_heads >= 2 and check_cfg.diversity_weight != 0.0:
-        div_mags = [
-            float(np.max(np.abs(check_cfg.diversity_weight * g)))
-            for g in diversity_gradients(bank.heads, exact=True)
-        ]
-
     # np.max, unlike max(), cannot skip a NaN block error
     max_error = float(np.max(list(errors.values())))
     return {
         "block_errors": errors,
         "max_error": max_error,
         "passed": max_error <= tolerance,
-        "diversity_grad_max": div_mags,
     }

@@ -93,7 +93,8 @@ def ref_diversity_kernel(bank, v):
 def ref_em_softmax_backward(x_batch, bank, labels, cfg, fwd):
     """The loss backward one head at a time, from ``fwd.probs_per_head``.
 
-    Same signature and results as ``em_softmax_backward``: head gradients
+    ``fwd`` is ``em_softmax_forward(x_batch, bank, labels, cfg)``, and the
+    results are those of ``em_softmax_backward(fwd)``: head gradients
     stacked ``(V, d, K)`` and the feature gradient summed over heads in
     ascending order. Written as the per-head loop (2-D products, Kv from
     :func:`ref_diversity_kernel`), so the stacked backward may be compared

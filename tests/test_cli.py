@@ -435,9 +435,25 @@ class TestGradcheckCommand:
         assert "--instances must be at least 1" in captured.err
         assert "[ok]" not in captured.out
 
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "-1"])
+    def test_unusable_tolerance_exits_one(self, capsys, tolerance):
+        # inf would pass a corrupted gradient, nan would fail a correct one
+        assert main(["gradcheck", "--instances", "1", "--tolerance", tolerance]) == 1
+        captured = capsys.readouterr()
+        assert "emsoftmax: error: --tolerance must be finite and positive" in captured.err
+        assert captured.out == ""
+
     def test_corrupted_gradient_detected(self, capsys):
         assert main(["gradcheck", "--instances", "1", "--corrupt", "head0"]) == 2
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("block", ["head1", "bogus"])
+    def test_corrupt_block_missing_from_a_cell_exits_one(self, capsys, block):
+        # the V = 1 cells have only head0
+        assert main(["gradcheck", "--instances", "1", "--corrupt", block]) == 1
+        captured = capsys.readouterr()
+        assert "error: --corrupt must name a block every grid cell has (head0)" in captured.err
+        assert captured.out == ""
 
 
 class TestSweepCommand:

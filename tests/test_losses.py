@@ -17,13 +17,11 @@ from emsoftmax.losses import (
     PROB_FLOOR,
     LossConfig,
     centering_matrix,
-    diversity_gradients,
     diversity_penalty,
     em_softmax_backward,
     em_softmax_forward,
     em_softmax_totals,
     LossOutput,
-    m_softmax_loss,
     normalize_classifier,
     softmax_probs,
 )
@@ -33,6 +31,14 @@ LN2 = 0.6931471805599453
 
 def random_bank(rng, d, k, v):
     return [rng.normal(size=(d, k)) for _ in range(v)]
+
+
+def margin_softmax(z, labels, m):
+    """Batch-mean margin softmax loss of raw scores and its probabilities:
+    the combined loss with one identity head and no diversity."""
+    z = np.asarray(z, dtype=np.float64)
+    out = em_softmax_forward(z, np.eye(z.shape[1])[None], labels, LossConfig(m, 0.0, 1))
+    return out.total_loss, out.probs_per_head[0]
 
 
 class TestSoftmaxProbs:
@@ -65,31 +71,31 @@ class TestSoftmaxProbs:
 
 class TestCrossEntropyAndMargin:
     def test_two_equal_scores_give_log_two(self):
-        loss, _ = m_softmax_loss(np.array([[0.0, 0.0]]), [0], 0.0)
+        loss, _ = margin_softmax(np.array([[0.0, 0.0]]), [0], 0.0)
         assert loss == pytest.approx(LN2, abs=1e-15)
 
     def test_cross_entropy_floors_tiny_probabilities(self):
-        loss, probs = m_softmax_loss(np.array([[0.0, 1000.0]]), [0], 0.0)
+        loss, probs = margin_softmax(np.array([[0.0, 1000.0]]), [0], 0.0)
         assert probs[0, 0] == 0.0
         assert loss == -np.log(PROB_FLOOR)
 
     def test_label_out_of_range(self):
         with pytest.raises(ValueError):
-            m_softmax_loss(np.zeros((1, 3)), [3], 0.0)
+            margin_softmax(np.zeros((1, 3)), [3], 0.0)
         with pytest.raises(ValueError):
-            m_softmax_loss(np.zeros((1, 3)), [-1], 0.0)
+            margin_softmax(np.zeros((1, 3)), [-1], 0.0)
 
     def test_margin_adjusts_only_true_class(self):
         z = np.array([[1.0, 2.0, 3.0]])
-        _, probs = m_softmax_loss(z, [1], 0.7)
+        _, probs = margin_softmax(z, [1], 0.7)
         np.testing.assert_array_equal(probs, softmax_probs(np.array([[1.0, 1.3, 3.0]])))
         np.testing.assert_array_equal(z, [[1.0, 2.0, 3.0]])
 
     def test_negative_margin_rejected(self):
         with pytest.raises(ValueError):
-            m_softmax_loss(np.zeros((1, 2)), [0], -0.1)
+            margin_softmax(np.zeros((1, 2)), [0], -0.1)
         with pytest.raises(ValueError):
-            m_softmax_loss(np.zeros((1, 2)), [0], -1.0)
+            margin_softmax(np.zeros((1, 2)), [0], -1.0)
         with pytest.raises(ValueError):
             LossConfig(margin=-0.5)
 
@@ -100,13 +106,13 @@ class TestCrossEntropyAndMargin:
             LossConfig(**{name: value})
         if name == "margin":
             with pytest.raises(ValueError, match="margin must be finite"):
-                m_softmax_loss(np.zeros((1, 2)), [0], value)
+                margin_softmax(np.zeros((1, 2)), [0], value)
 
     def test_zero_margin_is_plain_softmax_bitwise(self):
         rng = np.random.default_rng(1)
         z = rng.normal(size=(6, 4)) * 3
         y = rng.integers(0, 4, size=6)
-        loss, probs = m_softmax_loss(z, y, 0.0)
+        loss, probs = margin_softmax(z, y, 0.0)
         plain = softmax_probs(z)
         ref = float(np.mean(-np.log(plain[np.arange(6), y])))
         assert loss == ref
@@ -115,12 +121,12 @@ class TestCrossEntropyAndMargin:
     def test_loss_increases_with_margin(self):
         z = np.random.default_rng(2).normal(size=(5, 3))
         y = [0, 1, 2, 0, 1]
-        losses = [m_softmax_loss(z, y, m)[0] for m in (0.0, 0.5, 1.0, 5.0)]
+        losses = [margin_softmax(z, y, m)[0] for m in (0.0, 0.5, 1.0, 5.0)]
         assert losses == sorted(losses)
         assert losses[0] < losses[-1]
 
     def test_giant_margin_stays_finite(self):
-        loss, probs = m_softmax_loss(np.zeros((2, 3)), [0, 1], 1e6)
+        loss, probs = margin_softmax(np.zeros((2, 3)), [0, 1], 1e6)
         assert np.isfinite(loss)
         assert np.isfinite(probs).all()
 
@@ -129,7 +135,7 @@ class TestCrossEntropyAndMargin:
     def test_margin_monotonicity_property(self, m1, m2):
         z = np.array([[0.5, -0.2, 1.1], [2.0, 0.0, -1.0]])
         lo, hi = sorted((m1, m2))
-        assert m_softmax_loss(z, [0, 2], lo)[0] <= m_softmax_loss(z, [0, 2], hi)[0] + 1e-12
+        assert margin_softmax(z, [0, 2], lo)[0] <= margin_softmax(z, [0, 2], hi)[0] + 1e-12
 
 
 class TestCenteringMatrix:
@@ -261,8 +267,6 @@ class TestDiversity:
         for v in (2, -1):
             with pytest.raises(ValueError, match="out of range"):
                 diversity_penalty([np.eye(2), np.eye(2)], v)
-        with pytest.raises(ValueError, match="2 heads"):
-            diversity_gradients([np.eye(2)], exact=False)
 
 
 class TestForward:
@@ -353,7 +357,7 @@ class TestBackward:
             y = rng.integers(0, k, size=n)
             cfg = LossConfig(0.0, 0.0, 1)
             fwd = em_softmax_forward(x, [w], y, cfg)
-            grads, gx = em_softmax_backward(x, [w], y, cfg, fwd)
+            grads, gx = em_softmax_backward(fwd)
             ref_loss, ref_gw, ref_gx = ref_softmax_loss(x, w, y)
             assert fwd.total_loss == pytest.approx(ref_loss, abs=1e-12)
             np.testing.assert_allclose(grads[0], ref_gw, atol=1e-12)
@@ -368,7 +372,7 @@ class TestBackward:
             y = rng.integers(0, k, size=n)
             cfg = LossConfig(0.7, 0.3, v, exact_diversity_grad=True)
             fwd = em_softmax_forward(x, bank, y, cfg)
-            grads, _ = em_softmax_backward(x, bank, y, cfg, fwd)
+            grads, _ = em_softmax_backward(fwd)
             for i in range(v):
                 def f(w, i=i):
                     trial = list(bank)
@@ -385,7 +389,7 @@ class TestBackward:
         y = np.array([0, 2, 1])
         cfg = LossConfig(0.5, 0.2, 2, exact_diversity_grad=True)
         fwd = em_softmax_forward(x, bank, y, cfg)
-        _, gx = em_softmax_backward(x, bank, y, cfg, fwd)
+        _, gx = em_softmax_backward(fwd)
 
         def f(xx):
             return em_softmax_forward(xx, bank, y, cfg).total_loss
@@ -402,9 +406,9 @@ class TestBackward:
         lam = 0.25
         cfg = LossConfig(0.0, lam, 2)
         fwd = em_softmax_forward(x, bank, y, cfg)
-        grads, _ = em_softmax_backward(x, bank, y, cfg, fwd)
+        grads, _ = em_softmax_backward(fwd)
 
-        cls_only = em_softmax_backward(x, bank, y, LossConfig(0.0, 0.0, 2), fwd)[0]
+        cls_only = em_softmax_backward(em_softmax_forward(x, bank, y, LossConfig(0.0, 0.0, 2)))[0]
         for v in range(2):
             norms = np.linalg.norm(bank[v], axis=0)
             w_hat = bank[v] / norms
@@ -429,10 +433,10 @@ class TestBackward:
         assert fwd.diversity_term == div
         assert fwd.total_loss == fwd.classification_term + lam * div
 
-        cls_only = em_softmax_backward(x, bank, y, LossConfig(0.5, 0.0, 6), fwd)[0]
-        detached, _ = em_softmax_backward(x, bank, y, cfg, fwd)
+        cls_only = em_softmax_backward(em_softmax_forward(x, bank, y, LossConfig(0.5, 0.0, 6)))[0]
+        detached, _ = em_softmax_backward(fwd)
         exact_cfg = LossConfig(0.5, lam, 6, exact_diversity_grad=True)
-        exact, _ = em_softmax_backward(x, bank, y, exact_cfg, fwd)
+        exact, _ = em_softmax_backward(em_softmax_forward(x, bank, y, exact_cfg))
         for v in range(6):
             g_hat = 2.0 * (w_hats[v] @ kernels[v])
             assert (detached[v] == cls_only[v] + lam * (g_hat / norms[v])).all()
@@ -445,10 +449,9 @@ class TestBackward:
         x = rng.normal(size=(2, 4))
         bank = random_bank(rng, 4, 3, 2)
         y = np.array([0, 1])
-        fwd = em_softmax_forward(x, bank, y, LossConfig(0.0, 0.5, 2))
-        g_default, _ = em_softmax_backward(x, bank, y, LossConfig(0.0, 0.5, 2), fwd)
+        g_default, _ = em_softmax_backward(em_softmax_forward(x, bank, y, LossConfig(0.0, 0.5, 2)))
         g_exact, _ = em_softmax_backward(
-            x, bank, y, LossConfig(0.0, 0.5, 2, exact_diversity_grad=True), fwd
+            em_softmax_forward(x, bank, y, LossConfig(0.0, 0.5, 2, exact_diversity_grad=True))
         )
         assert not np.allclose(g_default[0], g_exact[0])
 
@@ -459,7 +462,7 @@ class TestBackward:
         y = np.array([0, 1, 2])
         cfg = LossConfig(0.0, 0.0, 2)
         fwd = em_softmax_forward(x, bank, y, cfg)
-        grads, _ = em_softmax_backward(x, bank, y, cfg, fwd)
+        grads, _ = em_softmax_backward(fwd)
         n = x.shape[0]
         for v in range(2):
             onehot = np.zeros((n, 3))
@@ -485,36 +488,21 @@ class TestBackward:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 fwd = em_softmax_forward(x, bank, y, cfg)
-            grads, gx = em_softmax_backward(x, bank, y, cfg, fwd)
+            grads, gx = em_softmax_backward(fwd)
             ref_grads, ref_gx = ref_em_softmax_backward(x, list(bank), y, cfg, fwd)
             assert grads.shape == (v, d, k)
             assert (grads == ref_grads).all()
             assert (gx == ref_gx).all()
 
-    @pytest.mark.parametrize("case", ["rows", "bank_heads", "cfg_heads", "not_a_forward"])
+    @pytest.mark.parametrize("case", ["not_a_forward", "not_a_loss_output"])
     def test_mismatched_forward_rejected(self, case):
         rng = np.random.default_rng(17)
         x, y = rng.normal(size=(3, 4)), np.array([0, 2, 1])
-        bank = rng.normal(size=(2, 4, 3))
-        cfg = LossConfig(0.5, 0.1, 2)
-        fwd = em_softmax_forward(x, bank, y, cfg)
-        args = {"x_batch": x, "bank": bank, "labels": y, "cfg": cfg, "fwd": fwd}
-        if case == "rows":
-            args["fwd"] = em_softmax_forward(x[:2], bank, y[:2], cfg)
-        elif case == "bank_heads":
-            args["bank"] = rng.normal(size=(3, 4, 3))
-        elif case == "cfg_heads":
-            args["cfg"] = LossConfig(0.5, 0.1, 3)
+        fwd = em_softmax_forward(x, rng.normal(size=(2, 4, 3)), y, LossConfig(0.5, 0.1, 2))
+        if case == "not_a_forward":
+            fwd = LossOutput(fwd.total_loss, fwd.classification_term,
+                             fwd.diversity_term, fwd.probs_per_head)
         else:
-            args["fwd"] = LossOutput(fwd.total_loss, fwd.classification_term,
-                                     fwd.diversity_term, fwd.probs_per_head)
+            fwd = (fwd.total_loss, fwd.probs_per_head)
         with pytest.raises(ValueError):
-            em_softmax_backward(**args)
-
-    def test_stale_forward_rejected(self):
-        x = np.zeros((2, 2))
-        bank = [np.eye(2)]
-        cfg = LossConfig(0, 0, 1)
-        fwd = em_softmax_forward(np.zeros((3, 2)), bank, [0, 1, 0], cfg)
-        with pytest.raises(ValueError):
-            em_softmax_backward(x, bank, [0, 1], cfg, fwd)
+            em_softmax_backward(fwd)

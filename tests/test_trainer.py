@@ -251,7 +251,19 @@ class TestTrain:
         blobs = []
         for name in ("stacked", "reference"):
             if name == "reference":
-                monkeypatch.setattr(trainer, "em_softmax_backward", ref_em_softmax_backward)
+                # the reference backward takes the inputs of the step's forward
+                inputs = []
+                forward = trainer.em_softmax_forward
+
+                def recording_forward(x_batch, bank, labels, cfg):
+                    inputs[:] = [x_batch, bank, labels, cfg]
+                    return forward(x_batch, bank, labels, cfg)
+
+                monkeypatch.setattr(trainer, "em_softmax_forward", recording_forward)
+                monkeypatch.setattr(
+                    trainer, "em_softmax_backward",
+                    lambda fwd: ref_em_softmax_backward(*inputs, fwd),
+                )
             run_training(replace(cfg, out_dir=str(tmp_path / name)), quiet=True)
             blobs.append((tmp_path / name / "model.ckpt").read_bytes())
         assert blobs[0] == blobs[1]
@@ -309,12 +321,6 @@ class TestGradCheck:
         )
         assert res["passed"], res
         assert set(res["block_errors"]) == {"w0", "b0", "w1", "b1", "head0", "head1"}
-
-    def test_single_head_diversity_gradient_is_exactly_zero(self):
-        ds = blob_dataset(per=3, dim=4)
-        bank = WeakClassifierBank(ds.dim, ds.num_classes, 1, Rng(1))
-        res = grad_check(None, bank, ds.features[:2], ds.labels[:2], LossConfig(1.0, 0.1, 1))
-        assert res["diversity_grad_max"] == [0.0]
 
     def test_corrupted_block_detected(self):
         ds = blob_dataset(per=3, dim=4)
