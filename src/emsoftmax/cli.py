@@ -202,11 +202,28 @@ def _check_positive(cfg: RunConfig, *keys: str) -> None:
             raise ConfigError(f"{key} must be at least 1, got {getattr(cfg, key)}")
 
 
+# The RunConfig fields that decide which data a run reads: those that
+# _load_splits and the mean step read for every source, then each
+# source's own. eval names those in which --config differs from the
+# training run's; tests check that changing any of them changes the loaded
+# splits and that changing any other field does not.
+_DATA_KEYS = ("dataset", "mean_subtract", "limit_train")
+_SOURCE_KEYS = {
+    "synthetic": (
+        "synth_classes", "synth_samples", "synth_eval_samples", "synth_dim", "synth_noise",
+        "seed",
+    ),
+    "mnist": ("mnist_dir",),
+}
+
+
 def _load_splits(cfg: RunConfig, names) -> dict[str, Dataset]:
     """The named splits ("train", "eval") of the configured source, raw.
 
     Each split is a fresh float64 array that the caller owns and may
-    preprocess in place; ``limit_train`` applies to the train split.
+    preprocess in place; ``limit_train`` applies to the train split. It
+    reads ``dataset``, ``limit_train`` and the source's ``_SOURCE_KEYS``
+    of the config.
     """
     _check_data_config(cfg)
     names = [name for name in _SPLITS if name in names]
@@ -354,6 +371,30 @@ def cmd_train(args) -> int:
     return 2 if result["diverged"] else 0
 
 
+def _warn_data_changes(cfg: RunConfig, resolved: Path) -> None:
+    """Name on stderr the data keys in which ``cfg`` differs from the
+    training run's ``resolved.cfg``; scoring other data stays legal."""
+    if not resolved.exists():
+        return
+    try:
+        trained = parse_config_text(resolved.read_text())
+    except (OSError, ConfigError) as exc:
+        print(f"emsoftmax: warning: cannot compare --config with {resolved}: {exc}",
+              file=sys.stderr)
+        return
+    keys = list(_DATA_KEYS)
+    for source in dict.fromkeys((trained.dataset, cfg.dataset)):
+        keys += _SOURCE_KEYS.get(source, ())
+    changes = [
+        f"{key} {_fmt(getattr(trained, key))} -> {_fmt(getattr(cfg, key))}"
+        for key in keys
+        if getattr(trained, key) != getattr(cfg, key)
+    ]
+    if changes:
+        print(f"emsoftmax: warning: --config reads other data than {resolved}: "
+              + ", ".join(changes), file=sys.stderr)
+
+
 def cmd_eval(args) -> int:
     try:
         net, bank = load_checkpoint(args.checkpoint)
@@ -370,6 +411,8 @@ def cmd_eval(args) -> int:
             )
         config = str(resolved)
     cfg = _load_config(config)
+    if args.config is not None:
+        _warn_data_changes(cfg, artifact_dir / "resolved.cfg")
 
     mean_path = artifact_dir / "mean.bin"
     mean = load_mean(mean_path) if cfg.mean_subtract and mean_path.exists() else None
@@ -378,6 +421,10 @@ def cmd_eval(args) -> int:
     recompute = cfg.mean_subtract and mean is None
     splits = _load_splits(cfg, (args.split, "train") if recompute else (args.split,))
     ds = splits[args.split]
+    if ds.num_classes != bank.num_classes:
+        raise ConfigError(
+            f"checkpoint scores {bank.num_classes} classes, dataset has {ds.num_classes}"
+        )
     if cfg.mean_subtract:
         if recompute:
             mean = np.mean(splits["train"].features, axis=0)
@@ -390,7 +437,8 @@ def cmd_eval(args) -> int:
             f"checkpoint expects input dim {net.input_dim}, dataset has {ds.dim}"
         )
 
-    top1_hits, top5_hits = count_hits(net, bank, ds, top5=bank.num_classes >= 5)
+    # top-5 over five classes or fewer always hits
+    top1_hits, top5_hits = count_hits(net, bank, ds, top5=bank.num_classes > 5)
     print(f"top1 accuracy: {top1_hits / len(ds):.6f}")
     if top5_hits is not None:
         print(f"top5 accuracy: {top5_hits / len(ds):.6f}")
@@ -399,7 +447,7 @@ def cmd_eval(args) -> int:
 
 def _rand_int(rng: Rng, lo: int, hi: int) -> int:
     """Uniform integer in [lo, hi] from one uniform draw."""
-    u = float(rng.uniform((1,))[0])
+    u = rng.uniform()
     return lo + min(int(u * (hi - lo + 1)), hi - lo)
 
 

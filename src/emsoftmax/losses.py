@@ -30,10 +30,20 @@ normalized heads and kernels in its output, and
 :func:`em_softmax_backward` takes that output alone and works from the
 record over the whole stack, so one training step builds the kernels
 once.
+
+At the shapes this toolkit trains (K = 10 classes, a few heads), numpy's
+per-call and per-row reduction overheads cost more than the arithmetic,
+so the core avoids them without changing a bit of the result: short
+softmax rows are reduced column by column in numpy's own order
+(:func:`softmax_probs`), labels are picked through one flat index, every
+Kv comes from one gathered reduction, and one bank's head terms are
+summed as Python floats. ``tests/test_loss_bits.py`` holds the plain
+numpy formulation and compares every output with it bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -99,11 +109,11 @@ class LossOutput:
 
     ``probs_per_head`` holds the margin-adjusted softmax rows of every
     head, shape ``(V, n, K)``. ``_record`` is the forward's private
-    record: its checked features, its own copy of the bank, the labels,
-    the probabilities, the diversity pair ``(Wv_hat, Kv)`` and the
-    config. :func:`em_softmax_forward` fills it in and
-    :func:`em_softmax_backward` reads it; an output built by hand leaves
-    it None and has no backward.
+    record: its checked features, its own copy of the bank, the flat
+    index of every row's label in the ``(V, n * K)`` probabilities, the
+    probabilities, the diversity pair ``(Wv_hat, Kv)`` and the config.
+    :func:`em_softmax_forward` fills it in and :func:`em_softmax_backward`
+    reads it; an output built by hand leaves it None and has no backward.
     """
 
     total_loss: float
@@ -113,16 +123,63 @@ class LossOutput:
     _record: tuple | None = field(default=None, repr=False, compare=False)
 
 
+# numpy sums up to this many contiguous values with eight accumulators and
+# splits longer runs in halves
+_PAIRWISE_BLOCK = 128
+
+
 def softmax_probs(z: np.ndarray) -> np.ndarray:
     """Row-wise softmax with max-subtraction for overflow safety.
 
-    Accepts a single score vector or an n x K batch; the result has the
-    same shape and each probability row sums to 1.
+    Accepts a single score vector or an n x K batch (or any stack of
+    them); the result has the same shape and each probability row sums
+    to 1.
+
+    A numpy reduction along a short last axis costs far more than its
+    arithmetic, so for 2-D and higher input with 1 <= K <= 128 the row
+    max and the row sum are taken column by column over the views
+    ``z[..., j]``, in exactly the order numpy reduces a row: the max by
+    K-1 elementwise ``np.maximum`` calls, and the sum in numpy's
+    pairwise order (K < 8: the columns in ascending order; otherwise
+    eight running accumulators, combined as
+    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then the leftover columns in
+    order). The result is bit for bit what ``np.max`` and ``np.sum`` give.
+    1-D and empty input keep numpy's reductions, which cost nothing
+    there, and so does K > 128, where numpy's pairwise sum splits the row
+    recursively. So does input that is not C-contiguous: numpy may then
+    iterate over rows innermost and add the columns in plain order.
     """
     z = np.asarray(z, dtype=np.float64)
-    shifted = z - np.max(z, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    if (z.ndim < 2 or z.size == 0 or z.shape[-1] > _PAIRWISE_BLOCK
+            or not z.flags.c_contiguous):
+        shifted = z - np.max(z, axis=-1, keepdims=True)
+        e = np.exp(shifted)
+        return e / np.sum(e, axis=-1, keepdims=True)
+    k = z.shape[-1]
+    row_max = z[..., 0].copy()
+    for j in range(1, k):
+        np.maximum(row_max, z[..., j], out=row_max)
+    e = z - row_max[..., None]
+    np.exp(e, out=e)
+    e /= _row_sum(e, k)[..., None]
+    return e
+
+
+def _row_sum(e: np.ndarray, k: int) -> np.ndarray:
+    """Sum over the last axis (1 <= K <= 128) in numpy's pairwise order."""
+    if k < 8:
+        total = e[..., 0].copy()
+        for j in range(1, k):
+            total += e[..., j]
+        return total
+    acc = [e[..., j] for j in range(8)]
+    body = k - k % 8
+    for i in range(8, body, 8):
+        acc = [acc[j] + e[..., i + j] for j in range(8)]
+    total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+    for j in range(body, k):
+        total += e[..., j]
+    return total
 
 
 def _check_labels(labels, n: int, num_classes: int) -> np.ndarray:
@@ -137,14 +194,25 @@ def _check_labels(labels, n: int, num_classes: int) -> np.ndarray:
 def _margin_softmax(scores: np.ndarray, labels: np.ndarray, m: float):
     """Margin-adjusted softmax rows and per-row losses of (..., n, K) scores.
 
-    ``scores`` is overwritten with the adjusted scores; ``labels`` must
-    already be checked.
+    Returns the per-row losses (a fresh C-contiguous ``(..., n)`` array,
+    so a mean over rows sums them in numpy's pairwise order), the
+    probabilities and the flat index ``row * K + label`` of every row's
+    label in a ``(..., n * K)`` view. ``scores`` may be overwritten with
+    the adjusted scores; ``labels`` must already be checked.
     """
-    rows = np.arange(scores.shape[-2])
-    scores[..., rows, labels] -= m
+    n, k = scores.shape[-2:]
+    flat = np.arange(0, n * k, k) + labels
+    lead = scores.shape[:-2]
+    if m != 0.0:  # x - 0.0 is x, bit for bit
+        # a view of matmul's fresh C-contiguous output, so no copy is made
+        scores = scores.reshape(*lead, n * k)
+        scores[..., flat] -= m
+        scores = scores.reshape(*lead, n, k)
     probs = softmax_probs(scores)
-    picked = np.maximum(probs[..., rows, labels], PROB_FLOOR)
-    return -np.log(picked), probs
+    picked = np.take(probs.reshape(*lead, n * k), flat, axis=-1)
+    np.maximum(picked, PROB_FLOOR, out=picked)
+    np.log(picked, out=picked)
+    return np.negative(picked, out=picked), probs, flat
 
 
 def centering_matrix(n: int) -> np.ndarray:
@@ -166,6 +234,8 @@ def normalize_classifier(w: np.ndarray) -> np.ndarray:
     if w.ndim < 2 or w.shape[-2] < 1 or w.shape[-1] < 1:
         raise ValueError(f"w must have shape (..., d, K) with d, K >= 1, got {w.shape}")
     norms = np.sqrt(np.sum(w * w, axis=-2, keepdims=True))
+    if norms.all():
+        return w / norms
     degenerate = norms == 0.0
     if degenerate.any():
         warnings.warn(
@@ -204,28 +274,49 @@ def _check_batch(x_batch, labels, d: int, k: int) -> tuple[np.ndarray, np.ndarra
     return x_batch, _check_labels(labels, x_batch.shape[0], k)
 
 
+@functools.lru_cache(maxsize=None)
+def _frozen_centering(k: int) -> np.ndarray:
+    """The K x K centering matrix, built once per K and shared read-only."""
+    h = centering_matrix(k)
+    h.flags.writeable = False
+    return h
+
+
+@functools.lru_cache(maxsize=None)
+def _other_heads(num_heads: int) -> np.ndarray:
+    """Row v lists every head but v in ascending order: (V, V-1)."""
+    others = np.array(
+        [[u for u in range(num_heads) if u != v] for v in range(num_heads)], dtype=np.intp
+    )
+    others.flags.writeable = False
+    return others
+
+
 def _diversity_kernels(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Normalized heads and every Kv of a checked ``(..., V, d, K)`` bank.
 
     Returns ``Wv_hat`` stacked like ``w`` and the Kv (K x K, PSD) stacked
     as ``(..., V, K, K)``. Each head is normalized and its centered Gram
     ``Gu = H Wu_hat^T Wu_hat H`` formed once. Every Kv starts from a zero
-    matrix and gains each other head's Gram in ascending u (one pass over
-    u adds Gu to all Kv with v != u); subtracting Gv from the sum of all
-    Grams would change the last bits of the penalty and both gradients.
+    matrix and gains each other head's Gram in ascending u; subtracting
+    Gv from the sum of all Grams instead would change the last bits of
+    the penalty and both gradients.
+
+    The other heads' Grams of every v are gathered into one
+    ``(..., V, V-1, K, K)`` array and reduced over that axis from zero in
+    one call, in place of a loop of 2V slice-adds. Each step of that
+    reduction adds a whole K x K slice (never fewer than 4 values), so
+    numpy adds them in ascending u, bit for bit like the loop. The
+    gathered array holds V-1 times the values of the kernels.
     """
     k = w.shape[-1]
     if k < 2:
         raise ValueError("diversity needs at least 2 classes (H degenerates at K=1)")
-    h = centering_matrix(k)
+    h = _frozen_centering(k)
     w_hats = normalize_classifier(w)
     grams = h @ (np.swapaxes(w_hats, -1, -2) @ w_hats) @ h
-    kernels = np.zeros_like(grams)
-    for u in range(w.shape[-3]):
-        gram = grams[..., u, None, :, :]
-        kernels[..., :u, :, :] += gram
-        kernels[..., u + 1 :, :, :] += gram
-    return w_hats, kernels
+    others = grams[..., _other_heads(w.shape[-3]), :, :]
+    return w_hats, np.add.reduce(others, axis=-3, initial=0.0)
 
 
 def _head_penalties(w_hats: np.ndarray, kernels: np.ndarray) -> np.ndarray:
@@ -264,8 +355,30 @@ def _diversity_grads(w, w_hats, kernels, exact: bool) -> np.ndarray:
         g_hat -= w_hats * np.sum(w_hats * g_hat, axis=-2, keepdims=True)
     else:
         g_hat = 2.0 * (w_hats @ kernels)
+    if norms.all():
+        g_hat /= norms
+        return g_hat
     zero = norms == 0.0
     return np.where(zero, 0.0, g_hat / np.where(zero, 1.0, norms))
+
+
+def _sum_heads(values: np.ndarray):
+    """Sum over the last (head) axis, in ascending order from zero.
+
+    One bank's ``(V,)`` values are added one by one as Python floats,
+    which are the same IEEE adds in the same order. (The builtin ``sum``
+    would not do: from Python 3.12 it compensates the rounding of floats.)
+    A stack of banks is summed head by head: ``np.add.reduce`` over the
+    head axis may sum pairwise when that axis becomes the innermost one.
+    """
+    total = 0.0
+    if values.ndim == 1:
+        for value in values.tolist():
+            total += value
+        return total
+    for v in range(values.shape[-1]):
+        total = total + values[..., v]
+    return total
 
 
 def _loss_core(x_batch: np.ndarray, w: np.ndarray, labels: np.ndarray, cfg: LossConfig):
@@ -273,28 +386,21 @@ def _loss_core(x_batch: np.ndarray, w: np.ndarray, labels: np.ndarray, cfg: Loss
 
     Returns (classification, diversity, total), each shaped like the
     leading batch axes of ``w``, the margin-adjusted probabilities
-    ``(..., V, n, K)`` and the diversity pair ``(Wv_hat, Kv)`` (None for a
-    single head). Heads are summed in ascending order from zero, each
-    head's batch mean taken on its own, so one bank gives the same bits
-    as the head-by-head formulation.
+    ``(..., V, n, K)``, the flat label index of :func:`_margin_softmax`
+    and the diversity pair ``(Wv_hat, Kv)`` (None for a single head).
+    Heads are summed in ascending order from zero, each head's batch
+    mean taken on its own, so one bank gives the same bits as the
+    head-by-head formulation.
     """
-    losses, probs = _margin_softmax(np.matmul(x_batch, w), labels, cfg.margin)
-    num_heads = w.shape[-3]
-    # the fancy-indexed losses are not C-contiguous, and a mean over that
-    # layout sums in another order; a contiguous copy gives each head's bits
-    head_means = np.mean(np.ascontiguousarray(losses), axis=-1)
-    classification = 0.0
-    for v in range(num_heads):
-        classification = classification + head_means[..., v]
+    losses, probs, flat = _margin_softmax(np.matmul(x_batch, w), labels, cfg.margin)
+    classification = _sum_heads(np.mean(losses, axis=-1))
     diversity = 0.0
     pair = None
-    if num_heads >= 2:
+    if w.shape[-3] >= 2:
         pair = _diversity_kernels(w)
-        penalties = _head_penalties(*pair)
-        for v in range(num_heads):
-            diversity = diversity + penalties[..., v]
+        diversity = _sum_heads(_head_penalties(*pair))
     total = classification + cfg.diversity_weight * diversity
-    return classification, diversity, total, probs, pair
+    return classification, diversity, total, probs, flat, pair
 
 
 def em_softmax_forward(x_batch: np.ndarray, bank, labels, cfg: LossConfig) -> LossOutput:
@@ -307,9 +413,9 @@ def em_softmax_forward(x_batch: np.ndarray, bank, labels, cfg: LossConfig) -> Lo
     w = _check_bank(bank)
     _check_heads(len(w), cfg)
     x_batch, labels = _check_batch(x_batch, labels, w.shape[1], w.shape[2])
-    classification, diversity, total, probs, pair = _loss_core(x_batch, w, labels, cfg)
+    classification, diversity, total, probs, flat, pair = _loss_core(x_batch, w, labels, cfg)
     return LossOutput(float(total), float(classification), float(diversity), probs,
-                      (x_batch, w, labels, probs, pair, cfg))
+                      (x_batch, w, flat, probs, pair, cfg))
 
 
 def em_softmax_totals(x_batch: np.ndarray, banks, labels, cfg: LossConfig) -> np.ndarray:
@@ -340,11 +446,12 @@ def em_softmax_backward(fwd: LossOutput) -> tuple[np.ndarray, np.ndarray]:
     record = getattr(fwd, "_record", None)
     if record is None:
         raise ValueError("forward output was not produced by em_softmax_forward")
-    x, w, y, probs, pair, cfg = record
+    x, w, flat, probs, pair, cfg = record
     n = x.shape[0]
 
-    delta = probs.copy()
-    delta[:, np.arange(n), y] -= 1.0
+    delta = probs.reshape(len(w), -1).copy()
+    delta[:, flat] -= 1.0
+    delta = delta.reshape(probs.shape)
     delta /= n
     grads_bank = np.matmul(x.T, delta)
     if pair is not None and cfg.diversity_weight != 0.0:

@@ -24,10 +24,12 @@ __all__ = [
 # splitmix64 constants (Steele, Lea, Flood 2014). The generator is
 # counter-based: output k of a stream is finalize(seed + (k+1)*GAMMA),
 # which makes vectorized generation and stream-splitting trivial.
-_GAMMA = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
+# Single words are mixed as Python ints masked to 64 bits, which is much
+# cheaper than numpy scalars.
+_GAMMA_INT, _MIX1_INT, _MIX2_INT = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+_GAMMA, _MIX1, _MIX2 = np.uint64(_GAMMA_INT), np.uint64(_MIX1_INT), np.uint64(_MIX2_INT)
 _U53 = float(2.0**-53)
+_MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
 def _mix(z: np.ndarray | np.uint64) -> np.ndarray | np.uint64:
@@ -37,6 +39,13 @@ def _mix(z: np.ndarray | np.uint64) -> np.ndarray | np.uint64:
         z = (z ^ (z >> np.uint64(30))) * _MIX1
         z = (z ^ (z >> np.uint64(27))) * _MIX2
         return z ^ (z >> np.uint64(31))
+
+
+def _mix_int(z: int) -> int:
+    """:func:`_mix` of one word held as a Python int in [0, 2**64)."""
+    z = ((z ^ (z >> 30)) * _MIX1_INT) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX2_INT) & _MASK64
+    return z ^ (z >> 31)
 
 
 class Rng:
@@ -50,12 +59,12 @@ class Rng:
     """
 
     def __init__(self, seed: int):
-        self._seed = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+        self._seed = int(seed) & _MASK64
         self._counter = 0
 
     @property
     def seed(self) -> int:
-        return int(self._seed)
+        return self._seed
 
     @property
     def counter(self) -> int:
@@ -63,23 +72,21 @@ class Rng:
 
     def spawn(self, tag: int) -> "Rng":
         """Derive an independent child stream from this seed and a tag."""
-        with np.errstate(over="ignore"):
-            child = _mix(
-                self._seed ^ _mix(np.uint64(tag & 0xFFFFFFFFFFFFFFFF) + _GAMMA)
-            )
-        return Rng(int(child))
+        return Rng(_mix_int(self._seed ^ _mix_int(((tag & _MASK64) + _GAMMA_INT) & _MASK64)))
 
     def _raw(self, n: int) -> np.ndarray:
         """Next ``n`` raw 64-bit words of the stream."""
         ks = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
         self._counter += n
         with np.errstate(over="ignore"):
-            return _mix(self._seed + ks * _GAMMA)
+            return _mix(np.uint64(self._seed) + ks * _GAMMA)
 
     def uniform(self, size: int | tuple[int, ...] | None = None) -> float | np.ndarray:
         """Uniform draws in [0, 1) with 53-bit resolution."""
         if size is None:
-            return float(self._raw(1)[0] >> np.uint64(11)) * _U53
+            self._counter += 1
+            raw = _mix_int((self._seed + self._counter * _GAMMA_INT) & _MASK64)
+            return (raw >> 11) * _U53
         shape = (size,) if isinstance(size, int) else tuple(size)
         n = int(np.prod(shape)) if shape else 1
         out = (self._raw(n) >> np.uint64(11)).astype(np.float64) * _U53

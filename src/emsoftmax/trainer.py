@@ -55,8 +55,9 @@ __all__ = [
 _LOSS_CEILING = 1e6
 
 # grad_check scores perturbed banks in chunks whose largest temporary (the
-# bank stack, the scores or the diversity kernels) holds about this many
-# float64 values; a chunk holds at least one bank.
+# bank stack, the scores or the V-1 other heads' Grams gathered for every
+# diversity kernel) holds about this many float64 values; a chunk holds at
+# least one bank.
 _FD_CHUNK_VALUES = 1_000_000
 
 
@@ -341,7 +342,7 @@ def _bank_differences(feats, bank_heads, y, loss_cfg, step) -> np.ndarray:
     """
     flat = bank_heads.ravel()
     num_heads, d, k = bank_heads.shape
-    per_bank = num_heads * k * max(d, feats.shape[0], k)
+    per_bank = num_heads * k * max(d, feats.shape[0], (num_heads - 1) * k)
     chunk = max(1, _FD_CHUNK_VALUES // per_bank)
     totals = np.empty(2 * flat.size)
     for start in range(0, totals.size, chunk):

@@ -5,11 +5,18 @@ package (log-sum-exp instead of max-shifted exponentials, the expanded
 HSIC trace instead of explicit centering) so agreement actually means
 something. The exceptions are the references that pin the package's
 operation order bit for bit: ``ref_diversity_kernel``,
-``ref_em_softmax_backward``, ``ref_mlp_backward`` and ``ref_sgd_step``.
+``ref_em_softmax_backward``, ``ref_mlp_backward``, ``ref_sgd_step`` and
+the earlier loss core (``ref_softmax_probs``, ``ref_margin_softmax``,
+``ref_kernel_loop``, ``ref_loss_forward``, ``ref_loss_totals`` and
+``ref_loss_backward``).
 """
+
+import warnings
 
 import numpy as np
 from scipy.special import logsumexp
+
+from emsoftmax.losses import LossOutput, PROB_FLOOR
 
 
 def ref_softmax_loss(x, w, labels):
@@ -180,3 +187,118 @@ def central_diff(f, x, step=1e-6):
         flat[j] = orig
         gflat[j] = (up - down) / (2 * step)
     return grad
+
+
+# ---------------------------------------------------------------------------
+# The loss core as it stood before its reductions were rewritten: numpy's
+# own short-axis max and sum, fancy-indexed margins and label picks, a
+# slice loop for the kernels and per-head accumulation. The package must
+# reproduce every bit of it.
+# ---------------------------------------------------------------------------
+
+
+def ref_softmax_probs(z):
+    """Row-wise softmax through numpy's reductions along the last axis."""
+    z = np.asarray(z, dtype=np.float64)
+    shifted = z - np.max(z, axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / np.sum(e, axis=-1, keepdims=True)
+
+
+def ref_margin_softmax(scores, labels, m):
+    """Per-row losses and probabilities of ``(..., n, K)`` scores; the
+    scores are overwritten with the margin-adjusted ones."""
+    rows = np.arange(scores.shape[-2])
+    scores[..., rows, labels] -= m
+    probs = ref_softmax_probs(scores)
+    picked = np.maximum(probs[..., rows, labels], PROB_FLOOR)
+    return -np.log(picked), probs
+
+
+def _ref_normalize(w):
+    norms = np.sqrt(np.sum(w * w, axis=-2, keepdims=True))
+    degenerate = norms == 0.0
+    if degenerate.any():
+        warnings.warn("zero column(s) left unnormalized", RuntimeWarning, stacklevel=2)
+    return w / np.where(degenerate, 1.0, norms)
+
+
+def ref_kernel_loop(w):
+    """Normalized heads and every Kv of a ``(..., V, d, K)`` stack: each
+    Kv starts from zero and gains the other heads' Grams in ascending u,
+    one slice-add per side of v."""
+    k = w.shape[-1]
+    h = np.eye(k) - np.full((k, k), 1.0 / k)
+    w_hats = _ref_normalize(w)
+    grams = h @ (np.swapaxes(w_hats, -1, -2) @ w_hats) @ h
+    kernels = np.zeros_like(grams)
+    for u in range(w.shape[-3]):
+        gram = grams[..., u, None, :, :]
+        kernels[..., :u, :, :] += gram
+        kernels[..., u + 1 :, :, :] += gram
+    return w_hats, kernels
+
+
+def _ref_core(x, w, labels, cfg):
+    losses, probs = ref_margin_softmax(np.matmul(x, w), labels, cfg.margin)
+    num_heads = w.shape[-3]
+    head_means = np.mean(np.ascontiguousarray(losses), axis=-1)
+    classification = 0.0
+    for v in range(num_heads):
+        classification = classification + head_means[..., v]
+    diversity = 0.0
+    pair = None
+    if num_heads >= 2:
+        pair = ref_kernel_loop(w)
+        w_hats, kernels = pair
+        terms = (w_hats @ kernels) * w_hats
+        penalties = np.sum(terms.reshape(*terms.shape[:-2], -1), axis=-1)
+        for v in range(num_heads):
+            diversity = diversity + penalties[..., v]
+    total = classification + cfg.diversity_weight * diversity
+    return classification, diversity, total, probs, pair
+
+
+def ref_loss_forward(x_batch, bank, labels, cfg):
+    """The combined forward of one bank, with the record its backward
+    (:func:`ref_loss_backward`) reads, in the package's ``LossOutput``."""
+    x = np.asarray(x_batch, dtype=np.float64)
+    w = np.array(bank, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    classification, diversity, total, probs, pair = _ref_core(x, w, labels, cfg)
+    return LossOutput(float(total), float(classification), float(diversity), probs,
+                      (x, w, labels, probs, pair, cfg))
+
+
+def ref_loss_totals(x_batch, banks, labels, cfg):
+    """Totals of a ``(B, V, d, K)`` stack of banks, shape (B,)."""
+    x = np.asarray(x_batch, dtype=np.float64)
+    banks = np.asarray(banks, dtype=np.float64)
+    return _ref_core(x, banks, np.asarray(labels, dtype=np.int64), cfg)[2]
+
+
+def ref_loss_backward(fwd):
+    """Head and feature gradients of a :func:`ref_loss_forward` result."""
+    x, w, y, probs, pair, cfg = fwd._record
+    n = x.shape[0]
+    delta = probs.copy()
+    delta[:, np.arange(n), y] -= 1.0
+    delta /= n
+    grads_bank = np.matmul(x.T, delta)
+    if pair is not None and cfg.diversity_weight != 0.0:
+        w_hats, kernels = pair
+        norms = np.sqrt(np.sum(w * w, axis=-2, keepdims=True))
+        if cfg.exact_diversity_grad:
+            g_hat = 4.0 * (w_hats @ kernels)
+            g_hat -= w_hats * np.sum(w_hats * g_hat, axis=-2, keepdims=True)
+        else:
+            g_hat = 2.0 * (w_hats @ kernels)
+        zero = norms == 0.0
+        grads_bank += cfg.diversity_weight * np.where(
+            zero, 0.0, g_hat / np.where(zero, 1.0, norms)
+        )
+    per_head_x = np.matmul(delta, np.swapaxes(w, -1, -2))
+    grads_x = np.zeros(x.shape)
+    for v in range(w.shape[0]):
+        grads_x += per_head_x[v]
+    return grads_bank, grads_x

@@ -1,11 +1,13 @@
 import struct
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from emsoftmax.cli import (
+    _DATA_KEYS,
+    _SOURCE_KEYS,
     ConfigError,
     RunConfig,
     config_to_text,
@@ -187,6 +189,40 @@ class TestDatasetResolution:
         # raw and a centred copy of both splits side by side read 2.0
         assert peak / held <= 1.25
 
+    @pytest.mark.parametrize("source", ["synthetic", "mnist"])
+    def test_data_keys_are_the_fields_that_change_the_splits(self, tmp_path, source):
+        """Every field eval's warning names changes the loaded data; no other does."""
+        for name, seed in (("a", 1), ("b", 2)):
+            (tmp_path / name).mkdir()
+            write_idx_split(tmp_path / name, "train", 30, 6, seed=seed)
+            write_idx_split(tmp_path / name, "t10k", 10, 6, seed=seed + 10)
+        cfg = replace(idx_config(tmp_path / "a"), dataset=source)
+        other_source = {"synthetic": "mnist", "mnist": "synthetic"}
+
+        def changed(value, name):
+            if name == "dataset":
+                return other_source[value]
+            if name == "mnist_dir":
+                return str(tmp_path / "b")
+            if isinstance(value, bool):
+                return not value
+            if isinstance(value, str):
+                return value + "x"
+            return value + ((1,) if isinstance(value, tuple) else 1)
+
+        def arrays(c):
+            train, evald, _ = load_datasets(c)
+            return train.features, train.labels, evald.features, evald.labels
+
+        base = arrays(cfg)
+        moved = set()
+        for f in fields(RunConfig):
+            value = getattr(cfg, f.name)
+            got = arrays(replace(cfg, **{f.name: changed(value, f.name)}))
+            if not all(np.array_equal(x, y) for x, y in zip(got, base)):
+                moved.add(f.name)
+        assert moved == {*_DATA_KEYS, *_SOURCE_KEYS[source]}
+
     @pytest.mark.parametrize("mean_subtract", [False, True])
     def test_split_size_mismatch_names_both_dims(self, tmp_path, mean_subtract):
         write_idx_split(tmp_path, "train", 30, 20, seed=1)
@@ -342,6 +378,44 @@ class TestEvalCommand:
         top1 = float(lines[0].split(":")[1])
         top5 = float(lines[1].split(":")[1])
         assert top5 >= top1
+
+    @pytest.mark.parametrize("classes", ["10", "3"])
+    def test_class_count_mismatch_exits_one(self, tmp_path, capsys, classes):
+        cfg_path = write_quick(tmp_path, synth_classes="5")
+        out = tmp_path / "run"
+        main(["train", "--config", str(cfg_path), "--out", str(out)])
+        capsys.readouterr()
+        other = write_quick(tmp_path, name="other.cfg", synth_classes=classes)
+        code = main(["eval", "--checkpoint", str(out / "model.ckpt"), "--config", str(other)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert (f"emsoftmax: error: checkpoint scores 5 classes, dataset has {classes}"
+                in captured.err)
+
+    def test_top5_only_above_five_classes(self, tmp_path, capsys):
+        cfg_path = write_quick(tmp_path, synth_classes="5")
+        out = tmp_path / "run"
+        main(["train", "--config", str(cfg_path), "--out", str(out)])
+        train_acc = capsys.readouterr().out.strip().split()[-1]
+        assert main(["eval", "--checkpoint", str(out / "model.ckpt")]) == 0
+        assert capsys.readouterr().out == f"top1 accuracy: {train_acc}\n"
+
+    def test_data_key_changes_warn(self, tmp_path, capsys):
+        cfg_path = write_quick(tmp_path)
+        out = tmp_path / "run"
+        main(["train", "--config", str(cfg_path), "--out", str(out)])
+        capsys.readouterr()
+        ckpt = str(out / "model.ckpt")
+        # the training config names the same data: no warning
+        assert main(["eval", "--checkpoint", ckpt, "--config", str(cfg_path)]) == 0
+        assert capsys.readouterr().err == ""
+        other = write_quick(tmp_path, name="other.cfg", synth_noise=2.0, seed=5, base_lr=0.5)
+        assert main(["eval", "--checkpoint", ckpt, "--config", str(other)]) == 0
+        err = capsys.readouterr().err
+        assert "emsoftmax: warning: --config reads other data than" in err
+        assert "synth_noise 1.0 -> 2.0" in err and "seed 4 -> 5" in err
+        assert "base_lr" not in err
 
     def test_dim_mismatch_exits_one(self, tmp_path, capsys):
         cfg_path = write_quick(tmp_path)

@@ -1,0 +1,291 @@
+"""Bit-for-bit guards: the loss core against the earlier formulation.
+
+The package takes short-axis maxima and sums column by column, gathers
+the diversity kernels in one reduction and sums one bank's heads as
+Python floats. Each of those must give exactly the bits of numpy's own
+reductions, fancy indexing and slice loops, kept in ``conftest`` as
+``ref_softmax_probs``, ``ref_margin_softmax``, ``ref_kernel_loop`` and
+the whole ``ref_loss_forward`` / ``ref_loss_backward`` /
+``ref_loss_totals``. Arrays are compared as uint64 views with ``==``, so
+even NaN payloads and signed zeros must agree.
+"""
+
+import warnings
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from conftest import (
+    ref_kernel_loop,
+    ref_loss_backward,
+    ref_loss_forward,
+    ref_loss_totals,
+    ref_margin_softmax,
+    ref_softmax_probs,
+)
+from emsoftmax import cli, trainer
+from emsoftmax.losses import (
+    LossConfig,
+    _diversity_kernels,
+    _margin_softmax,
+    _sum_heads,
+    em_softmax_backward,
+    em_softmax_forward,
+    em_softmax_totals,
+    softmax_probs,
+)
+from emsoftmax.tensor import Rng, _GAMMA, _MIX1, _MIX2
+
+K_VALUES = (1, 2, 3, 4, 7, 8, 9, 10, 16, 17, 100, 128, 129)
+# every value of n and of d in {1, 3, 24} appears
+ROWS_AND_DIMS = ((1, 1), (3, 24), (24, 3))
+
+
+def assert_bits(actual, expected):
+    actual = np.asarray(actual, dtype=np.float64)
+    expected = np.asarray(expected, dtype=np.float64)
+    assert actual.shape == expected.shape
+    assert np.array_equal(actual.view(np.uint64), expected.view(np.uint64))
+
+
+def scores_with_specials(g, shape):
+    z = g.normal(scale=3.0, size=shape)
+    flat = z.reshape(-1, shape[-1])
+    flat[0, 0] = np.inf
+    if flat.shape[0] > 1:
+        flat[1, -1] = -np.inf
+    if flat.shape[0] > 2:
+        flat[2, :] = -np.inf
+    if flat.shape[0] > 3:
+        flat[3, 0] = np.nan
+    return z
+
+
+class TestSoftmax:
+    @pytest.mark.parametrize("lead", [(), (5,), (6, 128), (120, 3, 3)])
+    def test_matches_numpy_reductions(self, lead):
+        g = np.random.default_rng(len(lead))
+        ks = range(1, 301) if len(lead) < 2 else K_VALUES
+        with np.errstate(invalid="ignore"):
+            for k in ks:
+                z = g.normal(scale=4.0, size=(*lead, k))
+                assert_bits(softmax_probs(z), ref_softmax_probs(z))
+                if lead:
+                    z = scores_with_specials(g, (*lead, k))
+                    assert_bits(softmax_probs(z), ref_softmax_probs(z))
+
+    @pytest.mark.parametrize("k", K_VALUES)
+    def test_non_contiguous_input_matches_numpy_reductions(self, k):
+        # numpy may reduce such rows with the rows innermost, in plain order
+        g = np.random.default_rng(50 + k)
+        for z in (g.normal(scale=4.0, size=(k, 40)).T,
+                  np.asfortranarray(g.normal(scale=4.0, size=(3, 40, k))),
+                  g.normal(scale=4.0, size=(40, 2 * k))[:, ::2]):
+            assert not z.flags.c_contiguous or k == 1
+            assert_bits(softmax_probs(z), ref_softmax_probs(z))
+
+    def test_input_left_unchanged(self):
+        z = np.random.default_rng(0).normal(size=(4, 10))
+        before = z.copy()
+        softmax_probs(z)
+        assert_bits(z, before)
+
+    @pytest.mark.parametrize("shape", [(0, 5), (3, 0, 4)])
+    def test_empty_input(self, shape):
+        assert softmax_probs(np.zeros(shape)).shape == shape
+
+
+class TestMarginSoftmax:
+    @pytest.mark.parametrize("m", [0.0, 0.5])
+    @pytest.mark.parametrize("k", K_VALUES)
+    def test_matches_fancy_indexing(self, k, m):
+        g = np.random.default_rng(k)
+        for lead in ((1,), (6,), (2, 9)):
+            scores = g.normal(scale=3.0, size=(*lead, 24, k))
+            labels = g.integers(0, k, size=24)
+            losses, probs, flat = _margin_softmax(scores.copy(), labels, m)
+            ref_losses, ref_probs = ref_margin_softmax(scores.copy(), labels, m)
+            assert_bits(losses, ref_losses)
+            assert_bits(probs, ref_probs)
+            assert_bits(probs.reshape(*lead, -1)[..., flat], ref_probs[..., np.arange(24), labels])
+
+
+@pytest.mark.parametrize("v", range(1, 13))
+def test_kernels_match_slice_loop(v):
+    g = np.random.default_rng(v)
+    for k in (2, 3, 4, 10, 129):
+        for lead in ((), (1,), (3,)):
+            w = g.normal(size=(*lead, v, 3, k))
+            for got, want in zip(_diversity_kernels(w), ref_kernel_loop(w)):
+                assert_bits(got, want)
+
+
+def test_one_bank_heads_summed_in_plain_order():
+    # a compensated sum (the builtin sum from Python 3.12) would give 1.0
+    assert _sum_heads(np.array([1e16, 1.0, -1e16])) == 0.0
+    assert _sum_heads(np.array([[1e16, 1.0, -1e16]])).tolist() == [0.0]
+
+
+# (margin, lambda, exact diversity gradient): each margin meets both
+# lambdas and both gradient modes
+LOSS_SETTINGS = ((0.0, 0.0, False), (0.0, 0.1, True), (0.5, 0.1, False), (0.5, 0.0, True))
+
+
+@pytest.mark.parametrize("v", range(1, 13))
+def test_forward_backward_and_totals_match_reference(v):
+    g = np.random.default_rng(100 + v)
+    for k in K_VALUES:
+        if v >= 2 and k == 1:
+            continue  # no diversity at K = 1
+        # the widest K take one (n, d) pair per V; every pair still meets them
+        for n, d in ROWS_AND_DIMS if k < 100 else ROWS_AND_DIMS[v % 3 :][:1]:
+            x = g.normal(size=(n, d))
+            bank = g.normal(size=(v, d, k))
+            labels = g.integers(0, k, size=n)
+            for m, lam, exact in LOSS_SETTINGS:
+                cfg = LossConfig(m, lam, v, exact)
+                fwd = em_softmax_forward(x, bank, labels, cfg)
+                ref = ref_loss_forward(x, bank, labels, cfg)
+                assert_bits(
+                    [fwd.total_loss, fwd.classification_term, fwd.diversity_term],
+                    [ref.total_loss, ref.classification_term, ref.diversity_term],
+                )
+                assert_bits(fwd.probs_per_head, ref.probs_per_head)
+                for got, want in zip(em_softmax_backward(fwd), ref_loss_backward(ref)):
+                    assert_bits(got, want)
+            for b, m in ((1, 0.5), (3, 0.0)):
+                banks = g.normal(size=(b, v, d, k))
+                cfg = LossConfig(m, 0.1, v)
+                assert_bits(em_softmax_totals(x, banks, labels, cfg),
+                            ref_loss_totals(x, banks, labels, cfg))
+
+
+def test_zero_columns_warn_and_match_reference():
+    g = np.random.default_rng(7)
+    x = g.normal(size=(5, 4))
+    bank = g.normal(size=(3, 4, 6))
+    bank[1, :, 2] = 0.0
+    bank[2, :, 0] = 0.0
+    labels = g.integers(0, 6, size=5)
+    for exact in (False, True):
+        cfg = LossConfig(0.5, 0.1, 3, exact)
+        with pytest.warns(RuntimeWarning, match="zero column"):
+            fwd = em_softmax_forward(x, bank, labels, cfg)
+        with pytest.warns(RuntimeWarning):
+            ref = ref_loss_forward(x, bank, labels, cfg)
+        assert_bits(fwd.total_loss, ref.total_loss)
+        for got, want in zip(em_softmax_backward(fwd), ref_loss_backward(ref)):
+            assert_bits(got, want)
+        with pytest.warns(RuntimeWarning, match="zero column"):
+            totals = em_softmax_totals(x, bank[None], labels, cfg)
+        with pytest.warns(RuntimeWarning):
+            assert_bits(totals, ref_loss_totals(x, bank[None], labels, cfg))
+
+
+def test_no_warning_without_zero_columns():
+    g = np.random.default_rng(3)
+    cfg = LossConfig(0.5, 0.1, 4, True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fwd = em_softmax_forward(g.normal(size=(3, 5)), g.normal(size=(4, 5, 7)), [0, 6, 2], cfg)
+        em_softmax_backward(fwd)
+
+
+def test_non_finite_scores_match_reference():
+    g = np.random.default_rng(8)
+    x = g.normal(size=(4, 3))
+    x[0, 1] = np.inf
+    x[2, 0] = -np.inf
+    bank = g.normal(size=(2, 3, 10))
+    labels = g.integers(0, 10, size=4)
+    cfg = LossConfig(0.5, 0.1, 2, True)
+    with np.errstate(invalid="ignore"):
+        fwd = em_softmax_forward(x, bank, labels, cfg)
+        ref = ref_loss_forward(x, bank, labels, cfg)
+        assert_bits(fwd.probs_per_head, ref.probs_per_head)
+        assert_bits(fwd.total_loss, ref.total_loss)
+        for got, want in zip(em_softmax_backward(fwd), ref_loss_backward(ref)):
+            assert_bits(got, want)
+
+
+def test_readme_training_run_matches_reference_loss(tmp_path, monkeypatch):
+    """Train the README config (6 heads, 800 steps) with the package loss,
+    then with the reference forward and backward: same rows, same weights."""
+    cfg = cli.RunConfig(
+        synth_classes=10, synth_samples=150, synth_eval_samples=200, synth_dim=20,
+        synth_noise=1.8, hidden_dims=(32,), feature_dim=24, margin=0.5,
+        diversity_weight=0.1, heads=6, base_lr=0.1, lr_drop_iters=(500, 700),
+        max_iters=800, batch_size=128, seed=1,
+    )
+
+    def run(name):
+        result = cli.run_training(replace(cfg, out_dir=str(tmp_path / name)), quiet=True)
+        rows = np.array([row[:-1] for row in result["report"].rows], dtype=np.float64)
+        params = [*result["net"].weights, *result["net"].biases, result["bank"].heads]
+        return rows, params
+
+    rows, params = run("package")
+    monkeypatch.setattr(trainer, "em_softmax_forward", ref_loss_forward)
+    monkeypatch.setattr(trainer, "em_softmax_backward", ref_loss_backward)
+    ref_rows, ref_params = run("reference")
+    assert len(rows) == 8
+    assert_bits(rows, ref_rows)
+    for got, want in zip(params, ref_params):
+        assert_bits(got, want)
+
+
+M64 = 0xFFFF_FFFF_FFFF_FFFF
+
+
+def np_mix(z):
+    with np.errstate(over="ignore"):
+        z = (z ^ (z >> np.uint64(30))) * _MIX1
+        z = (z ^ (z >> np.uint64(27))) * _MIX2
+        return z ^ (z >> np.uint64(31))
+
+
+def np_spawn_seed(seed, tag):
+    """A child's seed by the numpy-uint64 formula."""
+    with np.errstate(over="ignore"):
+        return int(np_mix(np.uint64(seed) ^ np_mix(np.uint64(tag & M64) + _GAMMA)))
+
+
+def np_uniform(seed, counter):
+    """Draw number ``counter`` (1-based) by the numpy-uint64 formula."""
+    with np.errstate(over="ignore"):
+        raw = np_mix(np.uint64(seed) + np.uint64(counter) * _GAMMA)
+    return float(raw >> np.uint64(11)) * 2.0**-53
+
+
+EDGE_TAGS = (0, 1, 13, 100003, 2**63, 2**64 - 1, -1)
+
+
+class TestRngParity:
+    @pytest.mark.parametrize("seed", [0, 5, 2**63 + 11, M64])
+    def test_spawn(self, seed):
+        for tag in EDGE_TAGS:
+            assert Rng(seed).spawn(tag).seed == np_spawn_seed(seed, tag)
+
+    @pytest.mark.parametrize("tag", EDGE_TAGS)
+    def test_scalar_uniform_over_a_thousand_draws(self, tag):
+        rng = Rng(0).spawn(tag)
+        draws = [rng.uniform() for _ in range(1000)]
+        assert draws == [np_uniform(rng.seed, c) for c in range(1, 1001)]
+        assert draws[:10] == Rng(rng.seed).uniform(10).tolist()
+
+    def test_scalar_uniform_past_two_to_the_forty(self):
+        rng = Rng(123)
+        rng._counter = 2**40 + 5
+        draws = [rng.uniform() for _ in range(20)]
+        assert draws == [np_uniform(123, 2**40 + 5 + c) for c in range(1, 21)]
+        rng._counter = 2**40 + 5
+        assert rng.uniform(20).tolist() == draws
+
+    def test_rand_int_uses_one_scalar_draw(self):
+        rng, twin = Rng(9), Rng(9)
+        for lo, hi in ((0, 0), (2, 5), (0, 9), (1, 3)):
+            u = twin.uniform((1,))[0]
+            assert cli._rand_int(rng, lo, hi) == lo + min(int(u * (hi - lo + 1)), hi - lo)
+        assert rng.counter == twin.counter
+
