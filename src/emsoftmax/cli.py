@@ -48,7 +48,8 @@ from .model import (
     save_checkpoint,
 )
 from .tensor import Rng
-from .trainer import SgdConfig, count_hits, evaluate, grad_check, train
+# evaluate stays importable from here: the benchmark in perfbench/ rebinds cli.evaluate
+from .trainer import SgdConfig, count_hits, evaluate, grad_check, train  # noqa: F401
 
 __all__ = ["ConfigError", "RunConfig", "parse_config_text", "config_to_text", "main"]
 
@@ -316,6 +317,14 @@ def _component_configs(cfg: RunConfig) -> tuple[LossConfig, SgdConfig]:
     return loss_cfg, sgd_cfg
 
 
+def _sum_in_order(values) -> float:
+    """Add ``values`` one by one from 0.0 (the builtin sum compensates from 3.12)."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def run_training(cfg: RunConfig, quiet: bool = False) -> dict:
     """Full training run plus artifact writing; shared by train and sweep."""
     loss_cfg, sgd_cfg = _component_configs(cfg)
@@ -343,9 +352,7 @@ def run_training(cfg: RunConfig, quiet: bool = False) -> dict:
         save_mean(out / "mean.bin", mean)
 
     accuracy = report.final_eval_accuracy
-    if not np.isfinite(accuracy):
-        accuracy = evaluate(net, bank, eval_ds)
-    final_div = sum(diversity_penalty(bank.heads, v) for v in range(bank.num_heads)) if bank.num_heads >= 2 else 0.0
+    final_div = _sum_in_order(diversity_penalty(bank.heads, v) for v in range(bank.num_heads))
 
     if not quiet:
         if report.diverged:
@@ -577,8 +584,8 @@ def cmd_sweep(args) -> int:
             lines.append(
                 f"{token},{s},{result['accuracy']:.6f},{result['diversity']:.10g}"
             )
-        mean_acc = sum(accs) / len(accs)
-        mean_div = sum(divs) / len(divs)
+        mean_acc = _sum_in_order(accs) / len(accs)
+        mean_div = _sum_in_order(divs) / len(divs)
         lines.append(f"{token},mean,{mean_acc:.6f},{mean_div:.10g}")
         print(f"{args.sweep_param}={token}: mean accuracy {mean_acc:.6f}")
     write_atomic(out / "sweep.csv", ("\n".join(lines) + "\n").encode())
@@ -641,10 +648,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, IdxFormatError, CheckpointError) as exc:
-        print(f"emsoftmax: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ConfigError, IdxFormatError, CheckpointError, OSError) as exc:
         print(f"emsoftmax: error: {exc}", file=sys.stderr)
         return 1
 

@@ -62,7 +62,6 @@ class Dataset:
     features: np.ndarray
     labels: np.ndarray
     num_classes: int
-    synthetic: bool = False
 
     def __post_init__(self):
         self.features = as_matrix(self.features, "features")
@@ -91,9 +90,7 @@ class Dataset:
         """Row subset (copy) with the same class count."""
         # integer-array indexing always returns a fresh array
         indices = np.asarray(indices, dtype=np.int64)
-        return Dataset(
-            self.features[indices], self.labels[indices], self.num_classes, self.synthetic
-        )
+        return Dataset(self.features[indices], self.labels[indices], self.num_classes)
 
 
 def _read_bytes(path) -> bytes:
@@ -248,7 +245,7 @@ def synth_blobs(spec: SyntheticSpec) -> Dataset:
     features = np.repeat(centers, spec.samples_per_class, axis=0)
     features = features + spec.noise_std * noise_rng.normal((n, spec.dim))
     labels = np.repeat(np.arange(spec.num_classes), spec.samples_per_class)
-    return Dataset(features, labels, spec.num_classes, synthetic=True)
+    return Dataset(features, labels, spec.num_classes)
 
 
 def epoch_batches(n: int, batch_size: int, rng: Rng):

@@ -92,10 +92,8 @@ class Rng:
         out = (self._raw(n) >> np.uint64(11)).astype(np.float64) * _U53
         return out.reshape(shape)
 
-    def normal(self, size: int | tuple[int, ...] | None = None) -> float | np.ndarray:
+    def normal(self, size: int | tuple[int, ...]) -> np.ndarray:
         """Standard normal draws via the Box-Muller transform."""
-        if size is None:
-            return float(self.normal(1)[0])
         shape = (size,) if isinstance(size, int) else tuple(size)
         n = int(np.prod(shape)) if shape else 1
         pairs = (n + 1) // 2

@@ -12,6 +12,12 @@ listed in ``lr_drop_iters``. Every gradient block is checked for
 non-finite values before any block is updated, so a diverged step
 leaves the whole model at its last consistent state.
 
+:func:`train` and :func:`grad_check` share one step, ``_gradients``,
+whose gradients follow ``_parameters``, the one list of SGD blocks
+(``w0, b0, w1, b1, ...``, then the bank); only those two helpers ask
+whether there is a network. Divergence raises :class:`DivergenceError`,
+which :func:`train` catches in one place.
+
 :func:`grad_check` compares every analytic gradient block against
 central finite differences of the scalar loss and is the backbone of the
 correctness tests; it always runs the exact diversity backward since the
@@ -170,10 +176,31 @@ class TrainReport:
         return "\n".join(lines) + "\n"
 
 
-def _features_and_cache(net: MlpFeatureExtractor | None, x: np.ndarray):
-    if net is None:
-        return x, None
-    return net.forward(x)
+def _parameters(net: MlpFeatureExtractor | None, bank: WeakClassifierBank):
+    """Every SGD block as (name, array, decayed): w0, b0, w1, b1, ..., bank.
+
+    Without a network the bank is the only block. Biases take no weight
+    decay.
+    """
+    blocks = []
+    if net is not None:
+        for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+            blocks += [(f"w{i}", w, True), (f"b{i}", b, False)]
+    return blocks + [("bank", bank.heads, True)]
+
+
+def _gradients(net: MlpFeatureExtractor | None, bank: WeakClassifierBank, x, y,
+               cfg: LossConfig):
+    """One step's loss forward, features and gradients.
+
+    Returns ``(fwd, feats, grads)``, ``grads`` aligned with
+    :func:`_parameters`. Without a network the features are ``x`` itself.
+    """
+    feats, cache = (x, None) if net is None else net.forward(x)
+    fwd = em_softmax_forward(feats, bank.heads, y, cfg)
+    grads_bank, grads_feats = em_softmax_backward(fwd)
+    grads = [] if net is None else [g for layer in net.backward(cache, grads_feats) for g in layer]
+    return fwd, feats, grads + [grads_bank]
 
 
 def count_hits(
@@ -195,7 +222,8 @@ def count_hits(
     # well-defined (terrible) number
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, len(dataset), chunk):
-            feats, _ = _features_and_cache(net, dataset.features[start : start + chunk])
+            rows = dataset.features[start : start + chunk]
+            feats = rows if net is None else net.forward(rows)[0]
             y = dataset.labels[start : start + chunk]
             scores = feats @ w_avg
             top1_hits += int(np.sum(np.argmax(scores, axis=1) == y))
@@ -229,89 +257,61 @@ def train(
     """Run the SGD loop, mutating ``net`` and ``bank`` in place.
 
     ``net`` may be None to train the bank directly on raw features. The
-    batch order is fully determined by ``seed``. On divergence (loss
-    above 1e6 or non-finite values) the loop halts, keeps the state from
-    before the failing update, and flags the report instead of raising.
-    """
-    if bank.num_heads != loss_cfg.num_heads:
-        raise ValueError(
-            f"bank has {bank.num_heads} heads, loss config says {loss_cfg.num_heads}"
-        )
-    if net is not None and net.feature_dim != bank.feature_dim:
-        raise ValueError(
-            f"network emits {net.feature_dim}-dim features, bank expects "
-            f"{bank.feature_dim}"
-        )
-    if (net.input_dim if net is not None else bank.feature_dim) != dataset.dim:
-        raise ValueError("dataset dimensionality does not match the model")
+    batch order is fully determined by ``seed``. Parts that do not fit
+    together (dims, head count) raise ValueError from the network's or
+    the loss's own checks in the first step, before any update.
 
+    On divergence (loss above 1e6 or non-finite values) the loop halts,
+    keeps the state from before the failing update, and flags the report
+    instead of raising. ``final_eval_accuracy`` is the accuracy on
+    ``eval_dataset`` of the model the run leaves: the last log row's
+    ``eval_acc`` when the run completes, or an evaluation of the kept
+    state after a divergence. It stays NaN without an eval set.
+    """
     report = TrainReport()
     batch_rng = Rng(seed).spawn(7)
     batches = minibatch_stream(len(dataset), min(sgd_cfg.batch_size, len(dataset)), batch_rng)
 
-    net_params = [] if net is None else list(net.weights) + list(net.biases)
-    net_decay = [] if net is None else [True] * len(net.weights) + [False] * len(net.biases)
-    params = net_params + [bank.heads]
-    decay_flags = net_decay + [True]
+    _, params, decay_flags = zip(*_parameters(net, bank))
     velocities = [np.zeros_like(p) for p in params]
 
     t0 = time.perf_counter()
     # Divergence shows up as overflow/NaN in the forward pass before the
-    # guard below can trip; the guard is the reporter, so keep numpy
-    # quiet inside the loop.
+    # guards can trip; the guards are the reporters, so keep numpy quiet
+    # inside the loop.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for it in range(sgd_cfg.max_iters):
-            idx = next(batches)
-            x = dataset.features[idx]
-            y = dataset.labels[idx]
+        try:
+            for it in range(sgd_cfg.max_iters):
+                idx = next(batches)
+                x = dataset.features[idx]
+                y = dataset.labels[idx]
 
-            feats, cache = _features_and_cache(net, x)
-            fwd = em_softmax_forward(feats, bank.heads, y, loss_cfg)
-            if not np.isfinite(fwd.total_loss) or fwd.total_loss > _LOSS_CEILING:
-                report.diverged = True
-                break
-            grads_bank, grads_feats = em_softmax_backward(fwd)
-
-            if net is None:
-                grads = [grads_bank]
-            else:
-                layer_grads = net.backward(cache, grads_feats)
-                grads = (
-                    [gw for gw, _ in layer_grads]
-                    + [gb for _, gb in layer_grads]
-                    + [grads_bank]
-                )
-
-            lr = learning_rate(sgd_cfg, it)
-            try:
+                fwd, feats, grads = _gradients(net, bank, x, y, loss_cfg)
+                if not np.isfinite(fwd.total_loss) or fwd.total_loss > _LOSS_CEILING:
+                    raise DivergenceError(f"loss {fwd.total_loss:g}, ceiling {_LOSS_CEILING:g}")
+                lr = learning_rate(sgd_cfg, it)
                 sgd_step(params, grads, velocities, decay_flags, lr, sgd_cfg)
-            except DivergenceError:
-                report.diverged = True
-                break
 
-            last = it == sgd_cfg.max_iters - 1
-            if (it + 1) % log_every == 0 or last:
-                scores = sum(feats @ w for w in bank.heads)
-                train_acc = float(np.mean(np.argmax(scores, axis=1) == y))
-                eval_acc = float("nan")
-                if eval_dataset is not None and ((it + 1) % eval_every == 0 or last):
-                    eval_acc = evaluate(net, bank, eval_dataset)
-                report.rows.append(
-                    (
-                        it + 1,
-                        lr,
-                        fwd.total_loss,
-                        fwd.classification_term,
-                        fwd.diversity_term,
-                        train_acc,
-                        eval_acc,
-                        time.perf_counter() - t0,
-                    )
-                )
+                last = it == sgd_cfg.max_iters - 1
+                if (it + 1) % log_every == 0 or last:
+                    scores = sum(feats @ w for w in bank.heads)
+                    train_acc = float(np.mean(np.argmax(scores, axis=1) == y))
+                    eval_acc = float("nan")
+                    if eval_dataset is not None and ((it + 1) % eval_every == 0 or last):
+                        eval_acc = evaluate(net, bank, eval_dataset)
+                    report.rows.append((
+                        it + 1, lr, fwd.total_loss, fwd.classification_term,
+                        fwd.diversity_term, train_acc, eval_acc, time.perf_counter() - t0,
+                    ))
+        except DivergenceError:
+            report.diverged = True
 
     report.wall_seconds = time.perf_counter() - t0
-    if eval_dataset is not None and not report.diverged:
-        report.final_eval_accuracy = evaluate(net, bank, eval_dataset)
+    if eval_dataset is not None:
+        # a completed run's last row has scored the final model already
+        report.final_eval_accuracy = (
+            evaluate(net, bank, eval_dataset) if report.diverged else report.rows[-1][6]
+        )
     return report
 
 
@@ -370,8 +370,13 @@ def grad_check(
 ) -> dict:
     """Compare analytic gradients against central finite differences.
 
-    Every parameter block (network weights/biases and each head) is
-    perturbed entry by entry; the relative error of a block is
+    The analytic gradients are those of :func:`_gradients`, the step
+    :func:`train` takes, over the blocks of :func:`_parameters`, the list
+    SGD updates: the network's ``w0, b0, w1, b1, ...`` and the bank, split
+    into ``head0 ... head{V-1}``. So a pass certifies exactly what
+    training applies (in the exact diversity mode, see below).
+
+    Every block is perturbed entry by entry; the relative error of a block is
     ``max |analytic - numeric| / max(|analytic|, |numeric|, 1e-3)``.
     The denominator floor makes the comparison absolute (at 1e-8) for
     near-zero entries: central differences of a float64 loss carry
@@ -395,18 +400,11 @@ def grad_check(
     x = np.asarray(x_batch, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
 
-    feats, cache = _features_and_cache(net, x)
-    fwd = em_softmax_forward(feats, bank.heads, y, check_cfg)
-    grads_bank, grads_feats = em_softmax_backward(fwd)
-
-    blocks: list[tuple[str, np.ndarray, np.ndarray]] = []
-    if net is not None:
-        layer_grads = net.backward(cache, grads_feats)
-        for i, (gw, gb) in enumerate(layer_grads):
-            blocks.append((f"w{i}", net.weights[i], gw))
-            blocks.append((f"b{i}", net.biases[i], gb))
-    for v, w in enumerate(bank.heads):
-        blocks.append((f"head{v}", w, grads_bank[v]))
+    _, feats, grads = _gradients(net, bank, x, y, check_cfg)
+    # the bank, the last block, is compared head by head
+    *net_blocks, _ = _parameters(net, bank)
+    blocks = [(name, p, g) for (name, p, _), g in zip(net_blocks, grads)]
+    blocks += [(f"head{v}", w, g) for v, (w, g) in enumerate(zip(bank.heads, grads[-1]))]
 
     if corrupt_block is not None:
         names = [name for name, _, _ in blocks]
@@ -417,10 +415,9 @@ def grad_check(
             for name, p, g in blocks
         ]
 
-    net_blocks = len(blocks) - bank.num_heads
     numerics = [
         _entrywise_differences(net, bank.heads, x, y, check_cfg, param, step)
-        for _, param, _ in blocks[:net_blocks]
+        for _, param, _ in net_blocks
     ]
     numerics += list(_bank_differences(feats, bank.heads, y, check_cfg, step))
 

@@ -5,6 +5,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from emsoftmax import cli
 from emsoftmax.cli import (
     _DATA_KEYS,
     _SOURCE_KEYS,
@@ -14,6 +15,7 @@ from emsoftmax.cli import (
     load_datasets,
     main,
     parse_config_text,
+    run_training,
 )
 from emsoftmax.data import IdxFormatError, save_mean
 from emsoftmax.model import MlpFeatureExtractor, WeakClassifierBank, save_checkpoint
@@ -583,6 +585,26 @@ class TestSweepCommand:
         capsys.readouterr()
         main(["train", "--config", str(plain), "--out", str(tmp_path / "plain")])
         assert sweep_acc == capsys.readouterr().out.strip().split()[-1]
+
+    def test_mean_rows_add_in_plain_order(self, tmp_path, monkeypatch, capsys):
+        # a compensated sum (the builtin sum from Python 3.12) gives 1.0
+        values = iter([1e16, 1.0, -1e16])
+
+        def fake_run(cfg, quiet=False):
+            value = next(values)
+            return {"accuracy": value, "diversity": value, "diverged": False}
+
+        monkeypatch.setattr(cli, "run_training", fake_run)
+        code, out = self.run_sweep(tmp_path, "lambda", "0", seeds="1,2,3")
+        assert code == 0
+        assert (out / "sweep.csv").read_text().strip().split("\n")[-1] == "0,mean,0.000000,0"
+
+    def test_final_diversity_adds_heads_in_plain_order(self, tmp_path, monkeypatch):
+        penalties = [1e16, 1.0, -1e16]
+        monkeypatch.setattr(cli, "diversity_penalty", lambda bank, v: penalties[v])
+        cfg = parse_config_text(write_quick(tmp_path, heads=3, max_iters=2).read_text())
+        result = run_training(replace(cfg, out_dir=str(tmp_path / "run")), quiet=True)
+        assert result["diversity"] == 0.0
 
     def test_bad_sweep_values_exit_one(self, tmp_path, capsys):
         code, _ = self.run_sweep(tmp_path, "lambda", "0,huh")

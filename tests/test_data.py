@@ -163,7 +163,6 @@ class TestSyntheticBlobs:
         ds = synth_blobs(SyntheticSpec(3, 4, 2, 0.5, 0))
         assert len(ds) == 12 and ds.dim == 2 and ds.num_classes == 3
         np.testing.assert_array_equal(ds.labels, np.repeat([0, 1, 2], 4))
-        assert ds.synthetic
 
     def test_noise_scale_respected(self):
         tight = synth_blobs(SyntheticSpec(2, 500, 4, 0.1, 1))

@@ -7,7 +7,7 @@ from conftest import ref_em_softmax_backward, ref_sgd_step
 from emsoftmax.cli import RunConfig, run_training
 from emsoftmax.data import Dataset, SyntheticSpec, synth_blobs
 from emsoftmax.losses import LossConfig
-from emsoftmax import trainer
+from emsoftmax import cli, trainer
 from emsoftmax.model import MlpFeatureExtractor, WeakClassifierBank
 from emsoftmax.tensor import Rng
 from emsoftmax.trainer import (
@@ -229,6 +229,16 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(net, bank, ds, LossConfig(0, 0, 1), SgdConfig(max_iters=1), seed=0)
 
+    def test_network_bank_mismatch_rejected_before_any_update(self):
+        ds = blob_dataset(dim=8)
+        net = MlpFeatureExtractor([8, 5], Rng(0))
+        bank = WeakClassifierBank(4, ds.num_classes, 1, Rng(1))
+        before = [p.copy() for _, p, _ in trainer._parameters(net, bank)]
+        with pytest.raises(ValueError):
+            train(net, bank, ds, LossConfig(0, 0, 1), SgdConfig(max_iters=1), seed=0)
+        after = [p for _, p, _ in trainer._parameters(net, bank)]
+        assert [a.tobytes() for a in before] == [a.tobytes() for a in after]
+
     def test_bank_only_training_without_network(self):
         ds = blob_dataset(noise=0.6)
         bank = WeakClassifierBank(ds.dim, ds.num_classes, 1, Rng(4))
@@ -267,6 +277,84 @@ class TestTrain:
             run_training(replace(cfg, out_dir=str(tmp_path / name)), quiet=True)
             blobs.append((tmp_path / name / "model.ckpt").read_bytes())
         assert blobs[0] == blobs[1]
+
+
+class TestSharedStep:
+    @pytest.mark.parametrize("with_net", [True, False])
+    def test_one_gradient_per_parameter_block(self, with_net):
+        ds = blob_dataset(per=4, dim=5)
+        net, bank = fresh_model(ds, heads=3, hidden=(4,), feat=3)
+        if not with_net:
+            net, bank = None, WeakClassifierBank(ds.dim, ds.num_classes, 3, Rng(2))
+        blocks = trainer._parameters(net, bank)
+        _, _, grads = trainer._gradients(
+            net, bank, ds.features[:6], ds.labels[:6], LossConfig(0.5, 0.1, 3)
+        )
+        expected = [("w0", True), ("b0", False), ("w1", True), ("b1", False)] if with_net else []
+        assert [(name, decayed) for name, _, decayed in blocks] == expected + [("bank", True)]
+        assert blocks[-1][1] is bank.heads
+        assert [g.shape for g in grads] == [p.shape for _, p, _ in blocks]
+
+
+class TestFinalEvaluation:
+    def test_completed_run_evaluates_once_per_eval_row(self, tmp_path, monkeypatch):
+        calls = []
+        original = trainer.evaluate
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "evaluate", counted)
+        monkeypatch.setattr(cli, "evaluate", counted)
+        cfg = RunConfig(
+            synth_classes=4, synth_samples=30, synth_eval_samples=15, synth_dim=8,
+            hidden_dims=(12,), feature_dim=8, heads=2, diversity_weight=0.1, margin=0.5,
+            base_lr=0.05, max_iters=120, batch_size=30, lr_drop_iters=(80,), seed=4,
+            log_every=10, eval_every=50, out_dir=str(tmp_path),
+        )
+        result = run_training(cfg, quiet=True)
+        rows = result["report"].rows
+        # eval rows at iterations 50, 100 and the last, 120
+        assert [r[0] for r in rows if not np.isnan(r[6])] == [50, 100, 120]
+        assert len(calls) == 3
+        assert result["accuracy"] == rows[-1][6]
+
+    def test_diverged_run_reports_the_kept_model(self):
+        ds = blob_dataset()
+        net, bank = fresh_model(ds)
+        rep = train(
+            net, bank, ds, LossConfig(0.0, 0.0, 1),
+            SgdConfig(base_lr=1e4, max_iters=200, batch_size=32),
+            seed=2, eval_dataset=ds,
+        )
+        assert rep.diverged
+        assert np.isfinite(rep.final_eval_accuracy)
+        assert rep.final_eval_accuracy == evaluate(net, bank, ds)
+
+    @pytest.mark.parametrize("trip", ["loss_ceiling", "non_finite_gradient"])
+    def test_divergence_keeps_the_state_from_before_the_step(self, monkeypatch, trip):
+        if trip == "loss_ceiling":
+            monkeypatch.setattr(trainer, "_LOSS_CEILING", 0.0)
+        else:
+            backward = trainer.em_softmax_backward
+
+            def nan_feature_gradient(fwd):
+                grads_bank, grads_feats = backward(fwd)
+                return grads_bank, grads_feats * np.nan
+
+            monkeypatch.setattr(trainer, "em_softmax_backward", nan_feature_gradient)
+        ds = blob_dataset()
+        net, bank = fresh_model(ds, heads=2)
+        before = [p.copy() for _, p, _ in trainer._parameters(net, bank)]
+        rep = train(
+            net, bank, ds, LossConfig(0.5, 0.1, 2), SgdConfig(max_iters=5, batch_size=32),
+            seed=1, eval_dataset=ds,
+        )
+        assert rep.diverged and rep.rows == []
+        after = [p for _, p, _ in trainer._parameters(net, bank)]
+        assert [a.tobytes() for a in before] == [a.tobytes() for a in after]
+        assert rep.final_eval_accuracy == evaluate(net, bank, ds)
 
 
 class TestTrainReportCsv:
