@@ -3,11 +3,11 @@
 Runs are described by a flat ``key = value`` config file (``#`` starts a
 comment). Unknown keys are rejected, and every training run writes the
 fully resolved config back next to its artifacts, so a run directory is
-always self-describing and re-runnable. Config values are checked
-before any data is read or any training starts. All commands are
-deterministic given the config: re-running produces byte-identical CSVs
-(wall-clock timing is therefore left out of the CSV unless explicitly
-enabled).
+always self-describing and re-runnable. Config values are checked when a
+:class:`RunConfig` is built, before any data is read or any training
+starts. All commands are deterministic given the config: re-running
+produces byte-identical CSVs (wall-clock timing is therefore left out of
+the CSV unless explicitly enabled).
 
 Each split is read into one float64 array, and mean subtraction works in
 place on it; ``eval`` reads only the split it scores (plus the training
@@ -60,7 +60,12 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a run needs, expressible as a flat text file."""
+    """Everything a run needs, expressible as a flat text file.
+
+    Valid by construction: building one, directly, by :func:`parse_config_text`
+    or by ``dataclasses.replace``, raises :class:`ConfigError` for any value
+    that describes no dataset, model or run.
+    """
 
     dataset: str = "synthetic"
     mnist_dir: str = ""
@@ -88,6 +93,39 @@ class RunConfig:
     eval_every: int = 1000
     timing_in_csv: bool = False
     out_dir: str = "out"
+
+    def __post_init__(self):
+        if self.dataset not in ("synthetic", "mnist"):
+            raise ConfigError(f"dataset must be 'synthetic' or 'mnist', got {self.dataset!r}")
+        if self.dataset == "mnist" and not self.mnist_dir:
+            raise ConfigError("dataset = mnist requires mnist_dir")
+        if self.limit_train < 0:
+            raise ConfigError("limit_train must be non-negative")
+        # the synthetic train split is ordered class by class, so a row
+        # limit would keep only the first classes
+        if self.limit_train and self.dataset == "synthetic":
+            raise ConfigError(
+                "limit_train applies to IDX data only; set synth_samples to size "
+                "the synthetic train split"
+            )
+        for key in ("synth_classes", "synth_samples", "synth_eval_samples", "synth_dim",
+                    "log_every", "eval_every", "feature_dim"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be at least 1, got {getattr(self, key)}")
+        if not (math.isfinite(self.synth_noise) and self.synth_noise > 0):
+            raise ConfigError(f"synth_noise must be finite and positive, got {self.synth_noise}")
+        if any(width < 1 for width in self.hidden_dims):
+            raise ConfigError(f"hidden_dims must all be at least 1, got {_fmt(self.hidden_dims)}")
+        num_classes = _MNIST_CLASSES if self.dataset == "mnist" else self.synth_classes
+        if self.heads >= 2 and num_classes == 1:
+            raise ConfigError(
+                f"heads = {self.heads} needs at least 2 classes for the diversity term, "
+                f"the data has {num_classes}"
+            )
+        try:
+            _component_configs(self)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
 
 def _parse_bool(tok: str) -> bool:
@@ -184,37 +222,18 @@ def _find_idx(directory: str, stem: str) -> Path:
     raise ConfigError(f"missing {stem}[.gz] in {directory or '(unset mnist_dir)'}")
 
 
-def _check_data_config(cfg: RunConfig) -> None:
-    """Reject data-source values that describe no dataset."""
-    if cfg.dataset not in ("synthetic", "mnist"):
-        raise ConfigError(f"dataset must be 'synthetic' or 'mnist', got {cfg.dataset!r}")
-    if cfg.dataset == "mnist" and not cfg.mnist_dir:
-        raise ConfigError("dataset = mnist requires mnist_dir")
-    if cfg.limit_train < 0:
-        raise ConfigError("limit_train must be non-negative")
-    _check_positive(cfg, "synth_classes", "synth_samples", "synth_eval_samples", "synth_dim")
-    if not (math.isfinite(cfg.synth_noise) and cfg.synth_noise > 0):
-        raise ConfigError(f"synth_noise must be finite and positive, got {cfg.synth_noise}")
-
-
-def _check_positive(cfg: RunConfig, *keys: str) -> None:
-    for key in keys:
-        if getattr(cfg, key) < 1:
-            raise ConfigError(f"{key} must be at least 1, got {getattr(cfg, key)}")
-
-
 # The RunConfig fields that decide which data a run reads: those that
 # _load_splits and the mean step read for every source, then each
 # source's own. eval names those in which --config differs from the
 # training run's; tests check that changing any of them changes the loaded
 # splits and that changing any other field does not.
-_DATA_KEYS = ("dataset", "mean_subtract", "limit_train")
+_DATA_KEYS = ("dataset", "mean_subtract")
 _SOURCE_KEYS = {
     "synthetic": (
         "synth_classes", "synth_samples", "synth_eval_samples", "synth_dim", "synth_noise",
         "seed",
     ),
-    "mnist": ("mnist_dir",),
+    "mnist": ("mnist_dir", "limit_train"),
 }
 
 
@@ -222,11 +241,10 @@ def _load_splits(cfg: RunConfig, names) -> dict[str, Dataset]:
     """The named splits ("train", "eval") of the configured source, raw.
 
     Each split is a fresh float64 array that the caller owns and may
-    preprocess in place; ``limit_train`` applies to the train split. It
-    reads ``dataset``, ``limit_train`` and the source's ``_SOURCE_KEYS``
-    of the config.
+    preprocess in place; on IDX data ``limit_train`` keeps the first rows
+    of the train split. It reads ``dataset`` and the source's
+    ``_SOURCE_KEYS`` of the config, which its construction has checked.
     """
-    _check_data_config(cfg)
     names = [name for name in _SPLITS if name in names]
     if cfg.dataset == "synthetic":
         per_class = cfg.synth_samples + cfg.synth_eval_samples
@@ -284,36 +302,11 @@ def build_model(cfg: RunConfig, input_dim: int, num_classes: int):
 
 
 def _component_configs(cfg: RunConfig) -> tuple[LossConfig, SgdConfig]:
-    """Check the model and training values; the loss and SGD settings.
-
-    The data-source values are checked where the data is read.
-    """
-    _check_positive(cfg, "log_every", "eval_every", "feature_dim")
-    if any(width < 1 for width in cfg.hidden_dims):
-        raise ConfigError(f"hidden_dims must all be at least 1, got {_fmt(cfg.hidden_dims)}")
-    num_classes = _MNIST_CLASSES if cfg.dataset == "mnist" else cfg.synth_classes
-    if cfg.heads >= 2 and num_classes == 1:
-        raise ConfigError(
-            f"heads = {cfg.heads} needs at least 2 classes for the diversity term, "
-            f"the data has {num_classes}"
-        )
-    try:
-        loss_cfg = LossConfig(
-            margin=cfg.margin,
-            diversity_weight=cfg.diversity_weight,
-            num_heads=cfg.heads,
-        )
-        sgd_cfg = SgdConfig(
-            base_lr=cfg.base_lr,
-            momentum=cfg.momentum,
-            weight_decay=cfg.weight_decay,
-            lr_drop_iters=cfg.lr_drop_iters,
-            lr_drop_factor=cfg.lr_drop_factor,
-            max_iters=cfg.max_iters,
-            batch_size=cfg.batch_size,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    """The loss and SGD settings of a run; SgdConfig's fields are RunConfig's."""
+    loss_cfg = LossConfig(
+        margin=cfg.margin, diversity_weight=cfg.diversity_weight, num_heads=cfg.heads
+    )
+    sgd_cfg = SgdConfig(**{f.name: getattr(cfg, f.name) for f in fields(SgdConfig)})
     return loss_cfg, sgd_cfg
 
 
@@ -368,13 +361,16 @@ def run_training(cfg: RunConfig, quiet: bool = False) -> dict:
     }
 
 
+def _run_config(args) -> RunConfig:
+    """The ``--config`` file with ``--seed`` and ``--out`` applied."""
+    overrides = {"seed": args.seed, "out_dir": args.out}
+    return replace(
+        _load_config(args.config), **{k: v for k, v in overrides.items() if v is not None}
+    )
+
+
 def cmd_train(args) -> int:
-    cfg = _load_config(args.config)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if args.out is not None:
-        cfg = replace(cfg, out_dir=args.out)
-    result = run_training(cfg)
+    result = run_training(_run_config(args))
     return 2 if result["diverged"] else 0
 
 
@@ -532,57 +528,53 @@ def cmd_gradcheck(args) -> int:
     return 0 if ok else 2
 
 
-_SWEEP_FIELDS = {"lambda": "diversity_weight", "v": "heads", "m": "margin"}
+# sweep axis -> config key
+_SWEEP_KEYS = {"lambda": "lambda", "v": "heads", "m": "margin"}
 
 
 def cmd_sweep(args) -> int:
-    cfg = _load_config(args.config)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if args.out is not None:
-        cfg = replace(cfg, out_dir=args.out)
-
-    field_name = _SWEEP_FIELDS[args.sweep_param]
+    cfg = _run_config(args)
+    field_name, parse = _KEY_TO_FIELD[_SWEEP_KEYS[args.sweep_param]]
     tokens = [t.strip() for t in args.sweep_values.split(",") if t.strip()]
     if not tokens:
         raise ConfigError("sweep needs at least one value")
     try:
-        if args.sweep_param == "v":
-            parsed = [int(t) for t in tokens]
-        else:
-            parsed = [float(t) for t in tokens]
+        parsed = [parse(t) for t in tokens]
     except ValueError as exc:
         raise ConfigError(f"bad sweep value: {exc}") from exc
 
     if args.sweep_seeds:
         try:
-            seeds = [int(t) for t in args.sweep_seeds.split(",") if t.strip()]
+            seeds = _parse_int_tuple(args.sweep_seeds)
         except ValueError as exc:
             raise ConfigError(f"bad sweep seed: {exc}") from exc
     else:
-        seeds = [cfg.seed, cfg.seed + 1, cfg.seed + 2]
+        seeds = (cfg.seed, cfg.seed + 1, cfg.seed + 2)
     if not seeds:
         raise ConfigError("sweep needs at least one seed")
 
-    # check every cell's config before the first cell trains
-    _check_data_config(cfg)
-    for value in parsed:
-        _component_configs(replace(cfg, **{field_name: value}))
+    # building every cell's config checks it before the first cell trains
     out = Path(cfg.out_dir)
+    cells = [
+        (token, [
+            replace(cfg, seed=s, out_dir=str(out / f"{args.sweep_param}_{token}" / f"seed_{s}"),
+                    **{field_name: value})
+            for s in seeds
+        ])
+        for token, value in zip(tokens, parsed)
+    ]
     out.mkdir(parents=True, exist_ok=True)
     lines = ["value,seed,accuracy,div_term"]
     any_diverged = False
-    for token, value in zip(tokens, parsed):
+    for token, cell_cfgs in cells:
         accs, divs = [], []
-        for s in seeds:
-            cell_dir = out / f"{args.sweep_param}_{token}" / f"seed_{s}"
-            cell_cfg = replace(cfg, seed=s, out_dir=str(cell_dir), **{field_name: value})
+        for cell_cfg in cell_cfgs:
             result = run_training(cell_cfg, quiet=True)
             any_diverged = any_diverged or result["diverged"]
             accs.append(result["accuracy"])
             divs.append(result["diversity"])
             lines.append(
-                f"{token},{s},{result['accuracy']:.6f},{result['diversity']:.10g}"
+                f"{token},{cell_cfg.seed},{result['accuracy']:.6f},{result['diversity']:.10g}"
             )
         mean_acc = _sum_in_order(accs) / len(accs)
         mean_div = _sum_in_order(divs) / len(divs)
@@ -634,7 +626,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", help="output directory (overrides config)")
     p_sweep.add_argument("--seed", type=int, help="base seed (overrides config)")
     p_sweep.add_argument(
-        "--sweep-param", required=True, choices=sorted(_SWEEP_FIELDS),
+        "--sweep-param", required=True, choices=sorted(_SWEEP_KEYS),
         help="the single axis to sweep",
     )
     p_sweep.add_argument("--sweep-values", required=True, help="comma-separated values")

@@ -65,6 +65,8 @@ _LOSS_CEILING = 1e6
 # diversity kernel) holds about this many float64 values; a chunk holds at
 # least one bank.
 _FD_CHUNK_VALUES = 1_000_000
+_FD_STEP = 1e-6  # grad_check's central-difference step
+_EVAL_CHUNK = 4096  # rows count_hits scores per chunk
 
 
 @dataclass(frozen=True)
@@ -148,7 +150,9 @@ class TrainReport:
     rows are the periodic log records (iteration, lr, total loss,
     classification term, diversity term, train-batch accuracy, eval
     accuracy, elapsed seconds); eval accuracy is NaN on rows where no
-    evaluation ran.
+    evaluation ran. A row's loss terms and train-batch accuracy describe
+    the model before that row's update, its eval accuracy the model
+    after it.
     """
 
     rows: list[tuple] = field(default_factory=list)
@@ -208,7 +212,6 @@ def count_hits(
     bank: WeakClassifierBank,
     dataset: Dataset,
     top5: bool = False,
-    chunk: int = 4096,
 ) -> tuple[int, int | None]:
     """Top-1 hits of the averaged classifier, streamed in chunks.
 
@@ -221,10 +224,10 @@ def count_hits(
     # tolerate a diverged model's huge weights: its accuracy is still a
     # well-defined (terrible) number
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, len(dataset), chunk):
-            rows = dataset.features[start : start + chunk]
+        for start in range(0, len(dataset), _EVAL_CHUNK):
+            rows = dataset.features[start : start + _EVAL_CHUNK]
             feats = rows if net is None else net.forward(rows)[0]
-            y = dataset.labels[start : start + chunk]
+            y = dataset.labels[start : start + _EVAL_CHUNK]
             scores = feats @ w_avg
             top1_hits += int(np.sum(np.argmax(scores, axis=1) == y))
             if top5:
@@ -237,10 +240,9 @@ def evaluate(
     net: MlpFeatureExtractor | None,
     bank: WeakClassifierBank,
     dataset: Dataset,
-    chunk: int = 4096,
 ) -> float:
     """Top-1 accuracy of the averaged classifier, streamed in chunks."""
-    return count_hits(net, bank, dataset, chunk=chunk)[0] / len(dataset)
+    return count_hits(net, bank, dataset)[0] / len(dataset)
 
 
 def train(
@@ -289,13 +291,16 @@ def train(
                 fwd, feats, grads = _gradients(net, bank, x, y, loss_cfg)
                 if not np.isfinite(fwd.total_loss) or fwd.total_loss > _LOSS_CEILING:
                     raise DivergenceError(f"loss {fwd.total_loss:g}, ceiling {_LOSS_CEILING:g}")
+                last = it == sgd_cfg.max_iters - 1
+                logged = (it + 1) % log_every == 0 or last
+                if logged:
+                    # the model that produced this step's loss, before its update
+                    scores = sum(feats @ w for w in bank.heads)
+                    train_acc = float(np.mean(np.argmax(scores, axis=1) == y))
                 lr = learning_rate(sgd_cfg, it)
                 sgd_step(params, grads, velocities, decay_flags, lr, sgd_cfg)
 
-                last = it == sgd_cfg.max_iters - 1
-                if (it + 1) % log_every == 0 or last:
-                    scores = sum(feats @ w for w in bank.heads)
-                    train_acc = float(np.mean(np.argmax(scores, axis=1) == y))
+                if logged:
                     eval_acc = float("nan")
                     if eval_dataset is not None and ((it + 1) % eval_every == 0 or last):
                         eval_acc = evaluate(net, bank, eval_dataset)
@@ -315,7 +320,7 @@ def train(
     return report
 
 
-def _entrywise_differences(net, bank_heads, x, y, loss_cfg, param, step) -> np.ndarray:
+def _entrywise_differences(net, bank_heads, x, y, loss_cfg, param) -> np.ndarray:
     """Central differences of the loss for each entry of one network block."""
 
     def loss() -> float:
@@ -325,20 +330,20 @@ def _entrywise_differences(net, bank_heads, x, y, loss_cfg, param, step) -> np.n
     flat = param.ravel()
     for j in range(flat.size):
         orig = flat[j]
-        flat[j] = orig + step
+        flat[j] = orig + _FD_STEP
         up = loss()
-        flat[j] = orig - step
+        flat[j] = orig - _FD_STEP
         down = loss()
         flat[j] = orig
-        numeric[j] = (up - down) / (2 * step)
+        numeric[j] = (up - down) / (2 * _FD_STEP)
     return numeric.reshape(param.shape)
 
 
-def _bank_differences(feats, bank_heads, y, loss_cfg, step) -> np.ndarray:
+def _bank_differences(feats, bank_heads, y, loss_cfg) -> np.ndarray:
     """Central differences of the loss for every bank entry, shape (V, d, K).
 
-    Bank 2j is the bank with entry j set to ``orig + step``, bank 2j + 1
-    the same with ``orig - step``; all 2P of them are scored in chunks.
+    Bank 2j is the bank with entry j set to ``orig + _FD_STEP``, bank 2j + 1
+    the same with ``orig - _FD_STEP``; all 2P of them are scored in chunks.
     """
     flat = bank_heads.ravel()
     num_heads, d, k = bank_heads.shape
@@ -350,12 +355,12 @@ def _bank_differences(feats, bank_heads, y, loss_cfg, step) -> np.ndarray:
         entries = banks // 2
         stack = np.repeat(flat[None, :], banks.size, axis=0)
         stack[np.arange(banks.size), entries] = np.where(
-            banks % 2 == 0, flat[entries] + step, flat[entries] - step
+            banks % 2 == 0, flat[entries] + _FD_STEP, flat[entries] - _FD_STEP
         )
         totals[banks] = em_softmax_totals(
             feats, stack.reshape(banks.size, num_heads, d, k), y, loss_cfg
         )
-    return ((totals[0::2] - totals[1::2]) / (2 * step)).reshape(bank_heads.shape)
+    return ((totals[0::2] - totals[1::2]) / (2 * _FD_STEP)).reshape(bank_heads.shape)
 
 
 def grad_check(
@@ -364,7 +369,6 @@ def grad_check(
     x_batch: np.ndarray,
     labels,
     loss_cfg: LossConfig,
-    step: float = 1e-6,
     tolerance: float = 1e-5,
     corrupt_block: str | None = None,
 ) -> dict:
@@ -416,10 +420,10 @@ def grad_check(
         ]
 
     numerics = [
-        _entrywise_differences(net, bank.heads, x, y, check_cfg, param, step)
+        _entrywise_differences(net, bank.heads, x, y, check_cfg, param)
         for _, param, _ in net_blocks
     ]
-    numerics += list(_bank_differences(feats, bank.heads, y, check_cfg, step))
+    numerics += list(_bank_differences(feats, bank.heads, y, check_cfg))
 
     errors: dict[str, float] = {}
     for (name, _, analytic), numeric in zip(blocks, numerics):

@@ -26,6 +26,7 @@ from emsoftmax.losses import (
     softmax_probs,
 )
 from emsoftmax.model import MlpFeatureExtractor, WeakClassifierBank
+from emsoftmax import trainer
 from emsoftmax.tensor import Rng
 from emsoftmax.trainer import SgdConfig, count_hits, train
 
@@ -288,21 +289,22 @@ def test_second_head_helps_then_returns_diminish(family_accuracies):
 # ---------------------------------------------------------------------------
 
 
-def assert_single_head_assembly_is_exact(ds):
+def assert_single_head_assembly_is_exact(ds, monkeypatch):
     bank = WeakClassifierBank(ds.dim, ds.num_classes, 1, Rng(3))
     direct = np.argmax(ds.features @ bank.heads[0], axis=1)
     assembled = np.argmax(ds.features @ bank.assemble(), axis=1)
     assert np.array_equal(assembled, direct)
-    assert count_hits(None, bank, ds, chunk=97)[0] == int(np.sum(direct == ds.labels))
+    monkeypatch.setattr(trainer, "_EVAL_CHUNK", 97)
+    assert count_hits(None, bank, ds)[0] == int(np.sum(direct == ds.labels))
 
 
-def test_single_head_ensemble_prediction_equals_direct_argmax():
+def test_single_head_ensemble_prediction_equals_direct_argmax(monkeypatch):
     _, eval_ds = split_blobs(seed=5, **HARD)
-    assert_single_head_assembly_is_exact(eval_ds)
+    assert_single_head_assembly_is_exact(eval_ds, monkeypatch)
 
 
-def test_single_head_ensemble_prediction_equals_direct_argmax_on_mnist(mnist):
-    assert_single_head_assembly_is_exact(mnist[1])
+def test_single_head_ensemble_prediction_equals_direct_argmax_on_mnist(mnist, monkeypatch):
+    assert_single_head_assembly_is_exact(mnist[1], monkeypatch)
 
 
 # ---------------------------------------------------------------------------

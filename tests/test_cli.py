@@ -1,3 +1,4 @@
+import re
 import struct
 import tracemalloc
 from dataclasses import fields, replace
@@ -133,10 +134,11 @@ class TestDatasetResolution:
         joined = np.vstack([train.features, evald.features])
         assert len(np.unique(joined, axis=0)) == len(joined)
 
-    def test_limit_train(self):
-        cfg = parse_config_text(QUICK + "limit_train = 17\n")
-        train, _, _ = load_datasets(cfg)
-        assert len(train) == 17
+    def test_limit_train(self, tmp_path):
+        write_idx_split(tmp_path, "train", 60, 6, seed=1)
+        write_idx_split(tmp_path, "t10k", 20, 6, seed=2)
+        train, evald, _ = load_datasets(idx_config(tmp_path, limit_train=17))
+        assert len(train) == 17 and len(evald) == 20
 
     def test_mean_subtract(self):
         cfg = parse_config_text(QUICK + "mean_subtract = true\n")
@@ -157,8 +159,7 @@ class TestDatasetResolution:
         with pytest.raises(ConfigError, match="dataset"):
             load_datasets(parse_config_text("dataset = cifar"))
 
-    @pytest.mark.parametrize("source", ["synthetic", "idx"])
-    @pytest.mark.parametrize("limit", [0, 23])
+    @pytest.mark.parametrize("limit, source", [(0, "synthetic"), (0, "idx"), (23, "idx")])
     def test_mean_subtract_equals_copying_reference(self, tmp_path, source, limit):
         write_idx_split(tmp_path, "train", 60, 6, seed=1)
         write_idx_split(tmp_path, "t10k", 20, 6, seed=2)
@@ -193,7 +194,11 @@ class TestDatasetResolution:
 
     @pytest.mark.parametrize("source", ["synthetic", "mnist"])
     def test_data_keys_are_the_fields_that_change_the_splits(self, tmp_path, source):
-        """Every field eval's warning names changes the loaded data; no other does."""
+        """Every field eval's warning names changes the loaded data; no other does.
+
+        Each field moves to another valid value; synthetic data takes no
+        ``limit_train`` at all.
+        """
         for name, seed in (("a", 1), ("b", 2)):
             (tmp_path / name).mkdir()
             write_idx_split(tmp_path / name, "train", 30, 6, seed=seed)
@@ -210,7 +215,11 @@ class TestDatasetResolution:
                 return not value
             if isinstance(value, str):
                 return value + "x"
-            return value + ((1,) if isinstance(value, tuple) else 1)
+            if isinstance(value, float):
+                return value / 2
+            if isinstance(value, tuple):
+                return value + (max(value, default=0) + 1,)
+            return value + 1
 
         def arrays(c):
             train, evald, _ = load_datasets(c)
@@ -219,6 +228,8 @@ class TestDatasetResolution:
         base = arrays(cfg)
         moved = set()
         for f in fields(RunConfig):
+            if source == "synthetic" and f.name == "limit_train":
+                continue
             value = getattr(cfg, f.name)
             got = arrays(replace(cfg, **{f.name: changed(value, f.name)}))
             if not all(np.array_equal(x, y) for x, y in zip(got, base)):
@@ -304,9 +315,28 @@ INVALID_VALUES = [
     ({"synth_classes": "0"}, "synth_classes must be at least 1"),
     ({"synth_dim": "0"}, "synth_dim must be at least 1"),
     ({"synth_classes": "1", "heads": "2"}, "heads = 2 needs at least 2 classes"),
+    ({"dataset": "cifar"}, "dataset must be 'synthetic' or 'mnist', got 'cifar'"),
+    ({"limit_train": "-1"}, "limit_train must be non-negative"),
+    ({"limit_train": "20"}, "limit_train applies to IDX data only; set synth_samples"),
+    ({"heads": "0"}, "num_heads must be at least 1"),
+    ({"momentum": "1.5"}, "momentum must lie in [0, 1)"),
+    ({"lr_drop_iters": "80,40"}, "lr_drop_iters must be strictly increasing"),
 ]
-# values eval reads: the dataset's, not the model's (those come from the checkpoint)
-DATA_KEYS = {"synth_noise", "synth_samples", "synth_eval_samples", "synth_classes", "synth_dim"}
+# values that describe eval's dataset; the others describe the model, which
+# eval takes from the checkpoint, but a config must be valid as a whole
+DATA_KEYS = {
+    "synth_noise", "synth_samples", "synth_eval_samples", "synth_classes", "synth_dim",
+    "dataset", "limit_train",
+}
+
+
+def eval_with_config(tmp_path, **overrides):
+    out = tmp_path / "run"
+    out.mkdir()
+    net = MlpFeatureExtractor([8, 12, 8], Rng(1))
+    save_checkpoint(out / "model.ckpt", net, WeakClassifierBank(8, 4, 2, Rng(2)))
+    cfg_path = write_quick(tmp_path, **overrides)
+    return main(["eval", "--checkpoint", str(out / "model.ckpt"), "--config", str(cfg_path)])
 
 
 class TestConfigValidation:
@@ -328,14 +358,27 @@ class TestConfigValidation:
         "overrides, message", [c for c in INVALID_VALUES if DATA_KEYS.issuperset(c[0])]
     )
     def test_invalid_data_value_exits_one_in_eval(self, tmp_path, capsys, overrides, message):
-        out = tmp_path / "run"
-        out.mkdir()
-        net = MlpFeatureExtractor([8, 12, 8], Rng(1))
-        save_checkpoint(out / "model.ckpt", net, WeakClassifierBank(8, 4, 2, Rng(2)))
-        cfg_path = write_quick(tmp_path, **overrides)
-        code = main(["eval", "--checkpoint", str(out / "model.ckpt"), "--config", str(cfg_path)])
-        assert code == 1
+        assert eval_with_config(tmp_path, **overrides) == 1
         assert f"emsoftmax: error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "overrides, message", [c for c in INVALID_VALUES if not DATA_KEYS.issuperset(c[0])]
+    )
+    def test_invalid_model_value_exits_one_in_eval(self, tmp_path, capsys, overrides, message):
+        assert eval_with_config(tmp_path, **overrides) == 1
+        assert f"emsoftmax: error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides, message", INVALID_VALUES)
+    def test_no_invalid_config_can_be_built(self, tmp_path, overrides, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config_text(write_quick(tmp_path, **overrides).read_text())
+        valid = parse_config_text(QUICK)
+        values = {}
+        for key, tok in overrides.items():
+            name, parse = cli._KEY_TO_FIELD[key]
+            values[name] = parse(tok)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            replace(valid, **values)
 
     def test_sweep_checks_every_cell_before_the_first(self, tmp_path, capsys):
         cfg_path = write_quick(tmp_path, synth_classes="1", heads="1")
@@ -609,6 +652,14 @@ class TestSweepCommand:
     def test_bad_sweep_values_exit_one(self, tmp_path, capsys):
         code, _ = self.run_sweep(tmp_path, "lambda", "0,huh")
         assert code == 1
+
+    @pytest.mark.parametrize("seeds, message", [(",", "sweep needs at least one seed"),
+                                                ("4,x", "bad sweep seed")])
+    def test_bad_sweep_seeds_exit_one(self, tmp_path, capsys, seeds, message):
+        code, out = self.run_sweep(tmp_path, "lambda", "0", seeds=seeds)
+        assert code == 1
+        assert f"emsoftmax: error: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_sweep_param_exits_one(self, tmp_path):
         cfg_path = write_quick(tmp_path)

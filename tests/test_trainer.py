@@ -216,6 +216,27 @@ class TestTrain:
         )
         assert rep.diverged
 
+    def test_train_acc_scores_the_model_that_produced_the_loss(self, monkeypatch):
+        ds = blob_dataset()
+        net, bank = fresh_model(ds, heads=2)
+        snapshots = []
+        gradients = trainer._gradients
+
+        def recording(net, bank, x, y, cfg):
+            fwd, feats, grads = gradients(net, bank, x, y, cfg)
+            snapshots.append((feats, bank.heads.copy(), y))
+            return fwd, feats, grads
+
+        monkeypatch.setattr(trainer, "_gradients", recording)
+        rep = train(
+            net, bank, ds, LossConfig(0.5, 0.1, 2),
+            SgdConfig(max_iters=30, batch_size=32), seed=4, log_every=1,
+        )
+        assert len(rep.rows) == len(snapshots) == 30
+        for row, (feats, heads, y) in zip(rep.rows, snapshots):
+            scores = sum(feats @ w for w in heads)
+            assert row[5] == float(np.mean(np.argmax(scores, axis=1) == y))
+
     def test_mismatched_heads_rejected(self):
         ds = blob_dataset()
         net, bank = fresh_model(ds, heads=2)
@@ -385,18 +406,22 @@ class TestEvaluate:
         bank.heads = np.eye(2)[None]
         assert evaluate(None, bank, ds) == pytest.approx(2.0 / 3.0)
 
-    def test_chunking_matches_single_shot(self):
+    def test_chunking_matches_single_shot(self, monkeypatch):
         ds = blob_dataset(per=100)
         bank = WeakClassifierBank(ds.dim, ds.num_classes, 2, Rng(7))
-        assert evaluate(None, bank, ds, chunk=7) == evaluate(None, bank, ds, chunk=10**6)
+        monkeypatch.setattr(trainer, "_EVAL_CHUNK", 7)
+        chunked = evaluate(None, bank, ds)
+        monkeypatch.setattr(trainer, "_EVAL_CHUNK", 10**6)
+        assert chunked == evaluate(None, bank, ds)
 
-    def test_hit_counts(self):
+    def test_hit_counts(self, monkeypatch):
         # scores [[1, 2, 0]]: label 1 is top-1, label 0 second, label 2 third
         ds = Dataset(np.array([[1.0, 2.0, 0.0]] * 3), np.array([1, 0, 2]), 3)
         bank = WeakClassifierBank(3, 3, 1, Rng(0))
         bank.heads = np.eye(3)[None]
         assert count_hits(None, bank, ds) == (1, None)
-        assert count_hits(None, bank, ds, top5=True, chunk=2) == (1, 3)
+        monkeypatch.setattr(trainer, "_EVAL_CHUNK", 2)
+        assert count_hits(None, bank, ds, top5=True) == (1, 3)
 
 
 class TestGradCheck:
