@@ -47,7 +47,7 @@ from .model import (
     load_checkpoint,
     save_checkpoint,
 )
-from .tensor import Rng
+from .tensor import Rng, sum_in_order
 # evaluate stays importable from here: the benchmark in perfbench/ rebinds cli.evaluate
 from .trainer import SgdConfig, count_hits, evaluate, grad_check, train  # noqa: F401
 
@@ -310,14 +310,6 @@ def _component_configs(cfg: RunConfig) -> tuple[LossConfig, SgdConfig]:
     return loss_cfg, sgd_cfg
 
 
-def _sum_in_order(values) -> float:
-    """Add ``values`` one by one from 0.0 (the builtin sum compensates from 3.12)."""
-    total = 0.0
-    for value in values:
-        total += value
-    return total
-
-
 def run_training(cfg: RunConfig, quiet: bool = False) -> dict:
     """Full training run plus artifact writing; shared by train and sweep."""
     loss_cfg, sgd_cfg = _component_configs(cfg)
@@ -345,7 +337,7 @@ def run_training(cfg: RunConfig, quiet: bool = False) -> dict:
         save_mean(out / "mean.bin", mean)
 
     accuracy = report.final_eval_accuracy
-    final_div = _sum_in_order(diversity_penalty(bank.heads, v) for v in range(bank.num_heads))
+    final_div = sum_in_order(diversity_penalty(bank.heads, v) for v in range(bank.num_heads))
 
     if not quiet:
         if report.diverged:
@@ -543,15 +535,21 @@ def cmd_sweep(args) -> int:
     except ValueError as exc:
         raise ConfigError(f"bad sweep value: {exc}") from exc
 
-    if args.sweep_seeds:
-        try:
-            seeds = _parse_int_tuple(args.sweep_seeds)
-        except ValueError as exc:
-            raise ConfigError(f"bad sweep seed: {exc}") from exc
-    else:
-        seeds = (cfg.seed, cfg.seed + 1, cfg.seed + 2)
+    seed_tokens = ([t.strip() for t in args.sweep_seeds.split(",") if t.strip()]
+                   if args.sweep_seeds else [str(cfg.seed + i) for i in range(3)])
+    try:
+        seeds = [int(t) for t in seed_tokens]
+    except ValueError as exc:
+        raise ConfigError(f"bad sweep seed: {exc}") from exc
     if not seeds:
         raise ConfigError("sweep needs at least one seed")
+    # a repeated cell would train twice, into one directory or two
+    for what, toks, values in (("value", tokens, parsed), ("seed", seed_tokens, seeds)):
+        for i, value in enumerate(values):
+            if value in values[:i]:
+                raise ConfigError(
+                    f"sweep {what} {toks[i]!r} repeats {toks[values.index(value)]!r}"
+                )
 
     # building every cell's config checks it before the first cell trains
     out = Path(cfg.out_dir)
@@ -576,8 +574,8 @@ def cmd_sweep(args) -> int:
             lines.append(
                 f"{token},{cell_cfg.seed},{result['accuracy']:.6f},{result['diversity']:.10g}"
             )
-        mean_acc = _sum_in_order(accs) / len(accs)
-        mean_div = _sum_in_order(divs) / len(divs)
+        mean_acc = sum_in_order(accs) / len(accs)
+        mean_div = sum_in_order(divs) / len(divs)
         lines.append(f"{token},mean,{mean_acc:.6f},{mean_div:.10g}")
         print(f"{args.sweep_param}={token}: mean accuracy {mean_acc:.6f}")
     write_atomic(out / "sweep.csv", ("\n".join(lines) + "\n").encode())

@@ -33,8 +33,6 @@ from .tensor import Rng, as_matrix
 __all__ = [
     "Dataset",
     "IdxFormatError",
-    "load_idx_images",
-    "load_idx_labels",
     "load_idx_pair",
     "mean_subtract",
     "subtract_mean",
@@ -43,7 +41,6 @@ __all__ = [
     "write_atomic",
     "SyntheticSpec",
     "synth_blobs",
-    "epoch_batches",
     "minibatch_stream",
 ]
 
@@ -112,7 +109,7 @@ def _header(blob: bytes, path, expected_magic: int, n_dims: int) -> tuple[int, .
     return fields[1:]
 
 
-def load_idx_images(path) -> np.ndarray:
+def _load_idx_images(path) -> np.ndarray:
     """Flattened image matrix (n x rows*cols) scaled to [0, 1]."""
     blob = _read_bytes(path)
     count, rows, cols = _header(blob, path, _IMAGE_MAGIC, 3)
@@ -127,7 +124,7 @@ def load_idx_images(path) -> np.ndarray:
     return images
 
 
-def load_idx_labels(path) -> np.ndarray:
+def _load_idx_labels(path) -> np.ndarray:
     blob = _read_bytes(path)
     (count,) = _header(blob, path, _LABEL_MAGIC, 1)
     if len(blob) - 8 != count:
@@ -143,8 +140,8 @@ def load_idx_pair(image_path, label_path, num_classes: int | None = None) -> Dat
     The class count defaults to max(label) + 1, which is 10 for the usual
     digit files.
     """
-    images = load_idx_images(image_path)
-    labels = load_idx_labels(label_path)
+    images = _load_idx_images(image_path)
+    labels = _load_idx_labels(label_path)
     if images.shape[0] != labels.shape[0]:
         raise IdxFormatError(
             f"{image_path} has {images.shape[0]} images but "
@@ -248,18 +245,14 @@ def synth_blobs(spec: SyntheticSpec) -> Dataset:
     return Dataset(features, labels, spec.num_classes)
 
 
-def epoch_batches(n: int, batch_size: int, rng: Rng):
-    """Index batches covering one shuffled epoch; the tail may be short."""
+def minibatch_stream(n: int, batch_size: int, rng: Rng):
+    """Endless batch indices, one shuffled epoch after another (an epoch's
+    last batch may be short); the arguments are checked at the first next."""
     if not 1 <= batch_size:
         raise ValueError("batch_size must be positive")
     if n < 1:
         raise ValueError("cannot batch an empty dataset")
-    order = rng.permutation(n)
-    for start in range(0, n, batch_size):
-        yield order[start : start + batch_size]
-
-
-def minibatch_stream(n: int, batch_size: int, rng: Rng):
-    """Endless batch indices: reshuffle whenever an epoch is exhausted."""
     while True:
-        yield from epoch_batches(n, batch_size, rng)
+        order = rng.permutation(n)
+        for start in range(0, n, batch_size):
+            yield order[start : start + batch_size]

@@ -50,14 +50,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import as_matrix
+from .tensor import as_matrix, sum_in_order
 
 __all__ = [
     "PROB_FLOOR",
     "LossConfig",
     "LossOutput",
     "softmax_probs",
-    "centering_matrix",
     "normalize_classifier",
     "diversity_penalty",
     "em_softmax_forward",
@@ -215,13 +214,6 @@ def _margin_softmax(scores: np.ndarray, labels: np.ndarray, m: float):
     return np.negative(picked, out=picked), probs, flat
 
 
-def centering_matrix(n: int) -> np.ndarray:
-    """H = I - (1/n) 11^T; symmetric, idempotent, annihilates constants."""
-    if n < 1:
-        raise ValueError("centering matrix needs n >= 1")
-    return np.eye(n) - np.full((n, n), 1.0 / n)
-
-
 def normalize_classifier(w: np.ndarray) -> np.ndarray:
     """Scale every column (per-class weight vector) to unit L2 norm.
 
@@ -276,8 +268,8 @@ def _check_batch(x_batch, labels, d: int, k: int) -> tuple[np.ndarray, np.ndarra
 
 @functools.lru_cache(maxsize=None)
 def _frozen_centering(k: int) -> np.ndarray:
-    """The K x K centering matrix, built once per K and shared read-only."""
-    h = centering_matrix(k)
+    """H = I - (1/K) 11^T (symmetric, idempotent), built once per K, read-only."""
+    h = np.eye(k) - np.full((k, k), 1.0 / k)
     h.flags.writeable = False
     return h
 
@@ -365,17 +357,15 @@ def _diversity_grads(w, w_hats, kernels, exact: bool) -> np.ndarray:
 def _sum_heads(values: np.ndarray):
     """Sum over the last (head) axis, in ascending order from zero.
 
-    One bank's ``(V,)`` values are added one by one as Python floats,
-    which are the same IEEE adds in the same order. (The builtin ``sum``
-    would not do: from Python 3.12 it compensates the rounding of floats.)
-    A stack of banks is summed head by head: ``np.add.reduce`` over the
-    head axis may sum pairwise when that axis becomes the innermost one.
+    One bank's ``(V,)`` values are added one by one as Python floats
+    (:func:`~emsoftmax.tensor.sum_in_order`), which are the same IEEE adds
+    in the same order. A stack of banks is summed head by head:
+    ``np.add.reduce`` over the head axis may sum pairwise when that axis
+    becomes the innermost one.
     """
-    total = 0.0
     if values.ndim == 1:
-        for value in values.tolist():
-            total += value
-        return total
+        return sum_in_order(values.tolist())
+    total = 0.0
     for v in range(values.shape[-1]):
         total = total + values[..., v]
     return total

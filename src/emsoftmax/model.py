@@ -113,7 +113,8 @@ class WeakClassifierBank:
     """V weak linear classifiers (d x K each) over a shared feature space.
 
     ``heads`` is one C-contiguous ``(V, d, K)`` float64 array; ``heads[v]``
-    is head v. Heads are initialized from per-head spawned RNG streams so
+    is head v, and ``num_heads``, ``feature_dim`` and ``num_classes`` read
+    its shape. Heads are initialized from per-head spawned RNG streams so
     each head starts at a different point; identical starts would make
     the diversity penalty's symmetry hard to break.
     """
@@ -123,8 +124,6 @@ class WeakClassifierBank:
             raise ValueError("feature_dim and num_classes must be positive")
         if num_heads < 1:
             raise ValueError("num_heads must be at least 1")
-        self.feature_dim = int(feature_dim)
-        self.num_classes = int(num_classes)
         scale = xavier_scale(feature_dim, num_classes)
         self.heads = np.array([
             gaussian_init(feature_dim, num_classes, scale, rng.spawn(1000 + v))
@@ -133,7 +132,15 @@ class WeakClassifierBank:
 
     @property
     def num_heads(self) -> int:
-        return len(self.heads)
+        return self.heads.shape[0]
+
+    @property
+    def feature_dim(self) -> int:
+        return self.heads.shape[1]
+
+    @property
+    def num_classes(self) -> int:
+        return self.heads.shape[2]
 
     def assemble(self) -> np.ndarray:
         """The single test-time classifier: the mean of the heads, (d, K)."""
@@ -234,9 +241,6 @@ def load_checkpoint(path) -> tuple[MlpFeatureExtractor, WeakClassifierBank]:
         raise CheckpointError(
             f"bank expects {feature_dim}-dim features, network emits {dims[-1]}"
         )
-    bank = WeakClassifierBank.__new__(WeakClassifierBank)
-    bank.feature_dim = feature_dim
-    bank.num_classes = num_classes
     heads = [r.array() for _ in range(num_heads)]
     for i, w in enumerate(heads):
         if w.shape != (feature_dim, num_classes):
@@ -244,6 +248,7 @@ def load_checkpoint(path) -> tuple[MlpFeatureExtractor, WeakClassifierBank]:
                 f"head {i} has shape {w.shape}, header says "
                 f"({feature_dim}, {num_classes})"
             )
+    bank = WeakClassifierBank.__new__(WeakClassifierBank)
     bank.heads = np.array(heads, dtype=np.float64).reshape(
         num_heads, feature_dim, num_classes
     )

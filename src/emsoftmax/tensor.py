@@ -18,6 +18,7 @@ __all__ = [
     "Rng",
     "as_matrix",
     "gaussian_init",
+    "sum_in_order",
     "xavier_scale",
 ]
 
@@ -135,3 +136,11 @@ def gaussian_init(rows: int, cols: int, scale: float, rng: Rng) -> np.ndarray:
     if scale <= 0:
         raise ValueError("gaussian_init scale must be positive")
     return rng.normal((rows, cols)) * scale
+
+
+def sum_in_order(values) -> float:
+    """Add ``values`` one by one from 0.0 (the builtin sum compensates from 3.12)."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total

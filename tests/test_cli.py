@@ -661,6 +661,22 @@ class TestSweepCommand:
         assert f"emsoftmax: error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("param, values, seeds, message", [
+        ("v", "1,1", "4", "sweep value '1' repeats '1'"),
+        ("m", "0.5,0.50", "4", "sweep value '0.50' repeats '0.5'"),
+        ("lambda", "0", "4,5,4", "sweep seed '4' repeats '4'"),
+    ])
+    def test_repeated_cells_exit_one_before_training(self, tmp_path, capsys, monkeypatch,
+                                                     param, values, seeds, message):
+        def fail(cfg, quiet=False):
+            raise AssertionError("a sweep cell trained")
+
+        monkeypatch.setattr(cli, "run_training", fail)
+        code, out = self.run_sweep(tmp_path, param, values, seeds=seeds)
+        assert code == 1
+        assert f"emsoftmax: error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_sweep_param_exits_one(self, tmp_path):
         cfg_path = write_quick(tmp_path)
         with pytest.raises(SystemExit) as exc:

@@ -8,9 +8,6 @@ from emsoftmax.data import (
     Dataset,
     IdxFormatError,
     SyntheticSpec,
-    epoch_batches,
-    load_idx_images,
-    load_idx_labels,
     load_idx_pair,
     load_mean,
     mean_subtract,
@@ -34,47 +31,55 @@ def idx_label_bytes(labels):
     return struct.pack(">II", 0x00000801, arr.size) + arr.tobytes()
 
 
+def write_pair(tmp_path, image_blob, label_blob, image_name="imgs"):
+    """Write an image and a label file; return both paths for load_idx_pair."""
+    imgs, labels = tmp_path / image_name, tmp_path / "labels"
+    imgs.write_bytes(image_blob)
+    labels.write_bytes(label_blob)
+    return imgs, labels
+
+
 class TestIdxLoading:
     def test_image_values_and_scaling(self, tmp_path):
         pixels = np.array([[[0, 128], [255, 1]]], dtype=np.uint8)
-        path = tmp_path / "imgs"
-        path.write_bytes(idx_image_bytes(pixels))
-        feats = load_idx_images(path)
+        feats = load_idx_pair(*write_pair(tmp_path, idx_image_bytes(pixels),
+                                          idx_label_bytes([0]))).features
         assert feats.shape == (1, 4)
         np.testing.assert_allclose(feats[0], [0.0, 128 / 255, 1.0, 1 / 255])
 
     def test_gzipped_files_are_transparent(self, tmp_path):
         pixels = np.arange(12, dtype=np.uint8).reshape(1, 3, 4)
-        raw = tmp_path / "imgs"
+        raw, labels = write_pair(tmp_path, idx_image_bytes(pixels), idx_label_bytes([0]))
         gz = tmp_path / "imgs.gz"
-        raw.write_bytes(idx_image_bytes(pixels))
         gz.write_bytes(gzip.compress(idx_image_bytes(pixels)))
-        np.testing.assert_array_equal(load_idx_images(raw), load_idx_images(gz))
+        labels_gz = tmp_path / "labels.gz"
+        labels_gz.write_bytes(gzip.compress(idx_label_bytes([0])))
+        np.testing.assert_array_equal(load_idx_pair(raw, labels).features,
+                                      load_idx_pair(gz, labels_gz).features)
 
     def test_labels(self, tmp_path):
-        path = tmp_path / "labels"
-        path.write_bytes(idx_label_bytes([3, 0, 9]))
-        labels = load_idx_labels(path)
+        pixels = np.zeros((3, 1, 1), dtype=np.uint8)
+        labels = load_idx_pair(*write_pair(tmp_path, idx_image_bytes(pixels),
+                                           idx_label_bytes([3, 0, 9]))).labels
         assert labels.dtype == np.int64
         np.testing.assert_array_equal(labels, [3, 0, 9])
 
     def test_bad_magic_names_the_file(self, tmp_path):
-        path = tmp_path / "weird"
-        path.write_bytes(struct.pack(">IIII", 0xDEAD, 1, 1, 1) + b"\x00")
+        paths = write_pair(tmp_path, struct.pack(">IIII", 0xDEAD, 1, 1, 1) + b"\x00",
+                           idx_label_bytes([0]), image_name="weird")
         with pytest.raises(IdxFormatError, match="weird.*magic"):
-            load_idx_images(path)
+            load_idx_pair(*paths)
 
     def test_truncated_payload(self, tmp_path):
-        path = tmp_path / "short"
-        path.write_bytes(idx_image_bytes(np.zeros((2, 2, 2), dtype=np.uint8))[:-3])
+        paths = write_pair(tmp_path, idx_image_bytes(np.zeros((2, 2, 2), dtype=np.uint8))[:-3],
+                           idx_label_bytes([0, 0]))
         with pytest.raises(IdxFormatError, match="header implies"):
-            load_idx_images(path)
+            load_idx_pair(*paths)
 
     def test_truncated_header(self, tmp_path):
-        path = tmp_path / "stub"
-        path.write_bytes(b"\x00\x00")
+        paths = write_pair(tmp_path, b"\x00\x00", idx_label_bytes([0]))
         with pytest.raises(IdxFormatError, match="truncated"):
-            load_idx_images(path)
+            load_idx_pair(*paths)
 
     def test_pair_count_mismatch(self, tmp_path):
         imgs = tmp_path / "imgs"
@@ -190,7 +195,8 @@ class TestSyntheticBlobs:
 
 class TestBatching:
     def test_epoch_covers_every_index_once(self):
-        batches = list(epoch_batches(10, 3, Rng(0)))
+        stream = minibatch_stream(10, 3, Rng(0))
+        batches = [next(stream) for _ in range(4)]
         assert [len(b) for b in batches] == [3, 3, 3, 1]
         assert sorted(np.concatenate(batches).tolist()) == list(range(10))
 
@@ -207,7 +213,7 @@ class TestBatching:
         np.testing.assert_array_equal(a[0], b[0])
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            list(epoch_batches(5, 0, Rng(0)))
-        with pytest.raises(ValueError):
-            list(epoch_batches(0, 2, Rng(0)))
+        with pytest.raises(ValueError, match="batch_size"):
+            next(minibatch_stream(5, 0, Rng(0)))
+        with pytest.raises(ValueError, match="empty"):
+            next(minibatch_stream(0, 2, Rng(0)))

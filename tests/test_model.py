@@ -133,6 +133,14 @@ class TestWeakClassifierBank:
         assert bank.heads.shape == (3, 6, 4) and bank.heads.dtype == np.float64
         assert bank.heads.flags["C_CONTIGUOUS"]
 
+    def test_dims_read_the_heads_array(self):
+        bank = WeakClassifierBank(6, 4, 3, Rng(5))
+        assert (bank.num_heads, bank.feature_dim, bank.num_classes) == (3, 6, 4)
+        bank.heads = np.ones((2, 7, 5))
+        assert (bank.num_heads, bank.feature_dim, bank.num_classes) == (2, 7, 5)
+        with pytest.raises(AttributeError):
+            bank.feature_dim = 6
+
     def test_assemble_averages_heads(self):
         bank = WeakClassifierBank(3, 2, 2, Rng(0))
         bank.heads = np.stack([np.full((3, 2), 1.0), np.full((3, 2), 3.0)])
@@ -282,7 +290,6 @@ class TestCheckpoint:
         net = MlpFeatureExtractor([5, 4, 3], Rng(11))
         bank = WeakClassifierBank(3, 4, 1, Rng(12))
         bank.heads = np.ones(bank_shape)
-        bank.feature_dim = bank_shape[1]
         path = tmp_path / "x.ckpt"
         save_checkpoint(path, net, bank)
         with pytest.raises(CheckpointError, match=match):

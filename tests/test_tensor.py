@@ -5,6 +5,7 @@ from emsoftmax.tensor import (
     Rng,
     as_matrix,
     gaussian_init,
+    sum_in_order,
     xavier_scale,
 )
 
@@ -143,3 +144,10 @@ class TestInitializers:
             gaussian_init(0, 3, 0.1, Rng(0))
         with pytest.raises(ValueError):
             gaussian_init(3, 3, 0.0, Rng(0))
+
+
+def test_sum_in_order_adds_plainly_from_zero():
+    # a compensated sum (the builtin sum from Python 3.12) would give 1.0
+    assert sum_in_order([1e16, 1.0, -1e16]) == 0.0
+    assert sum_in_order(iter([0.5, 0.25])) == 0.75
+    assert sum_in_order([]) == 0.0
