@@ -138,7 +138,8 @@ def load_idx_pair(image_path, label_path, num_classes: int | None = None) -> Dat
     """Matched image/label files as one Dataset.
 
     The class count defaults to max(label) + 1, which is 10 for the usual
-    digit files.
+    digit files; a given count that some label reaches is a format error
+    naming the label file.
     """
     images = _load_idx_images(image_path)
     labels = _load_idx_labels(label_path)
@@ -147,8 +148,13 @@ def load_idx_pair(image_path, label_path, num_classes: int | None = None) -> Dat
             f"{image_path} has {images.shape[0]} images but "
             f"{label_path} has {labels.shape[0]} labels"
         )
+    top = int(labels.max()) if labels.size else 0
     if num_classes is None:
-        num_classes = int(labels.max()) + 1 if labels.size else 1
+        num_classes = top + 1
+    elif top >= num_classes:
+        raise IdxFormatError(
+            f"{label_path}: label {top} out of range for {num_classes} classes"
+        )
     return Dataset(images, labels, num_classes)
 
 

@@ -26,19 +26,24 @@ entry points validate their inputs once and call it:
 ``(B, V, d, K)`` stack of banks (the gradient checker's finite
 differences), and :func:`diversity_penalty` through the same kernel
 builder. The forward records its checked inputs, config, probabilities,
-normalized heads and kernels in its output, and
-:func:`em_softmax_backward` takes that output alone and works from the
-record over the whole stack, so one training step builds the kernels
-once.
+label index, normalized heads, their column norms and the products
+``Wv_hat Kv`` in its output, and :func:`em_softmax_backward` takes that
+output alone and works from the record over the whole stack, so one
+training step builds the kernels once.
 
 At the shapes this toolkit trains (K = 10 classes, a few heads), numpy's
 per-call and per-row reduction overheads cost more than the arithmetic,
 so the core avoids them without changing a bit of the result: short
 softmax rows are reduced column by column in numpy's own order
-(:func:`softmax_probs`), labels are picked through one flat index, every
-Kv comes from one gathered reduction, and one bank's head terms are
-summed as Python floats. ``tests/test_loss_bits.py`` holds the plain
-numpy formulation and compares every output with it bit for bit.
+(:func:`softmax_probs`), the margin and the label pick go through one
+1-D index into the raveled scores, every Kv comes from one gathered
+reduction, reductions call ``np.add.reduce`` without numpy's Python
+wrappers, and one bank's head terms are summed as Python floats. No
+quantity is computed twice: the forward's record keeps the heads'
+column norms and the products ``Wv_hat Kv`` its penalties were formed
+from, and the backward reads them there. ``tests/test_loss_bits.py``
+holds the plain numpy formulation and compares every output with it bit
+for bit.
 """
 
 from __future__ import annotations
@@ -108,9 +113,11 @@ class LossOutput:
 
     ``probs_per_head`` holds the margin-adjusted softmax rows of every
     head, shape ``(V, n, K)``. ``_record`` is the forward's private
-    record: its checked features, its own copy of the bank, the flat
-    index of every row's label in the ``(V, n * K)`` probabilities, the
-    probabilities, the diversity pair ``(Wv_hat, Kv)`` and the config.
+    record: its checked features, its own copy of the bank, the index of
+    every row's label in the raveled ``(V * n * K,)`` probabilities, the
+    probabilities, the diversity triple (``Wv_hat``, the ``(V, 1, K)``
+    column norms of the bank, the products ``Wv_hat Kv``; None for a
+    single head) and the config.
     :func:`em_softmax_forward` fills it in and :func:`em_softmax_backward`
     reads it; an output built by hand leaves it None and has no backward.
     """
@@ -195,23 +202,23 @@ def _margin_softmax(scores: np.ndarray, labels: np.ndarray, m: float):
 
     Returns the per-row losses (a fresh C-contiguous ``(..., n)`` array,
     so a mean over rows sums them in numpy's pairwise order), the
-    probabilities and the flat index ``row * K + label`` of every row's
-    label in a ``(..., n * K)`` view. ``scores`` may be overwritten with
-    the adjusted scores; ``labels`` must already be checked.
+    probabilities and the 1-D index of every row's label in the raveled
+    scores: each leading row's offset plus ``row * K + label``. The
+    margin, the label pick and the backward's one-hot subtraction all go
+    through that index. C-contiguous ``scores`` are overwritten with the
+    adjusted scores; ``labels`` must already be checked.
     """
     n, k = scores.shape[-2:]
-    flat = np.arange(0, n * k, k) + labels
-    lead = scores.shape[:-2]
+    index = (np.arange(0, scores.size, n * k)[:, None]
+             + (np.arange(0, n * k, k) + labels)).ravel()
+    adjusted = scores.reshape(-1)
     if m != 0.0:  # x - 0.0 is x, bit for bit
-        # a view of matmul's fresh C-contiguous output, so no copy is made
-        scores = scores.reshape(*lead, n * k)
-        scores[..., flat] -= m
-        scores = scores.reshape(*lead, n, k)
-    probs = softmax_probs(scores)
-    picked = np.take(probs.reshape(*lead, n * k), flat, axis=-1)
+        adjusted[index] -= m
+    probs = softmax_probs(adjusted.reshape(scores.shape))
+    picked = probs.reshape(-1)[index].reshape(scores.shape[:-1])
     np.maximum(picked, PROB_FLOOR, out=picked)
     np.log(picked, out=picked)
-    return np.negative(picked, out=picked), probs, flat
+    return np.negative(picked, out=picked), probs, index
 
 
 def normalize_classifier(w: np.ndarray) -> np.ndarray:
@@ -219,25 +226,30 @@ def normalize_classifier(w: np.ndarray) -> np.ndarray:
 
     Accepts one d x K classifier or a stack ``(..., d, K)`` of them.
     Zero columns cannot be normalized; they are left as zero and flagged
-    with a RuntimeWarning. The result is used only inside the diversity
-    computation, never to overwrite the live classifier.
+    with a RuntimeWarning. The diversity computation normalizes its heads
+    the same way, and never overwrites the live classifier.
     """
     w = np.asarray(w, dtype=np.float64)
     if w.ndim < 2 or w.shape[-2] < 1 or w.shape[-1] < 1:
         raise ValueError(f"w must have shape (..., d, K) with d, K >= 1, got {w.shape}")
-    norms = np.sqrt(np.sum(w * w, axis=-2, keepdims=True))
+    return _unit_columns(w)[0]
+
+
+def _unit_columns(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A checked ``(..., d, K)`` stack scaled to unit columns, and its
+    ``(..., 1, K)`` column norms; zero columns stay zero, with a warning
+    that points at the caller's caller."""
+    norms = np.sqrt(np.add.reduce(w * w, axis=-2, keepdims=True))
     if norms.all():
-        return w / norms
+        return w / norms, norms
     degenerate = norms == 0.0
-    if degenerate.any():
-        warnings.warn(
-            f"normalize_classifier: {int(degenerate.sum())} zero column(s) "
-            "left unnormalized",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    safe = np.where(degenerate, 1.0, norms)
-    return w / safe
+    warnings.warn(
+        f"normalize_classifier: {int(degenerate.sum())} zero column(s) "
+        "left unnormalized",
+        RuntimeWarning,
+        stacklevel=3,
+    )
+    return w / np.where(degenerate, 1.0, norms), norms
 
 
 def _check_bank(bank) -> np.ndarray:
@@ -284,15 +296,16 @@ def _other_heads(num_heads: int) -> np.ndarray:
     return others
 
 
-def _diversity_kernels(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized heads and every Kv of a checked ``(..., V, d, K)`` bank.
+def _diversity_kernels(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Normalized heads, their column norms and every Kv of a checked
+    ``(..., V, d, K)`` bank.
 
-    Returns ``Wv_hat`` stacked like ``w`` and the Kv (K x K, PSD) stacked
-    as ``(..., V, K, K)``. Each head is normalized and its centered Gram
-    ``Gu = H Wu_hat^T Wu_hat H`` formed once. Every Kv starts from a zero
-    matrix and gains each other head's Gram in ascending u; subtracting
-    Gv from the sum of all Grams instead would change the last bits of
-    the penalty and both gradients.
+    Returns ``Wv_hat`` stacked like ``w``, the ``(..., V, 1, K)`` column
+    norms and the Kv (K x K, PSD) stacked as ``(..., V, K, K)``. Each
+    head is normalized and its centered Gram ``Gu = H Wu_hat^T Wu_hat H``
+    formed once. Every Kv starts from a zero matrix and gains each other
+    head's Gram in ascending u; subtracting Gv from the sum of all Grams
+    instead would change the last bits of the penalty and both gradients.
 
     The other heads' Grams of every v are gathered into one
     ``(..., V, V-1, K, K)`` array and reduced over that axis from zero in
@@ -305,16 +318,21 @@ def _diversity_kernels(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if k < 2:
         raise ValueError("diversity needs at least 2 classes (H degenerates at K=1)")
     h = _frozen_centering(k)
-    w_hats = normalize_classifier(w)
+    w_hats, norms = _unit_columns(w)
     grams = h @ (np.swapaxes(w_hats, -1, -2) @ w_hats) @ h
     others = grams[..., _other_heads(w.shape[-3]), :, :]
-    return w_hats, np.add.reduce(others, axis=-3, initial=0.0)
+    return w_hats, norms, np.add.reduce(others, axis=-3, initial=0.0)
 
 
-def _head_penalties(w_hats: np.ndarray, kernels: np.ndarray) -> np.ndarray:
-    """tr(Wv_hat Kv Wv_hat^T) of every head, from its kernels: (..., V)."""
-    terms = (w_hats @ kernels) * w_hats
-    return np.sum(terms.reshape(*terms.shape[:-2], -1), axis=-1)
+def _head_penalties(w: np.ndarray):
+    """tr(Wv_hat Kv Wv_hat^T) of every head of a checked bank, (..., V),
+    and the triple its gradient reads: ``Wv_hat``, the column norms and
+    the products ``Wv_hat Kv``."""
+    w_hats, norms, kernels = _diversity_kernels(w)
+    products = w_hats @ kernels
+    terms = products * w_hats
+    penalties = np.add.reduce(terms.reshape(*terms.shape[:-2], -1), axis=-1)
+    return penalties, (w_hats, norms, products)
 
 
 def diversity_penalty(bank, v: int) -> float:
@@ -328,11 +346,12 @@ def diversity_penalty(bank, v: int) -> float:
         return 0.0
     if not 0 <= v < len(w):
         raise ValueError(f"head index {v} out of range for bank of {len(w)}")
-    return float(_head_penalties(*_diversity_kernels(w))[v])
+    return float(_head_penalties(w)[0][v])
 
 
-def _diversity_grads(w, w_hats, kernels, exact: bool) -> np.ndarray:
-    """Diversity gradient of every head of ``w`` from its kernels: (V, d, K).
+def _diversity_grads(w_hats, norms, products, exact: bool) -> np.ndarray:
+    """Diversity gradient of every head from the forward's ``Wv_hat``,
+    column norms and products ``Wv_hat Kv``: (V, d, K).
 
     Default (detached) mode follows the per-head update rule: only head
     v's own penalty contributes, Kv is frozen, and the normalization is
@@ -341,12 +360,11 @@ def _diversity_grads(w, w_hats, kernels, exact: bool) -> np.ndarray:
     (every pairwise penalty sees head v twice, hence 4 Wv_hat Kv) through
     the true normalization Jacobian (I - w_hat w_hat^T)/||w||.
     """
-    norms = np.sqrt(np.sum(w * w, axis=-2, keepdims=True))
     if exact:
-        g_hat = 4.0 * (w_hats @ kernels)
-        g_hat -= w_hats * np.sum(w_hats * g_hat, axis=-2, keepdims=True)
+        g_hat = 4.0 * products
+        g_hat -= w_hats * np.add.reduce(w_hats * g_hat, axis=-2, keepdims=True)
     else:
-        g_hat = 2.0 * (w_hats @ kernels)
+        g_hat = 2.0 * products
     if norms.all():
         g_hat /= norms
         return g_hat
@@ -376,21 +394,22 @@ def _loss_core(x_batch: np.ndarray, w: np.ndarray, labels: np.ndarray, cfg: Loss
 
     Returns (classification, diversity, total), each shaped like the
     leading batch axes of ``w``, the margin-adjusted probabilities
-    ``(..., V, n, K)``, the flat label index of :func:`_margin_softmax`
-    and the diversity pair ``(Wv_hat, Kv)`` (None for a single head).
-    Heads are summed in ascending order from zero, each head's batch
-    mean taken on its own, so one bank gives the same bits as the
+    ``(..., V, n, K)``, the label index of :func:`_margin_softmax` and
+    the diversity triple of :func:`_head_penalties` (None for a single
+    head). Heads are summed in ascending order from zero, each head's
+    batch mean taken on its own (the sum over rows divided by n, which
+    is what ``np.mean`` computes), so one bank gives the same bits as the
     head-by-head formulation.
     """
-    losses, probs, flat = _margin_softmax(np.matmul(x_batch, w), labels, cfg.margin)
-    classification = _sum_heads(np.mean(losses, axis=-1))
+    losses, probs, index = _margin_softmax(np.matmul(x_batch, w), labels, cfg.margin)
+    classification = _sum_heads(np.add.reduce(losses, axis=-1) / x_batch.shape[0])
     diversity = 0.0
-    pair = None
+    triple = None
     if w.shape[-3] >= 2:
-        pair = _diversity_kernels(w)
-        diversity = _sum_heads(_head_penalties(*pair))
+        penalties, triple = _head_penalties(w)
+        diversity = _sum_heads(penalties)
     total = classification + cfg.diversity_weight * diversity
-    return classification, diversity, total, probs, flat, pair
+    return classification, diversity, total, probs, index, triple
 
 
 def em_softmax_forward(x_batch: np.ndarray, bank, labels, cfg: LossConfig) -> LossOutput:
@@ -403,9 +422,9 @@ def em_softmax_forward(x_batch: np.ndarray, bank, labels, cfg: LossConfig) -> Lo
     w = _check_bank(bank)
     _check_heads(len(w), cfg)
     x_batch, labels = _check_batch(x_batch, labels, w.shape[1], w.shape[2])
-    classification, diversity, total, probs, flat, pair = _loss_core(x_batch, w, labels, cfg)
+    classification, diversity, total, probs, index, triple = _loss_core(x_batch, w, labels, cfg)
     return LossOutput(float(total), float(classification), float(diversity), probs,
-                      (x_batch, w, flat, probs, pair, cfg))
+                      (x_batch, w, index, probs, triple, cfg))
 
 
 def em_softmax_totals(x_batch: np.ndarray, banks, labels, cfg: LossConfig) -> np.ndarray:
@@ -429,27 +448,33 @@ def em_softmax_backward(fwd: LossOutput) -> tuple[np.ndarray, np.ndarray]:
     Returns the ``(V, d, K)`` head gradients ``x^T (probs - onehot)/n +
     lambda * d(diversity)/dWv`` and the feature gradient ``sum_v (probs_v
     - onehot) Wv^T / n``. Everything comes from the record that
-    :func:`em_softmax_forward` kept in ``fwd``: the inputs, the
-    probabilities, the diversity kernels, and the config, which supplies
+    :func:`em_softmax_forward` kept in ``fwd``: the inputs, the label
+    index, the probabilities, the normalized heads with their column
+    norms and products ``Wv_hat Kv``, and the config, which supplies
     lambda and the diversity gradient mode.
+
+    The feature gradient adds the heads' ``(n, d)`` terms to zeros in
+    ascending v. One ``np.add.reduce`` over the head axis does that
+    when each term holds at least two values; a single value per head
+    would be summed pairwise (from V = 8), so that case keeps the loop.
     """
     record = getattr(fwd, "_record", None)
     if record is None:
         raise ValueError("forward output was not produced by em_softmax_forward")
-    x, w, flat, probs, pair, cfg = record
-    n = x.shape[0]
+    x, w, index, probs, triple, cfg = record
 
-    delta = probs.reshape(len(w), -1).copy()
-    delta[:, flat] -= 1.0
-    delta = delta.reshape(probs.shape)
-    delta /= n
+    delta = probs.copy()
+    delta.reshape(-1)[index] -= 1.0
+    delta /= x.shape[0]
     grads_bank = np.matmul(x.T, delta)
-    if pair is not None and cfg.diversity_weight != 0.0:
+    if triple is not None and cfg.diversity_weight != 0.0:
         grads_bank += cfg.diversity_weight * _diversity_grads(
-            w, *pair, cfg.exact_diversity_grad
+            *triple, cfg.exact_diversity_grad
         )
     per_head_x = np.matmul(delta, np.swapaxes(w, -1, -2))
+    if x.size > 1:
+        return grads_bank, np.add.reduce(per_head_x, axis=0, initial=0.0)
     grads_x = np.zeros(x.shape)
-    for v in range(w.shape[0]):
-        grads_x += per_head_x[v]
+    for head_x in per_head_x:
+        grads_x += head_x
     return grads_bank, grads_x

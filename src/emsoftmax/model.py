@@ -101,7 +101,7 @@ class MlpFeatureExtractor:
             raise ValueError("cache does not match the network depth")
         param_grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(self.weights)
         for i in range(len(self.weights) - 1, -1, -1):
-            param_grads[i] = (cache[i].T @ grad, np.sum(grad, axis=0, keepdims=True))
+            param_grads[i] = (cache[i].T @ grad, np.add.reduce(grad, axis=0, keepdims=True))
             if i > 0:
                 # ReLU mask from this layer's input max(pre, 0), which is
                 # positive exactly where pre > 0 (NaN included).
@@ -237,6 +237,8 @@ def load_checkpoint(path) -> tuple[MlpFeatureExtractor, WeakClassifierBank]:
     num_classes = r.u32()
     if num_heads < 1:
         raise CheckpointError("bank header says 0 heads")
+    if num_classes < 1:
+        raise CheckpointError("bank header says 0 classes")
     if feature_dim != dims[-1]:
         raise CheckpointError(
             f"bank expects {feature_dim}-dim features, network emits {dims[-1]}"

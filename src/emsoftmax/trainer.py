@@ -363,6 +363,12 @@ def _bank_differences(feats, bank_heads, y, loss_cfg) -> np.ndarray:
     return ((totals[0::2] - totals[1::2]) / (2 * _FD_STEP)).reshape(bank_heads.shape)
 
 
+def _relative_errors(analytic: np.ndarray, numeric: np.ndarray) -> np.ndarray:
+    """Entrywise ``|analytic - numeric| / max(|analytic|, |numeric|, 1e-3)``."""
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-3)
+    return np.abs(analytic - numeric) / denom
+
+
 def grad_check(
     net: MlpFeatureExtractor | None,
     bank: WeakClassifierBank,
@@ -389,9 +395,11 @@ def grad_check(
     diversity backward is always used here because the detached
     training rule is not the derivative of the loss.
 
-    The features are computed once for the bank blocks, and all their
-    perturbed banks are scored in batches; network blocks are differenced
-    entry by entry, one forward pass per perturbation.
+    The features are computed once for the bank blocks, all their
+    perturbed banks are scored in batches, and the errors of the whole
+    bank are formed in one pass, then maximized head by head; network
+    blocks are differenced entry by entry, one forward pass per
+    perturbation.
 
     ``corrupt_block`` deliberately perturbs one analytic block (e.g.
     ``"head0"`` or ``"w1"``) before comparison — the self-test that the
@@ -407,28 +415,26 @@ def grad_check(
     _, feats, grads = _gradients(net, bank, x, y, check_cfg)
     # the bank, the last block, is compared head by head
     *net_blocks, _ = _parameters(net, bank)
-    blocks = [(name, p, g) for (name, p, _), g in zip(net_blocks, grads)]
-    blocks += [(f"head{v}", w, g) for v, (w, g) in enumerate(zip(bank.heads, grads[-1]))]
-
+    head_names = [f"head{v}" for v in range(bank.num_heads)]
     if corrupt_block is not None:
-        names = [name for name, _, _ in blocks]
+        names = [name for name, _, _ in net_blocks] + head_names
         if corrupt_block not in names:
             raise ValueError(f"unknown block {corrupt_block!r}, have {names}")
-        blocks = [
-            (name, p, g + 1e-2 if name == corrupt_block else g)
-            for name, p, g in blocks
-        ]
-
-    numerics = [
-        _entrywise_differences(net, bank.heads, x, y, check_cfg, param)
-        for _, param, _ in net_blocks
-    ]
-    numerics += list(_bank_differences(feats, bank.heads, y, check_cfg))
 
     errors: dict[str, float] = {}
-    for (name, _, analytic), numeric in zip(blocks, numerics):
-        denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-3)
-        errors[name] = float(np.max(np.abs(analytic - numeric) / denom))
+    for (name, param, _), analytic in zip(net_blocks, grads):
+        if name == corrupt_block:
+            analytic = analytic + 1e-2
+        numeric = _entrywise_differences(net, bank.heads, x, y, check_cfg, param)
+        errors[name] = float(np.max(_relative_errors(analytic, numeric)))
+    analytic = grads[-1]
+    if corrupt_block in head_names:
+        analytic = analytic.copy()
+        analytic[head_names.index(corrupt_block)] += 1e-2
+    numeric = _bank_differences(feats, bank.heads, y, check_cfg)
+    per_head = _relative_errors(analytic, numeric).reshape(len(head_names), -1)
+    # max is exact, so each head's error has the bits of its block's own max
+    errors.update(zip(head_names, np.max(per_head, axis=1).tolist()))
 
     # np.max, unlike max(), cannot skip a NaN block error
     max_error = float(np.max(list(errors.values())))

@@ -296,6 +296,20 @@ class TestTrainCommand:
         assert f"{key} must be at least 1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_idx_label_out_of_range_exits_one_naming_the_file(self, tmp_path, capsys):
+        write_idx_split(tmp_path, "train", 20, 6, seed=1)
+        write_idx_split(tmp_path, "t10k", 10, 6, seed=2)
+        labels = tmp_path / "train-labels-idx1-ubyte"
+        blob = bytearray(labels.read_bytes())
+        blob[8 + 5] = 12
+        labels.write_bytes(bytes(blob))
+        cfg_path = write_quick(tmp_path, dataset="mnist", mnist_dir=str(tmp_path))
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"emsoftmax: error: {labels}: label 12 out of range for 10 classes" in err
+        assert not out.exists()
+
     def test_divergent_run_exits_two_and_keeps_partial_report(self, tmp_path, capsys):
         cfg_path = write_quick(tmp_path, base_lr="10000.0", log_every="1")
         out = tmp_path / "boom"

@@ -89,6 +89,13 @@ class TestIdxLoading:
         with pytest.raises(IdxFormatError, match="3 images but.*2 labels"):
             load_idx_pair(imgs, labels)
 
+    def test_label_out_of_range_names_the_label_file(self, tmp_path):
+        paths = write_pair(tmp_path, idx_image_bytes(np.zeros((3, 1, 1), dtype=np.uint8)),
+                           idx_label_bytes([0, 12, 2]))
+        with pytest.raises(IdxFormatError, match="labels: label 12 out of range for 10"):
+            load_idx_pair(*paths, num_classes=10)
+        assert load_idx_pair(*paths, num_classes=13).num_classes == 13
+
     def test_pair_default_class_count(self, tmp_path):
         imgs = tmp_path / "imgs"
         labels = tmp_path / "labels"

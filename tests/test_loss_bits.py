@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    ref_em_softmax_backward,
     ref_kernel_loop,
     ref_loss_backward,
     ref_loss_forward,
@@ -104,11 +105,14 @@ class TestMarginSoftmax:
         for lead in ((1,), (6,), (2, 9)):
             scores = g.normal(scale=3.0, size=(*lead, 24, k))
             labels = g.integers(0, k, size=24)
-            losses, probs, flat = _margin_softmax(scores.copy(), labels, m)
-            ref_losses, ref_probs = ref_margin_softmax(scores.copy(), labels, m)
+            adjusted, ref_adjusted = scores.copy(), scores.copy()
+            losses, probs, index = _margin_softmax(adjusted, labels, m)
+            ref_losses, ref_probs = ref_margin_softmax(ref_adjusted, labels, m)
             assert_bits(losses, ref_losses)
             assert_bits(probs, ref_probs)
-            assert_bits(probs.reshape(*lead, -1)[..., flat], ref_probs[..., np.arange(24), labels])
+            assert_bits(adjusted, ref_adjusted)
+            assert_bits(probs.reshape(-1)[index].reshape(*lead, 24),
+                        ref_probs[..., np.arange(24), labels])
 
 
 @pytest.mark.parametrize("v", range(1, 13))
@@ -117,8 +121,10 @@ def test_kernels_match_slice_loop(v):
     for k in (2, 3, 4, 10, 129):
         for lead in ((), (1,), (3,)):
             w = g.normal(size=(*lead, v, 3, k))
-            for got, want in zip(_diversity_kernels(w), ref_kernel_loop(w)):
-                assert_bits(got, want)
+            w_hats, _, kernels = _diversity_kernels(w)
+            want_hats, want_kernels = ref_kernel_loop(w)
+            assert_bits(w_hats, want_hats)
+            assert_bits(kernels, want_kernels)
 
 
 def test_one_bank_heads_summed_in_plain_order():
@@ -159,6 +165,24 @@ def test_forward_backward_and_totals_match_reference(v):
                 cfg = LossConfig(m, 0.1, v)
                 assert_bits(em_softmax_totals(x, banks, labels, cfg),
                             ref_loss_totals(x, banks, labels, cfg))
+
+
+@pytest.mark.parametrize("v", [8, 12])
+def test_single_value_feature_gradient_adds_heads_in_order(v):
+    # with n = d = 1 each head adds one value to the feature gradient, which
+    # numpy's reduce over V would sum pairwise from V = 8
+    g = np.random.default_rng(200 + v)
+    for k in (2, 3, 10):
+        for m, lam, exact in LOSS_SETTINGS:
+            cfg = LossConfig(m, lam, v, exact)
+            for _ in range(25):
+                x = g.normal(scale=3.0, size=(1, 1))
+                bank = g.normal(size=(v, 1, k))
+                labels = g.integers(0, k, size=1)
+                fwd = em_softmax_forward(x, bank, labels, cfg)
+                want = ref_em_softmax_backward(x, bank, labels, cfg, fwd)
+                for got, expected in zip(em_softmax_backward(fwd), want):
+                    assert_bits(got, expected)
 
 
 def test_zero_columns_warn_and_match_reference():

@@ -284,7 +284,8 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     @pytest.mark.parametrize("bank_shape, match", [((0, 3, 4), "0 heads"),
-                                                   ((2, 6, 4), "6-dim features")])
+                                                   ((2, 6, 4), "6-dim features"),
+                                                   ((1, 3, 0), "0 classes")])
     def test_bank_header_must_fit_network(self, tmp_path, bank_shape, match):
         # a CRC-valid file whose bank cannot score the network's features
         net = MlpFeatureExtractor([5, 4, 3], Rng(11))

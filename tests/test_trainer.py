@@ -445,6 +445,26 @@ class TestGradCheck:
         assert not res["passed"]
         assert res["block_errors"]["head1"] > 1e-3
 
+    @pytest.mark.parametrize("corrupt", [None, "head1"])
+    def test_bank_errors_equal_the_per_block_formula(self, corrupt):
+        # the bank's errors are formed in one pass; each head's must keep
+        # the bits of the formula applied to that head's block alone
+        ds = blob_dataset(per=3, dim=4)
+        bank = WeakClassifierBank(ds.dim, ds.num_classes, 3, Rng(4))
+        x, y = ds.features[:3], ds.labels[:3]
+        cfg = LossConfig(0.5, 0.1, 3)
+        res = grad_check(None, bank, x, y, cfg, corrupt_block=corrupt)
+        check_cfg = replace(cfg, exact_diversity_grad=True)
+        analytic = trainer._gradients(None, bank, x, y, check_cfg)[2][-1]
+        numeric = trainer._bank_differences(x, bank.heads, y, check_cfg)
+        expected = {}
+        for v in range(3):
+            a = analytic[v] + 1e-2 if f"head{v}" == corrupt else analytic[v]
+            denom = np.maximum(np.maximum(np.abs(a), np.abs(numeric[v])), 1e-3)
+            expected[f"head{v}"] = float(np.max(np.abs(a - numeric[v]) / denom))
+        assert res["block_errors"] == expected
+        assert res["passed"] == (corrupt is None)
+
     @staticmethod
     def wide_bank_check(monkeypatch, **kwargs):
         # 2 heads of 50 x 10: 2000 perturbed banks of 1000 values each, so
