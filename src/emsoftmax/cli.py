@@ -195,13 +195,19 @@ def config_to_text(cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _load_config(path: str | None) -> RunConfig:
+def _load_config(path: str | Path | None) -> RunConfig:
+    """The config file at ``path`` as UTF-8 text, or the defaults for None.
+
+    Every config file, ``resolved.cfg`` included, is read here."""
     if path is None:
         return RunConfig()
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"config file not found: {path}")
-    return parse_config_text(p.read_text())
+    try:
+        return parse_config_text(p.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
 _MNIST_CLASSES = 10
@@ -372,7 +378,7 @@ def _warn_data_changes(cfg: RunConfig, resolved: Path) -> None:
     if not resolved.exists():
         return
     try:
-        trained = parse_config_text(resolved.read_text())
+        trained = _load_config(resolved)
     except (OSError, ConfigError) as exc:
         print(f"emsoftmax: warning: cannot compare --config with {resolved}: {exc}",
               file=sys.stderr)

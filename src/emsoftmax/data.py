@@ -1,12 +1,15 @@
 """Dataset handling: IDX image files, preprocessing, synthetic blobs.
 
-The IDX reader covers the classic big-endian format used by the MNIST
+One IDX reader covers the classic big-endian format used by the MNIST
 distribution files: magic 0x00000803 for uint8 image tensors and
 0x00000801 for uint8 label vectors. Gzipped files are detected from the
 two-byte gzip signature, so both ``t10k-images-idx3-ubyte`` and
-``t10k-images-idx3-ubyte.gz`` work unchanged. Pixels scale to [0, 1]:
-the reader views the file's payload in place and makes one float64 copy
-of it, the array the model sees. The only other preprocessing offered is
+``t10k-images-idx3-ubyte.gz`` work unchanged. The reader checks the
+whole file (the gzip stream, the magic, every dimension positive, the
+payload size the header implies) and reports any fault as an
+:class:`IdxFormatError` naming the file. Pixels scale to [0, 1]: the
+payload is viewed in place and copied once to float64, the array the
+model sees. The only other preprocessing offered is
 global mean subtraction with the training mean applied to every split
 (or a stored mean reapplied); it works in place on the given splits, so
 no second copy of the data exists at any point.
@@ -23,7 +26,8 @@ import gzip
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+import zlib
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -90,48 +94,28 @@ class Dataset:
         return Dataset(self.features[indices], self.labels[indices], self.num_classes)
 
 
-def _read_bytes(path) -> bytes:
-    raw = Path(path).read_bytes()
-    if raw[:2] == b"\x1f\x8b":
-        return gzip.decompress(raw)
-    return raw
-
-
-def _header(blob: bytes, path, expected_magic: int, n_dims: int) -> tuple[int, ...]:
+def _read_idx(path, magic: int, n_dims: int) -> np.ndarray:
+    """The uint8 payload of an IDX file, in the shape its header gives."""
+    blob = Path(path).read_bytes()
+    if blob[:2] == b"\x1f\x8b":
+        try:
+            blob = gzip.decompress(blob)
+        except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+            raise IdxFormatError(f"{path}: bad gzip stream: {exc}") from exc
     need = 4 * (1 + n_dims)
     if len(blob) < need:
         raise IdxFormatError(f"{path}: header truncated ({len(blob)} bytes)")
-    fields = struct.unpack(f">{1 + n_dims}I", blob[:need])
-    if fields[0] != expected_magic:
+    found, *shape = struct.unpack(f">{1 + n_dims}I", blob[:need])
+    if found != magic:
+        raise IdxFormatError(f"{path}: bad magic {found:#010x}, expected {magic:#010x}")
+    if 0 in shape:
+        raise IdxFormatError(f"{path}: header dims {tuple(shape)} include a zero")
+    expected = math.prod(shape)
+    if len(blob) - need != expected:
         raise IdxFormatError(
-            f"{path}: bad magic {fields[0]:#010x}, expected {expected_magic:#010x}"
+            f"{path}: payload is {len(blob) - need} bytes, header implies {expected}"
         )
-    return fields[1:]
-
-
-def _load_idx_images(path) -> np.ndarray:
-    """Flattened image matrix (n x rows*cols) scaled to [0, 1]."""
-    blob = _read_bytes(path)
-    count, rows, cols = _header(blob, path, _IMAGE_MAGIC, 3)
-    expected = count * rows * cols
-    if len(blob) - 16 != expected:
-        raise IdxFormatError(
-            f"{path}: payload is {len(blob) - 16} bytes, header implies {expected}"
-        )
-    pixels = np.frombuffer(blob, dtype=np.uint8, offset=16).reshape(count, rows * cols)
-    images = pixels.astype(np.float64)
-    images /= 255.0
-    return images
-
-
-def _load_idx_labels(path) -> np.ndarray:
-    blob = _read_bytes(path)
-    (count,) = _header(blob, path, _LABEL_MAGIC, 1)
-    if len(blob) - 8 != count:
-        raise IdxFormatError(
-            f"{path}: payload is {len(blob) - 8} bytes, header implies {count}"
-        )
-    return np.frombuffer(blob, dtype=np.uint8, offset=8).astype(np.int64)
+    return np.frombuffer(blob, dtype=np.uint8, offset=need).reshape(shape)
 
 
 def load_idx_pair(image_path, label_path, num_classes: int | None = None) -> Dataset:
@@ -141,14 +125,17 @@ def load_idx_pair(image_path, label_path, num_classes: int | None = None) -> Dat
     digit files; a given count that some label reaches is a format error
     naming the label file.
     """
-    images = _load_idx_images(image_path)
-    labels = _load_idx_labels(label_path)
-    if images.shape[0] != labels.shape[0]:
+    images = _read_idx(image_path, _IMAGE_MAGIC, 3)
+    # rebinding to the float64 copy lets go of the file's bytes before the
+    # labels are read
+    images = images.reshape(len(images), -1).astype(np.float64)
+    images /= 255.0
+    labels = _read_idx(label_path, _LABEL_MAGIC, 1).astype(np.int64)
+    if len(images) != len(labels):
         raise IdxFormatError(
-            f"{image_path} has {images.shape[0]} images but "
-            f"{label_path} has {labels.shape[0]} labels"
+            f"{image_path} has {len(images)} images but {label_path} has {len(labels)} labels"
         )
-    top = int(labels.max()) if labels.size else 0
+    top = int(labels.max())
     if num_classes is None:
         num_classes = top + 1
     elif top >= num_classes:

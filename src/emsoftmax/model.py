@@ -11,7 +11,9 @@ ensemble size.
 Checkpoints are a self-describing little-endian binary format (magic,
 version, layer dims, raw float64 payload, CRC-32 trailer). Loading
 verifies magic, version, and checksum separately so corruption reports
-what actually went wrong.
+what actually went wrong. Each array's ``(rows, cols)`` is checked
+against the shape the header implies before its payload is read, and
+bytes after the last head are rejected.
 """
 
 from __future__ import annotations
@@ -170,10 +172,13 @@ class _Reader:
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
 
-    def array(self) -> np.ndarray:
-        rows, cols = struct.unpack("<II", self.take(8))
-        raw = self.take(rows * cols * 8)
-        return np.frombuffer(raw, dtype="<f8").reshape(rows, cols).copy()
+    def array(self, shape: tuple[int, int], what: str) -> np.ndarray:
+        """The next array, whose ``(rows, cols)`` must be ``shape``."""
+        found = struct.unpack("<II", self.take(8))
+        if found != shape:
+            raise CheckpointError(f"{what} has shape {found}, header says {shape}")
+        raw = self.take(shape[0] * shape[1] * 8)
+        return np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
 
 
 def save_checkpoint(path, net: MlpFeatureExtractor, bank: WeakClassifierBank) -> None:
@@ -223,15 +228,8 @@ def load_checkpoint(path) -> tuple[MlpFeatureExtractor, WeakClassifierBank]:
     except ValueError as exc:
         raise CheckpointError(f"bad layer dims {dims}: {exc}") from exc
     for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
-        net.weights[i] = r.array()
-        net.biases[i] = r.array()
-        for name, a, want in (("w", net.weights[i], (fan_in, fan_out)),
-                              ("b", net.biases[i], (1, fan_out))):
-            if a.shape != want:
-                raise CheckpointError(
-                    f"layer {i} {name}{i} has shape {a.shape}, header dims {dims} "
-                    f"say {want}"
-                )
+        net.weights[i] = r.array((fan_in, fan_out), f"layer {i} w{i} of dims {dims}")
+        net.biases[i] = r.array((1, fan_out), f"layer {i} b{i} of dims {dims}")
     num_heads = r.u32()
     feature_dim = r.u32()
     num_classes = r.u32()
@@ -243,15 +241,9 @@ def load_checkpoint(path) -> tuple[MlpFeatureExtractor, WeakClassifierBank]:
         raise CheckpointError(
             f"bank expects {feature_dim}-dim features, network emits {dims[-1]}"
         )
-    heads = [r.array() for _ in range(num_heads)]
-    for i, w in enumerate(heads):
-        if w.shape != (feature_dim, num_classes):
-            raise CheckpointError(
-                f"head {i} has shape {w.shape}, header says "
-                f"({feature_dim}, {num_classes})"
-            )
+    heads = [r.array((feature_dim, num_classes), f"head {v}") for v in range(num_heads)]
+    if r.pos != len(payload):
+        raise CheckpointError(f"{len(payload) - r.pos} bytes after the last head")
     bank = WeakClassifierBank.__new__(WeakClassifierBank)
-    bank.heads = np.array(heads, dtype=np.float64).reshape(
-        num_heads, feature_dim, num_classes
-    )
+    bank.heads = np.array(heads)
     return net, bank

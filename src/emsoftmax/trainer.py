@@ -294,9 +294,9 @@ def train(
                 last = it == sgd_cfg.max_iters - 1
                 logged = (it + 1) % log_every == 0 or last
                 if logged:
-                    # the model that produced this step's loss, before its update
-                    scores = sum(feats @ w for w in bank.heads)
-                    train_acc = float(np.mean(np.argmax(scores, axis=1) == y))
+                    # the assembled model that produced this step's loss, before its update
+                    batch = Dataset(feats, y, bank.num_classes)
+                    train_acc = count_hits(None, bank, batch)[0] / len(y)
                 lr = learning_rate(sgd_cfg, it)
                 sgd_step(params, grads, velocities, decay_flags, lr, sgd_cfg)
 

@@ -1,6 +1,8 @@
+import gzip
 import re
 import struct
 import tracemalloc
+import zlib
 from dataclasses import fields, replace
 
 import numpy as np
@@ -344,13 +346,19 @@ DATA_KEYS = {
 }
 
 
-def eval_with_config(tmp_path, **overrides):
+def untrained_checkpoint(tmp_path):
+    """model.ckpt of an untrained model that scores QUICK's data, in tmp_path/run."""
     out = tmp_path / "run"
     out.mkdir()
     net = MlpFeatureExtractor([8, 12, 8], Rng(1))
     save_checkpoint(out / "model.ckpt", net, WeakClassifierBank(8, 4, 2, Rng(2)))
+    return out / "model.ckpt"
+
+
+def eval_with_config(tmp_path, **overrides):
+    ckpt = untrained_checkpoint(tmp_path)
     cfg_path = write_quick(tmp_path, **overrides)
-    return main(["eval", "--checkpoint", str(out / "model.ckpt"), "--config", str(cfg_path)])
+    return main(["eval", "--checkpoint", str(ckpt), "--config", str(cfg_path)])
 
 
 class TestConfigValidation:
@@ -552,6 +560,91 @@ class TestEvalCommand:
     def test_missing_checkpoint_exits_one(self, tmp_path, capsys):
         cfg_path = write_quick(tmp_path)
         assert main(["eval", "--checkpoint", str(tmp_path / "no.ckpt"), "--config", str(cfg_path)]) == 1
+
+
+def train_on_damaged_images(tmp_path, name, blob, count=20):
+    """A train command on IDX files whose training images are ``blob``,
+    beside ``count`` training labels."""
+    write_idx_split(tmp_path, "train", count, 6, seed=1)
+    write_idx_split(tmp_path, "t10k", 10, 6, seed=2)
+    (tmp_path / "train-images-idx3-ubyte").unlink()
+    (tmp_path / name).write_bytes(blob)
+    cfg_path = write_quick(tmp_path, dataset="mnist", mnist_dir=str(tmp_path))
+    return ["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")], tmp_path / name
+
+
+def gzipped_images(damage):
+    blob = gzip.compress(struct.pack(">IIII", 0x803, 20, 6, 6) + bytes(20 * 36))
+    if damage == "truncated":
+        return blob[: len(blob) // 2]
+    # flip the CRC-32 in the trailer
+    return blob[:-8] + bytes(b ^ 0xFF for b in blob[-8:-4]) + blob[-4:]
+
+
+def eval_with_damaged_checkpoint(tmp_path, extra):
+    """An eval command on a CRC-valid checkpoint with ``extra`` after its bank."""
+    ckpt = untrained_checkpoint(tmp_path)
+    body = ckpt.read_bytes()[:-4] + extra
+    ckpt.write_bytes(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+    return ["eval", "--checkpoint", str(ckpt), "--config", str(write_quick(tmp_path))], ckpt
+
+
+def eval_without_config(tmp_path, resolved_text):
+    """An eval command without --config next to the given resolved.cfg bytes."""
+    ckpt = untrained_checkpoint(tmp_path)
+    resolved = ckpt.with_name("resolved.cfg")
+    resolved.write_bytes(resolved_text)
+    return ["eval", "--checkpoint", str(ckpt)], resolved
+
+
+def train_with_config_bytes(tmp_path, blob):
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_bytes(blob)
+    return ["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")], cfg_path
+
+
+UNREADABLE_INPUTS = {
+    "zero image count": lambda tmp: train_on_damaged_images(
+        tmp, "train-images-idx3-ubyte", struct.pack(">IIII", 0x803, 0, 28, 28), count=0),
+    "zero image width": lambda tmp: train_on_damaged_images(
+        tmp, "train-images-idx3-ubyte", struct.pack(">IIII", 0x803, 5, 0, 28), count=5),
+    "truncated gzip": lambda tmp: train_on_damaged_images(
+        tmp, "train-images-idx3-ubyte.gz", gzipped_images("truncated")),
+    "corrupt gzip": lambda tmp: train_on_damaged_images(
+        tmp, "train-images-idx3-ubyte.gz", gzipped_images("bad crc")),
+    "non-UTF-8 --config": lambda tmp: train_with_config_bytes(tmp, b"seed = 3\n\xff\n"),
+    "non-UTF-8 resolved.cfg": lambda tmp: eval_without_config(tmp, b"\xff\n"),
+    "3 bytes after the bank": lambda tmp: eval_with_damaged_checkpoint(tmp, b"\x00\x01\x02"),
+    "array after the bank": lambda tmp: eval_with_damaged_checkpoint(
+        tmp, struct.pack("<II", 1, 1) + bytes(8)),
+}
+
+
+class TestUnreadableInput:
+    """Damaged input files end in one error line naming the file, and exit 1.
+
+    ``main`` is called in-process: an escaping exception would also exit 1
+    from a shell, so only its return value tells a traceback from a clean
+    error.
+    """
+
+    @pytest.mark.parametrize("case", UNREADABLE_INPUTS)
+    def test_returns_one_naming_the_file(self, tmp_path, capsys, case):
+        argv, culprit = UNREADABLE_INPUTS[case](tmp_path)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("emsoftmax: error:") and str(culprit) in line
+        assert not (tmp_path / "run" / "report.csv").exists()
+
+    def test_unreadable_resolved_cfg_only_warns_beside_config(self, tmp_path, capsys):
+        argv, resolved = eval_without_config(tmp_path, b"\xff\n")
+        assert main([*argv, "--config", str(write_quick(tmp_path))]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("top1 accuracy: ")
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"emsoftmax: warning: cannot compare --config with {resolved}: ")
 
 
 class TestGradcheckCommand:

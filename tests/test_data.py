@@ -81,6 +81,30 @@ class TestIdxLoading:
         with pytest.raises(IdxFormatError, match="truncated"):
             load_idx_pair(*paths)
 
+    @pytest.mark.parametrize("image_shape, label_count, name", [
+        ((0, 28, 28), 0, "imgs"), ((5, 0, 28), 5, "imgs"), ((2, 3, 3), 0, "labels"),
+    ], ids=["zero count", "zero row width", "zero label count"])
+    def test_zero_dimension_names_the_file(self, tmp_path, image_shape, label_count, name):
+        paths = write_pair(tmp_path, idx_image_bytes(np.zeros(image_shape, dtype=np.uint8)),
+                           idx_label_bytes([0] * label_count))
+        with pytest.raises(IdxFormatError, match=f"{name}: header dims .* include a zero"):
+            load_idx_pair(*paths)
+
+    @pytest.mark.parametrize("damage", ["truncated", "bad crc", "bad deflate block"])
+    def test_damaged_gzip_names_the_file(self, tmp_path, damage):
+        blob = gzip.compress(idx_image_bytes(np.arange(48, dtype=np.uint8).reshape(3, 4, 4)))
+        if damage == "truncated":
+            blob = blob[: len(blob) // 2]
+        elif damage == "bad crc":
+            # the trailer is the CRC-32, then the uncompressed size
+            blob = blob[:-8] + bytes(b ^ 0xFF for b in blob[-8:-4]) + blob[-4:]
+        else:
+            # after the 10-byte gzip header, block type 3 is reserved
+            blob = blob[:10] + b"\xff" * 20
+        paths = write_pair(tmp_path, blob, idx_label_bytes([0, 1, 2]), image_name="imgs.gz")
+        with pytest.raises(IdxFormatError, match="imgs.gz: bad gzip stream"):
+            load_idx_pair(*paths)
+
     def test_pair_count_mismatch(self, tmp_path):
         imgs = tmp_path / "imgs"
         labels = tmp_path / "labels"

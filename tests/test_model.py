@@ -1,4 +1,5 @@
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -189,6 +190,9 @@ class TestCheckpoint:
         bank = WeakClassifierBank(3, 4, 2, Rng(12))
         return net, bank
 
+    def write_with_crc(self, path, body):
+        path.write_bytes(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+
     def test_round_trip_bitwise(self, tmp_path):
         net, bank = self.make_pair()
         path = tmp_path / "model.ckpt"
@@ -258,16 +262,13 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_unsupported_version(self, tmp_path):
-        import zlib
-
         net, bank = self.make_pair()
         path = tmp_path / "x.ckpt"
         save_checkpoint(path, net, bank)
         blob = bytearray(path.read_bytes()[:-4])
         # bump the version word that follows the 4-byte magic
         blob[4:8] = struct.pack("<I", 99)
-        crc = zlib.crc32(bytes(blob)) & 0xFFFFFFFF
-        path.write_bytes(bytes(blob) + struct.pack("<I", crc))
+        self.write_with_crc(path, bytes(blob))
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(path)
 
@@ -296,12 +297,35 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=match):
             load_checkpoint(path)
 
-    def test_unbuildable_header_dims(self, tmp_path):
-        import zlib
-
-        # magic, version 1, one layer dim: no network can have that shape
-        blob = b"EMSM" + struct.pack("<III", 1, 1, 20)
+    @pytest.mark.parametrize("extra", [b"\x00\x01\x02",
+                                       struct.pack("<II", 3, 4) + bytes(8 * 12)],
+                             ids=["3 junk bytes", "extra array"])
+    def test_bytes_after_the_bank_rejected(self, tmp_path, extra):
+        net, bank = self.make_pair()
         path = tmp_path / "x.ckpt"
-        path.write_bytes(blob + struct.pack("<I", zlib.crc32(blob) & 0xFFFFFFFF))
+        save_checkpoint(path, net, bank)
+        self.write_with_crc(path, path.read_bytes()[:-4] + extra)
+        with pytest.raises(CheckpointError, match=f"{len(extra)} bytes after the last head"):
+            load_checkpoint(path)
+
+    def test_head_shape_must_match_bank_header(self, tmp_path):
+        # the last head's (rows, cols) says (4, 3) where the bank header
+        # says (3, 4): the same payload size, in the wrong shape
+        net, bank = self.make_pair()
+        path = tmp_path / "x.ckpt"
+        save_checkpoint(path, net, bank)
+        body = bytearray(path.read_bytes()[:-4])
+        at = len(body) - 8 * 12 - 8
+        assert struct.unpack("<II", body[at : at + 8]) == (3, 4)
+        body[at : at + 8] = struct.pack("<II", 4, 3)
+        self.write_with_crc(path, bytes(body))
+        with pytest.raises(CheckpointError,
+                           match=r"head 1 has shape \(4, 3\), header says \(3, 4\)"):
+            load_checkpoint(path)
+
+    def test_unbuildable_header_dims(self, tmp_path):
+        # magic, version 1, one layer dim: no network can have that shape
+        path = tmp_path / "x.ckpt"
+        self.write_with_crc(path, b"EMSM" + struct.pack("<III", 1, 1, 20))
         with pytest.raises(CheckpointError, match="dims"):
             load_checkpoint(path)

@@ -234,7 +234,8 @@ class TestTrain:
         )
         assert len(rep.rows) == len(snapshots) == 30
         for row, (feats, heads, y) in zip(rep.rows, snapshots):
-            scores = sum(feats @ w for w in heads)
+            # the assembled classifier, which eval scores
+            scores = feats @ heads.mean(axis=0)
             assert row[5] == float(np.mean(np.argmax(scores, axis=1) == y))
 
     def test_mismatched_heads_rejected(self):
