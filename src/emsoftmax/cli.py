@@ -198,7 +198,9 @@ def config_to_text(cfg: RunConfig) -> str:
 def _load_config(path: str | Path | None) -> RunConfig:
     """The config file at ``path`` as UTF-8 text, or the defaults for None.
 
-    Every config file, ``resolved.cfg`` included, is read here."""
+    Every config file, ``resolved.cfg`` included, is read here. An existing
+    file that cannot be read or parsed raises a ConfigError that begins
+    with its path."""
     if path is None:
         return RunConfig()
     p = Path(path)
@@ -208,6 +210,10 @@ def _load_config(path: str | Path | None) -> RunConfig:
         return parse_config_text(p.read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read: {exc.strerror}") from exc
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 _MNIST_CLASSES = 10
@@ -266,17 +272,17 @@ def _load_splits(cfg: RunConfig, names) -> dict[str, Dataset]:
         bases = np.arange(cfg.synth_classes)[:, None] * per_class
         splits = {name: full.take((bases + np.arange(*bounds[name])).ravel()) for name in names}
     else:
+        # limit_train = 0 keeps every row
+        limits = {"train": cfg.limit_train or None}
         splits = {
             name: load_idx_pair(
                 _find_idx(cfg.mnist_dir, _MNIST_STEMS[f"{name}_images"]),
                 _find_idx(cfg.mnist_dir, _MNIST_STEMS[f"{name}_labels"]),
                 num_classes=_MNIST_CLASSES,
+                limit=limits.get(name),
             )
             for name in names
         }
-    if cfg.limit_train and "train" in splits:
-        train_ds = splits["train"]
-        splits["train"] = train_ds.take(np.arange(min(cfg.limit_train, len(train_ds))))
     return splits
 
 
@@ -379,9 +385,9 @@ def _warn_data_changes(cfg: RunConfig, resolved: Path) -> None:
         return
     try:
         trained = _load_config(resolved)
-    except (OSError, ConfigError) as exc:
-        print(f"emsoftmax: warning: cannot compare --config with {resolved}: {exc}",
-              file=sys.stderr)
+    except ConfigError as exc:
+        # the error begins with the path
+        print(f"emsoftmax: warning: cannot compare --config with {exc}", file=sys.stderr)
         return
     keys = list(_DATA_KEYS)
     for source in dict.fromkeys((trained.dataset, cfg.dataset)):

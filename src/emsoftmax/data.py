@@ -9,7 +9,9 @@ whole file (the gzip stream, the magic, every dimension positive, the
 payload size the header implies) and reports any fault as an
 :class:`IdxFormatError` naming the file. Pixels scale to [0, 1]: the
 payload is viewed in place and copied once to float64, the array the
-model sees. The only other preprocessing offered is
+model sees. With a row limit (the ``limit_train`` config key) only the
+kept rows are copied, though every label and both row counts are still
+checked. The only other preprocessing offered is
 global mean subtraction with the training mean applied to every split
 (or a stored mean reapplied); it works in place on the given splits, so
 no second copy of the data exists at any point.
@@ -17,7 +19,9 @@ no second copy of the data exists at any point.
 When no image data is on disk, :func:`synth_blobs` generates a
 deterministic Gaussian-mixture classification problem from the same
 counter-based RNG used everywhere else, which keeps the trainer and CLI
-exercisable end to end.
+exercisable end to end. The noise is drawn into the feature array, then
+scaled and shifted by its class centre in place, so the set is its only
+full-size array.
 """
 
 from __future__ import annotations
@@ -118,22 +122,25 @@ def _read_idx(path, magic: int, n_dims: int) -> np.ndarray:
     return np.frombuffer(blob, dtype=np.uint8, offset=need).reshape(shape)
 
 
-def load_idx_pair(image_path, label_path, num_classes: int | None = None) -> Dataset:
-    """Matched image/label files as one Dataset.
+def load_idx_pair(image_path, label_path, num_classes: int | None = None,
+                  limit: int | None = None) -> Dataset:
+    """Matched image/label files as one Dataset, or its first ``limit`` rows.
 
     The class count defaults to max(label) + 1, which is 10 for the usual
     digit files; a given count that some label reaches is a format error
-    naming the label file.
+    naming the label file. Every label and both files' row counts are
+    checked, also past ``limit``; only the kept rows become float64.
     """
     images = _read_idx(image_path, _IMAGE_MAGIC, 3)
-    # rebinding to the float64 copy lets go of the file's bytes before the
-    # labels are read
-    images = images.reshape(len(images), -1).astype(np.float64)
+    count = len(images)
+    # rebinding to the float64 copy of the kept rows lets go of the file's
+    # bytes before the labels are read
+    images = images[:limit].reshape(-1, math.prod(images.shape[1:])).astype(np.float64)
     images /= 255.0
-    labels = _read_idx(label_path, _LABEL_MAGIC, 1).astype(np.int64)
-    if len(images) != len(labels):
+    labels = _read_idx(label_path, _LABEL_MAGIC, 1)
+    if count != len(labels):
         raise IdxFormatError(
-            f"{image_path} has {len(images)} images but {label_path} has {len(labels)} labels"
+            f"{image_path} has {count} images but {label_path} has {len(labels)} labels"
         )
     top = int(labels.max())
     if num_classes is None:
@@ -142,7 +149,7 @@ def load_idx_pair(image_path, label_path, num_classes: int | None = None) -> Dat
         raise IdxFormatError(
             f"{label_path}: label {top} out of range for {num_classes} classes"
         )
-    return Dataset(images, labels, num_classes)
+    return Dataset(images, labels[:limit].astype(np.int64), num_classes)
 
 
 def mean_subtract(train: Dataset, *others: Dataset):
@@ -230,12 +237,13 @@ def synth_blobs(spec: SyntheticSpec) -> Dataset:
     """Deterministic blob dataset; rows are ordered class by class."""
     rng = Rng(spec.seed)
     centers = rng.spawn(1).normal((spec.num_classes, spec.dim))
-    noise_rng = rng.spawn(2)
-    n = spec.num_classes * spec.samples_per_class
-    features = np.repeat(centers, spec.samples_per_class, axis=0)
-    features = features + spec.noise_std * noise_rng.normal((n, spec.dim))
+    # class by class, each row's noise scaled and then its centre added
+    # in place (the same sums as centre + std * noise)
+    features = rng.spawn(2).normal((spec.num_classes, spec.samples_per_class, spec.dim))
+    features *= spec.noise_std
+    features += centers[:, None, :]
     labels = np.repeat(np.arange(spec.num_classes), spec.samples_per_class)
-    return Dataset(features, labels, spec.num_classes)
+    return Dataset(features.reshape(-1, spec.dim), labels, spec.num_classes)
 
 
 def minibatch_stream(n: int, batch_size: int, rng: Rng):

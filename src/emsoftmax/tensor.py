@@ -6,6 +6,17 @@ shape checking the rest of the package relies on, plus weight
 initialization driven by a fully-owned random number generator so that
 runs reproduce bit-for-bit across machines regardless of the platform's
 RNG implementation.
+
+Word ``k`` of a stream depends only on its seed and ``k``, so any run of
+words can be made on its own. :meth:`Rng.normal` uses that: of the ``2 *
+pairs`` words one draw takes, Box-Muller pair ``i`` takes its radius
+from word ``i`` and its angle from word ``pairs + i``, so the draw is
+made ``_NORMAL_CHUNK`` pairs at a time straight into the two halves of
+its output, with no temporary the size of the whole draw. Each chunk
+runs the same ufuncs in the same order as a whole-array draw would, so
+the bits do not depend on the chunking. The uint64 words are mixed in
+place without ``np.errstate``: integer *array* arithmetic wraps modulo
+2**64 and never warns (only numpy integer scalars do).
 """
 
 from __future__ import annotations
@@ -31,19 +42,28 @@ _GAMMA_INT, _MIX1_INT, _MIX2_INT = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D
 _GAMMA, _MIX1, _MIX2 = np.uint64(_GAMMA_INT), np.uint64(_MIX1_INT), np.uint64(_MIX2_INT)
 _U53 = float(2.0**-53)
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+# Box-Muller pairs per chunk of Rng.normal: 32 KiB per float64 temporary
+_NORMAL_CHUNK = 4096
 
 
-def _mix(z: np.ndarray | np.uint64) -> np.ndarray | np.uint64:
-    """splitmix64 finalizer (bijective avalanche on 64-bit words)."""
-    # all arithmetic is modulo 2**64 by design
-    with np.errstate(over="ignore"):
-        z = (z ^ (z >> np.uint64(30))) * _MIX1
-        z = (z ^ (z >> np.uint64(27))) * _MIX2
-        return z ^ (z >> np.uint64(31))
+def _words(counters: np.ndarray, seed: int, scratch: np.ndarray) -> np.ndarray:
+    """Turn the uint64 counters ``k`` into the raw words
+    finalize(seed + k*GAMMA), in place; ``scratch`` (same shape) holds the
+    shifts."""
+    counters *= _GAMMA
+    counters += np.uint64(seed)
+    # splitmix64 finalizer: bijective avalanche on 64-bit words
+    for shift, mult in ((30, _MIX1), (27, _MIX2)):
+        np.right_shift(counters, np.uint64(shift), out=scratch)
+        counters ^= scratch
+        counters *= mult
+    np.right_shift(counters, np.uint64(31), out=scratch)
+    counters ^= scratch
+    return counters
 
 
 def _mix_int(z: int) -> int:
-    """:func:`_mix` of one word held as a Python int in [0, 2**64)."""
+    """The splitmix64 finalizer of one word held as a Python int in [0, 2**64)."""
     z = ((z ^ (z >> 30)) * _MIX1_INT) & _MASK64
     z = ((z ^ (z >> 27)) * _MIX2_INT) & _MASK64
     return z ^ (z >> 31)
@@ -79,8 +99,7 @@ class Rng:
         """Next ``n`` raw 64-bit words of the stream."""
         ks = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
         self._counter += n
-        with np.errstate(over="ignore"):
-            return _mix(np.uint64(self._seed) + ks * _GAMMA)
+        return _words(ks, self._seed, np.empty_like(ks))
 
     def uniform(self, size: int | tuple[int, ...] | None = None) -> float | np.ndarray:
         """Uniform draws in [0, 1) with 53-bit resolution."""
@@ -89,23 +108,56 @@ class Rng:
             raw = _mix_int((self._seed + self._counter * _GAMMA_INT) & _MASK64)
             return (raw >> 11) * _U53
         shape = (size,) if isinstance(size, int) else tuple(size)
-        n = int(np.prod(shape)) if shape else 1
-        out = (self._raw(n) >> np.uint64(11)).astype(np.float64) * _U53
+        raw = self._raw(math.prod(shape))
+        raw >>= np.uint64(11)
+        out = raw.astype(np.float64)
+        out *= _U53
         return out.reshape(shape)
 
     def normal(self, size: int | tuple[int, ...]) -> np.ndarray:
-        """Standard normal draws via the Box-Muller transform."""
+        """Standard normal draws via the Box-Muller transform.
+
+        ``n`` draws take ``2 * pairs`` words, ``pairs = ceil(n / 2)``. Pair
+        ``i`` takes its radius from word ``i`` and its angle from word
+        ``pairs + i``, and gives output ``i`` (``r cos theta``) and output
+        ``pairs + i`` (``r sin theta``, dropped when it is output ``n`` of
+        an odd draw). So any run of pairs can be made on its own: the draw
+        runs ``_NORMAL_CHUNK`` pairs at a time, straight into the two
+        halves of the output, and every temporary is chunk-sized. The
+        words wrap modulo 2**64 as uint64 arrays, which never warn, so no
+        ``np.errstate`` is needed.
+        """
         shape = (size,) if isinstance(size, int) else tuple(size)
-        n = int(np.prod(shape)) if shape else 1
+        n = math.prod(shape)
         pairs = (n + 1) // 2
-        raw = self._raw(2 * pairs)
-        # u1 in (0, 1] so that log(u1) is finite.
-        u1 = ((raw[:pairs] >> np.uint64(11)).astype(np.float64) + 1.0) * _U53
-        u2 = (raw[pairs:] >> np.uint64(11)).astype(np.float64) * _U53
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = (2.0 * math.pi) * u2
-        out = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
-        return out.reshape(shape)
+        out = np.empty(2 * pairs)
+        lo, hi = out[:pairs], out[pairs:]
+        scratch = np.empty(2 * min(pairs, _NORMAL_CHUNK), dtype=np.uint64)
+        for start in range(0, pairs, _NORMAL_CHUNK):
+            m = min(_NORMAL_CHUNK, pairs - start)
+            # the radius words of pairs start..start+m-1, then their angle words
+            first = self._counter + start + 1
+            w = np.arange(first, first + 2 * m, dtype=np.uint64)
+            w[m:] += np.uint64(pairs - m)
+            _words(w, self._seed, scratch[: 2 * m])
+            w >>= np.uint64(11)
+            # below 2**53 now, so the signed view converts exactly (and faster)
+            u = w.view(np.int64).astype(np.float64)
+            r, theta = u[:m], u[m:]
+            # radius uniform in (0, 1] so that its log is finite
+            r += 1.0
+            u *= _U53
+            np.log(r, out=r)
+            r *= -2.0
+            np.sqrt(r, out=r)
+            theta *= 2.0 * math.pi
+            c, s = lo[start : start + m], hi[start : start + m]
+            np.cos(theta, out=c)
+            c *= r
+            np.sin(theta, out=s)
+            s *= r
+        self._counter += 2 * pairs
+        return out[:n].reshape(shape)
 
     def permutation(self, n: int) -> np.ndarray:
         """Deterministic permutation of range(n) by sorting raw keys."""
@@ -135,7 +187,9 @@ def gaussian_init(rows: int, cols: int, scale: float, rng: Rng) -> np.ndarray:
         raise ValueError("gaussian_init needs positive dimensions")
     if scale <= 0:
         raise ValueError("gaussian_init scale must be positive")
-    return rng.normal((rows, cols)) * scale
+    out = rng.normal((rows, cols))
+    out *= scale
+    return out
 
 
 def sum_in_order(values) -> float:

@@ -8,7 +8,9 @@ operation order bit for bit: ``ref_diversity_kernel``,
 ``ref_em_softmax_backward``, ``ref_mlp_backward``, ``ref_sgd_step`` and
 the earlier loss core (``ref_softmax_probs``, ``ref_margin_softmax``,
 ``ref_kernel_loop``, ``ref_loss_forward``, ``ref_loss_totals`` and
-``ref_loss_backward``).
+``ref_loss_backward``), and the earlier whole-array draws (``ref_raw``,
+``ref_uniform``, ``ref_normal``, ``ref_gaussian_init`` and
+``ref_synth_blobs``).
 """
 
 import warnings
@@ -16,7 +18,9 @@ import warnings
 import numpy as np
 from scipy.special import logsumexp
 
+from emsoftmax.data import Dataset
 from emsoftmax.losses import LossOutput, PROB_FLOOR
+from emsoftmax.tensor import _GAMMA, _MIX1, _MIX2, Rng
 
 
 def ref_softmax_loss(x, w, labels):
@@ -302,3 +306,67 @@ def ref_loss_backward(fwd):
     for v in range(w.shape[0]):
         grads_x += per_head_x[v]
     return grads_bank, grads_x
+
+
+# ---------------------------------------------------------------------------
+# The earlier whole-array draws: every word of a draw mixed at once, the
+# Box-Muller transform on full-size arrays, the halves concatenated. The
+# package's chunked, in-place draws must reproduce every bit and leave the
+# stream's counter where these leave it. Each takes an ``Rng`` and
+# advances its counter as the package's method does.
+# ---------------------------------------------------------------------------
+
+
+def _ref_mix(z):
+    with np.errstate(over="ignore"):
+        z = (z ^ (z >> np.uint64(30))) * _MIX1
+        z = (z ^ (z >> np.uint64(27))) * _MIX2
+        return z ^ (z >> np.uint64(31))
+
+
+def ref_raw(rng, n):
+    """The next ``n`` raw words of ``rng``."""
+    ks = np.arange(rng._counter + 1, rng._counter + n + 1, dtype=np.uint64)
+    rng._counter += n
+    with np.errstate(over="ignore"):
+        return _ref_mix(np.uint64(rng.seed) + ks * _GAMMA)
+
+
+def _ref_shape(size):
+    return (size,) if isinstance(size, int) else tuple(size)
+
+
+def ref_uniform(rng, size):
+    shape = _ref_shape(size)
+    n = int(np.prod(shape)) if shape else 1
+    out = (ref_raw(rng, n) >> np.uint64(11)).astype(np.float64) * float(2.0**-53)
+    return out.reshape(shape)
+
+
+def ref_normal(rng, size):
+    shape = _ref_shape(size)
+    n = int(np.prod(shape)) if shape else 1
+    pairs = (n + 1) // 2
+    raw = ref_raw(rng, 2 * pairs)
+    u1 = ((raw[:pairs] >> np.uint64(11)).astype(np.float64) + 1.0) * float(2.0**-53)
+    u2 = (raw[pairs:] >> np.uint64(11)).astype(np.float64) * float(2.0**-53)
+    r = np.sqrt(-2.0 * np.log(u1))
+    theta = (2.0 * np.pi) * u2
+    out = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
+    return out.reshape(shape)
+
+
+def ref_gaussian_init(rows, cols, scale, rng):
+    return ref_normal(rng, (rows, cols)) * scale
+
+
+def ref_synth_blobs(spec):
+    """The blob set of a ``SyntheticSpec``: repeated centres plus scaled noise."""
+    rng = Rng(spec.seed)
+    centers = ref_normal(rng.spawn(1), (spec.num_classes, spec.dim))
+    noise_rng = rng.spawn(2)
+    n = spec.num_classes * spec.samples_per_class
+    features = np.repeat(centers, spec.samples_per_class, axis=0)
+    features = features + spec.noise_std * ref_normal(noise_rng, (n, spec.dim))
+    labels = np.repeat(np.arange(spec.num_classes), spec.samples_per_class)
+    return Dataset(features, labels, spec.num_classes)

@@ -194,6 +194,21 @@ class TestDatasetResolution:
         # raw and a centred copy of both splits side by side read 2.0
         assert peak / held <= 1.25
 
+    def test_limit_train_converts_only_the_kept_rows(self, tmp_path):
+        write_idx_split(tmp_path, "train", 2000, 28, seed=1)
+        write_idx_split(tmp_path, "t10k", 10, 28, seed=2)
+        cfg = idx_config(tmp_path, limit_train=100)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            train, _, _ = load_datasets(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(train) == 100
+        # the whole split as float64 would be 2000 * 784 * 8 bytes
+        assert peak < 2000 * 784 * 8
+
     @pytest.mark.parametrize("source", ["synthetic", "mnist"])
     def test_data_keys_are_the_fields_that_change_the_splits(self, tmp_path, source):
         """Every field eval's warning names changes the loaded data; no other does.
@@ -373,7 +388,7 @@ class TestConfigValidation:
         if command == "sweep":
             argv += ["--sweep-param", "lambda", "--sweep-values", "0.1", "--sweep-seeds", "4"]
         assert main(argv) == 1
-        assert f"emsoftmax: error: {message}" in capsys.readouterr().err
+        assert f"emsoftmax: error: {cfg_path}: {message}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -381,14 +396,14 @@ class TestConfigValidation:
     )
     def test_invalid_data_value_exits_one_in_eval(self, tmp_path, capsys, overrides, message):
         assert eval_with_config(tmp_path, **overrides) == 1
-        assert f"emsoftmax: error: {message}" in capsys.readouterr().err
+        assert f"emsoftmax: error: {tmp_path / 'run.cfg'}: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "overrides, message", [c for c in INVALID_VALUES if not DATA_KEYS.issuperset(c[0])]
     )
     def test_invalid_model_value_exits_one_in_eval(self, tmp_path, capsys, overrides, message):
         assert eval_with_config(tmp_path, **overrides) == 1
-        assert f"emsoftmax: error: {message}" in capsys.readouterr().err
+        assert f"emsoftmax: error: {tmp_path / 'run.cfg'}: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("overrides, message", INVALID_VALUES)
     def test_no_invalid_config_can_be_built(self, tmp_path, overrides, message):
@@ -614,6 +629,8 @@ UNREADABLE_INPUTS = {
         tmp, "train-images-idx3-ubyte.gz", gzipped_images("bad crc")),
     "non-UTF-8 --config": lambda tmp: train_with_config_bytes(tmp, b"seed = 3\n\xff\n"),
     "non-UTF-8 resolved.cfg": lambda tmp: eval_without_config(tmp, b"\xff\n"),
+    "unknown key in resolved.cfg": lambda tmp: eval_without_config(tmp, b"bogus = 1\n"),
+    "unknown key in --config": lambda tmp: train_with_config_bytes(tmp, b"bogus = 1\n"),
     "3 bytes after the bank": lambda tmp: eval_with_damaged_checkpoint(tmp, b"\x00\x01\x02"),
     "array after the bank": lambda tmp: eval_with_damaged_checkpoint(
         tmp, struct.pack("<II", 1, 1) + bytes(8)),
@@ -635,8 +652,14 @@ class TestUnreadableInput:
         captured = capsys.readouterr()
         assert captured.out == ""
         (line,) = captured.err.splitlines()
-        assert line.startswith("emsoftmax: error:") and str(culprit) in line
+        assert line.startswith("emsoftmax: error:") and line.count(str(culprit)) == 1
         assert not (tmp_path / "run" / "report.csv").exists()
+
+    def test_config_error_names_its_file_then_the_line(self, tmp_path, capsys):
+        argv, resolved = eval_without_config(tmp_path, b"seed = 1\nbogus = 1\n")
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"emsoftmax: error: {resolved}: line 2: unknown key 'bogus'\n")
 
     def test_unreadable_resolved_cfg_only_warns_beside_config(self, tmp_path, capsys):
         argv, resolved = eval_without_config(tmp_path, b"\xff\n")
@@ -645,6 +668,22 @@ class TestUnreadableInput:
         assert captured.out.startswith("top1 accuracy: ")
         (line,) = captured.err.splitlines()
         assert line.startswith(f"emsoftmax: warning: cannot compare --config with {resolved}: ")
+        assert line.count(str(resolved)) == 1
+
+    @pytest.mark.parametrize("damage, reason", [
+        ("unknown key", "line 1: unknown key 'bogus'"),
+        ("directory", "cannot read: Is a directory"),
+    ])
+    def test_invalid_resolved_cfg_warns_naming_it_once(self, tmp_path, capsys, damage, reason):
+        argv, resolved = eval_without_config(tmp_path, b"bogus = 1\n")
+        if damage == "directory":
+            resolved.unlink()
+            resolved.mkdir()
+        assert main([*argv, "--config", str(write_quick(tmp_path))]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("top1 accuracy: ")
+        assert captured.err == (
+            f"emsoftmax: warning: cannot compare --config with {resolved}: {reason}\n")
 
 
 class TestGradcheckCommand:

@@ -120,6 +120,30 @@ class TestIdxLoading:
             load_idx_pair(*paths, num_classes=10)
         assert load_idx_pair(*paths, num_classes=13).num_classes == 13
 
+    @pytest.mark.parametrize("limit", [1, 17, 49, 50, 80])
+    def test_limit_keeps_the_rows_of_convert_then_take(self, tmp_path, limit):
+        g = np.random.default_rng(3)
+        paths = write_pair(tmp_path,
+                           idx_image_bytes(g.integers(0, 256, (50, 5, 7), dtype=np.uint8)),
+                           idx_label_bytes(g.integers(0, 10, 50)))
+        kept = load_idx_pair(*paths, limit=limit)
+        ref = load_idx_pair(*paths).take(np.arange(min(limit, 50)))
+        assert kept.num_classes == ref.num_classes
+        assert kept.features.dtype == ref.features.dtype == np.float64
+        assert np.array_equal(kept.features.view(np.uint64), ref.features.view(np.uint64))
+        assert kept.labels.dtype == np.int64 and np.array_equal(kept.labels, ref.labels)
+
+    def test_limit_still_checks_every_label_and_both_counts(self, tmp_path):
+        paths = write_pair(tmp_path, idx_image_bytes(np.zeros((3, 1, 1), dtype=np.uint8)),
+                           idx_label_bytes([0, 1, 12]))
+        with pytest.raises(IdxFormatError, match="labels: label 12 out of range for 10"):
+            load_idx_pair(*paths, num_classes=10, limit=1)
+        assert load_idx_pair(*paths, limit=1).num_classes == 13
+        paths = write_pair(tmp_path, idx_image_bytes(np.zeros((3, 1, 1), dtype=np.uint8)),
+                           idx_label_bytes([0, 1]))
+        with pytest.raises(IdxFormatError, match="3 images but.*2 labels"):
+            load_idx_pair(*paths, limit=1)
+
     def test_pair_default_class_count(self, tmp_path):
         imgs = tmp_path / "imgs"
         labels = tmp_path / "labels"
