@@ -9,9 +9,11 @@ starts. All commands are deterministic given the config: re-running
 produces byte-identical CSVs (wall-clock timing is therefore left out of
 the CSV unless explicitly enabled).
 
-Each split is read into one float64 array, and mean subtraction works in
-place on it; ``eval`` reads only the split it scores (plus the training
-split when it must recompute a mean that was not stored).
+An IDX split is held as its uint8 pixels and a synthetic one as float64
+rows; mean subtraction only records the mean on each split, and rows
+are decoded and centred as batches and evaluation chunks fetch them.
+``eval`` reads only the split it scores (plus the training split when it
+must recompute a mean that was not stored).
 
 Exit codes: 0 success, 1 usage or config error, 2 numerical failure
 (training divergence or a failed gradient check).
@@ -252,10 +254,11 @@ _SOURCE_KEYS = {
 def _load_splits(cfg: RunConfig, names) -> dict[str, Dataset]:
     """The named splits ("train", "eval") of the configured source, raw.
 
-    Each split is a fresh float64 array that the caller owns and may
-    preprocess in place; on IDX data ``limit_train`` keeps the first rows
-    of the train split. It reads ``dataset`` and the source's
-    ``_SOURCE_KEYS`` of the config, which its construction has checked.
+    Each split is a fresh Dataset that the caller owns: float64 rows for
+    synthetic data, the file's uint8 pixels for IDX data, where
+    ``limit_train`` keeps the first rows of the train split. It reads
+    ``dataset`` and the source's ``_SOURCE_KEYS`` of the config, which its
+    construction has checked.
     """
     names = [name for name in _SPLITS if name in names]
     if cfg.dataset == "synthetic":
@@ -289,8 +292,8 @@ def _load_splits(cfg: RunConfig, names) -> dict[str, Dataset]:
 def load_datasets(cfg: RunConfig):
     """(train, eval, mean-or-None) for the configured data source.
 
-    With ``mean_subtract`` the training mean is subtracted in place from
-    the freshly loaded splits, so each split exists as one float64 array.
+    With ``mean_subtract`` every split is centred by the training mean,
+    which its rows subtract as they are fetched; no split is copied.
     """
     splits = _load_splits(cfg, _SPLITS)
     train_ds, eval_ds = splits["train"], splits["eval"]
@@ -434,7 +437,7 @@ def cmd_eval(args) -> int:
         )
     if cfg.mean_subtract:
         if recompute:
-            mean = np.mean(splits["train"].features, axis=0)
+            mean = splits["train"].feature_mean()
         try:
             subtract_mean(mean, ds)
         except ValueError as exc:

@@ -7,14 +7,19 @@ two-byte gzip signature, so both ``t10k-images-idx3-ubyte`` and
 ``t10k-images-idx3-ubyte.gz`` work unchanged. The reader checks the
 whole file (the gzip stream, the magic, every dimension positive, the
 payload size the header implies) and reports any fault as an
-:class:`IdxFormatError` naming the file. Pixels scale to [0, 1]: the
-payload is viewed in place and copied once to float64, the array the
-model sees. With a row limit (the ``limit_train`` config key) only the
-kept rows are copied, though every label and both row counts are still
-checked. The only other preprocessing offered is
-global mean subtraction with the training mean applied to every split
-(or a stored mean reapplied); it works in place on the given splits, so
-no second copy of the data exists at any point.
+:class:`IdxFormatError` naming the file.
+
+Images stay in their stored form: a split holds the file's uint8
+pixels, one byte per value, and :meth:`Dataset.rows` decodes only the
+rows a batch or an evaluation chunk fetches, to ``pixel / 255`` in
+float64. With a row limit (the ``limit_train`` config key) only the kept
+rows' bytes are kept, though every label and both row counts are still
+checked. The only other preprocessing offered is global mean
+subtraction with the training mean applied to every split (or a stored
+mean reapplied). The mean is recorded on each split and subtracted from
+each decoded row, so no float64 copy of a split is ever made; the
+training mean itself is summed over decoded chunks of about
+``_MEAN_CHUNK_BYTES``, in the row order ``np.mean(axis=0)`` uses.
 
 When no image data is on disk, :func:`synth_blobs` generates a
 deterministic Gaussian-mixture classification problem from the same
@@ -54,6 +59,8 @@ __all__ = [
 
 _IMAGE_MAGIC = 0x00000803
 _LABEL_MAGIC = 0x00000801
+# decoded bytes per chunk of Dataset.feature_mean
+_MEAN_CHUNK_BYTES = 1 << 16
 
 
 class IdxFormatError(Exception):
@@ -62,14 +69,24 @@ class IdxFormatError(Exception):
 
 @dataclass
 class Dataset:
-    """Feature matrix (n x d, float64) with integer labels in [0, K)."""
+    """Labelled rows: ``features`` (n x d) with integer labels in [0, K).
+
+    ``features`` is kept as stored: float64 rows, or uint8 IDX pixels,
+    which stand for ``pixel / 255``. With a ``mean`` (d,) every row is
+    centred by it. :meth:`rows` gives the rows in the form the model
+    sees, decoding and centring only the rows asked for.
+    """
 
     features: np.ndarray
     labels: np.ndarray
     num_classes: int
+    mean: np.ndarray | None = None
 
     def __post_init__(self):
-        self.features = as_matrix(self.features, "features")
+        if getattr(self.features, "dtype", None) != np.uint8:
+            self.features = as_matrix(self.features, "features")
+        elif self.features.ndim != 2 or 0 in self.features.shape:
+            raise ValueError(f"pixels must be 2-D and non-empty, got shape {self.features.shape}")
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.labels.ndim != 1:
             raise ValueError(f"labels must be 1-D, got shape {self.labels.shape}")
@@ -83,6 +100,10 @@ class Dataset:
             self.labels.min() < 0 or self.labels.max() >= self.num_classes
         ):
             raise ValueError(f"labels must lie in [0, {self.num_classes})")
+        if self.mean is not None:
+            self.mean = np.asarray(self.mean, dtype=np.float64)
+            if self.mean.shape != (self.dim,):
+                raise ValueError(f"split has dim {self.dim}, mean has shape {self.mean.shape}")
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -91,11 +112,64 @@ class Dataset:
     def dim(self) -> int:
         return self.features.shape[1]
 
+    def rows(self, index) -> np.ndarray:
+        """The float64 rows ``features[index]``, decoded and centred.
+
+        Pixels are converted to a fresh array, divided by 255 and centred
+        by the mean in place: the same operations, element by
+        element, as converting the whole split and centring it. Float64
+        rows without a mean are ``features[index]`` itself (a view for a
+        slice).
+        """
+        if self.features.dtype != np.uint8:
+            out = self.features[index]
+            return out if self.mean is None else out - self.mean
+        out = _decode(self.features[index])
+        if self.mean is not None:
+            out -= self.mean
+        return out
+
+    def feature_mean(self) -> np.ndarray:
+        """The mean of the uncentred rows, as ``np.mean(axis=0)`` of the
+        decoded split gives it, bit for bit.
+
+        Pixels are decoded ``_MEAN_CHUNK_BYTES`` at a time. numpy adds
+        the rows of an (n, d) array in order, so each chunk's first row
+        takes in the running sum before the chunk is summed. A single
+        column is summed pairwise instead, so it is decoded whole.
+        """
+        n, d = self.features.shape
+        if self.features.dtype != np.uint8:
+            return np.mean(self.features, axis=0)
+        if d == 1:
+            return np.mean(_decode(self.features), axis=0)
+        step = max(1, _MEAN_CHUNK_BYTES // (8 * d))
+        total = np.zeros(d)
+        for start in range(0, n, step):
+            chunk = _decode(self.features[start : start + step])
+            chunk[0] += total
+            np.sum(chunk, axis=0, out=total)
+            # the next chunk is then decoded with no other one alive
+            del chunk
+        total /= n
+        return total
+
     def take(self, indices) -> "Dataset":
-        """Row subset (copy) with the same class count."""
+        """Row subset (copy) with the same class count and mean."""
         # integer-array indexing always returns a fresh array
         indices = np.asarray(indices, dtype=np.int64)
-        return Dataset(self.features[indices], self.labels[indices], self.num_classes)
+        return Dataset(self.features[indices], self.labels[indices], self.num_classes, self.mean)
+
+
+def _decode(pixels: np.ndarray) -> np.ndarray:
+    """uint8 pixels as float64 values ``pixel / 255`` (a fresh array).
+
+    Converting first and dividing in place needs no cast buffer, which a
+    mixed-type ``np.divide`` would allocate.
+    """
+    out = pixels.astype(np.float64)
+    out /= 255.0
+    return out
 
 
 def _read_idx(path, magic: int, n_dims: int) -> np.ndarray:
@@ -129,14 +203,17 @@ def load_idx_pair(image_path, label_path, num_classes: int | None = None,
     The class count defaults to max(label) + 1, which is 10 for the usual
     digit files; a given count that some label reaches is a format error
     naming the label file. Every label and both files' row counts are
-    checked, also past ``limit``; only the kept rows become float64.
+    checked, also past ``limit``. The Dataset holds the file's uint8
+    pixels, one image per row; with a ``limit`` below the count only the
+    kept rows are copied, so the rest of the file's bytes can be freed.
     """
     images = _read_idx(image_path, _IMAGE_MAGIC, 3)
     count = len(images)
-    # rebinding to the float64 copy of the kept rows lets go of the file's
-    # bytes before the labels are read
-    images = images[:limit].reshape(-1, math.prod(images.shape[1:])).astype(np.float64)
-    images /= 255.0
+    images = images.reshape(count, -1)
+    if limit is not None and limit < count:
+        # rebinding to the copy lets go of the file's bytes before the
+        # labels are read
+        images = images[:limit].copy()
     labels = _read_idx(label_path, _LABEL_MAGIC, 1)
     if count != len(labels):
         raise IdxFormatError(
@@ -153,19 +230,22 @@ def load_idx_pair(image_path, label_path, num_classes: int | None = None,
 
 
 def mean_subtract(train: Dataset, *others: Dataset):
-    """Subtract the training-set feature mean from every split, in place.
+    """Centre every split by the training-set feature mean.
 
     Returns (train, *others, mean_vector): the same Dataset objects, now
-    centred. The mean comes from the training split only so evaluation
-    data never leaks into preprocessing.
+    carrying the mean (see :func:`subtract_mean`). The mean comes from
+    the training split only so evaluation data never leaks into
+    preprocessing.
     """
-    mean = np.mean(train.features, axis=0)
+    mean = train.feature_mean()
     subtract_mean(mean, train, *others)
     return (train, *others, mean)
 
 
 def subtract_mean(mean: np.ndarray, *splits: Dataset) -> None:
-    """Subtract a given feature mean from each split's features in place.
+    """Centre each split by a given feature mean: its :meth:`Dataset.rows`
+    subtract ``mean`` from every row they return. Stored features stay
+    as they are, and a split's earlier mean is replaced.
 
     Every split's dim is checked before any of them changes.
     """
@@ -173,7 +253,7 @@ def subtract_mean(mean: np.ndarray, *splits: Dataset) -> None:
         if mean.shape != (ds.dim,):
             raise ValueError(f"split has dim {ds.dim}, mean has shape {mean.shape}")
     for ds in splits:
-        ds.features -= mean
+        ds.mean = mean
 
 
 def write_atomic(path, payload: bytes) -> None:
@@ -201,6 +281,8 @@ def save_mean(path, mean: np.ndarray) -> None:
 
 
 def load_mean(path) -> np.ndarray:
+    """The mean :func:`save_mean` wrote; a damaged or non-finite one is an
+    :class:`IdxFormatError` naming the file."""
     blob = Path(path).read_bytes()
     if len(blob) < 4:
         raise IdxFormatError(f"{path}: mean file truncated")
@@ -209,7 +291,10 @@ def load_mean(path) -> np.ndarray:
         raise IdxFormatError(
             f"{path}: mean payload is {len(blob) - 4} bytes, header implies {8 * size}"
         )
-    return np.frombuffer(blob[4:], dtype="<f8").copy()
+    mean = np.frombuffer(blob[4:], dtype="<f8").astype(np.float64)
+    if not np.isfinite(mean).all():
+        raise IdxFormatError(f"{path}: mean has non-finite values")
+    return mean
 
 
 @dataclass(frozen=True)

@@ -225,7 +225,7 @@ def count_hits(
     # well-defined (terrible) number
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, len(dataset), _EVAL_CHUNK):
-            rows = dataset.features[start : start + _EVAL_CHUNK]
+            rows = dataset.rows(slice(start, start + _EVAL_CHUNK))
             feats = rows if net is None else net.forward(rows)[0]
             y = dataset.labels[start : start + _EVAL_CHUNK]
             scores = feats @ w_avg
@@ -285,7 +285,7 @@ def train(
         try:
             for it in range(sgd_cfg.max_iters):
                 idx = next(batches)
-                x = dataset.features[idx]
+                x = dataset.rows(idx)
                 y = dataset.labels[idx]
 
                 fwd, feats, grads = _gradients(net, bank, x, y, loss_cfg)

@@ -8,12 +8,16 @@ operation order bit for bit: ``ref_diversity_kernel``,
 ``ref_em_softmax_backward``, ``ref_mlp_backward``, ``ref_sgd_step`` and
 the earlier loss core (``ref_softmax_probs``, ``ref_margin_softmax``,
 ``ref_kernel_loop``, ``ref_loss_forward``, ``ref_loss_totals`` and
-``ref_loss_backward``), and the earlier whole-array draws (``ref_raw``,
+``ref_loss_backward``), the earlier whole-array draws (``ref_raw``,
 ``ref_uniform``, ``ref_normal``, ``ref_gaussian_init`` and
-``ref_synth_blobs``).
+``ref_synth_blobs``), and the earlier eager IDX features
+(``ref_idx_features`` and ``ref_mean_subtract``).
 """
 
+import gzip
+import struct
 import warnings
+from pathlib import Path
 
 import numpy as np
 from scipy.special import logsumexp
@@ -370,3 +374,33 @@ def ref_synth_blobs(spec):
     features = features + spec.noise_std * ref_normal(noise_rng, (n, spec.dim))
     labels = np.repeat(np.arange(spec.num_classes), spec.samples_per_class)
     return Dataset(features, labels, spec.num_classes)
+
+
+# ---------------------------------------------------------------------------
+# The earlier eager IDX path: the kept rows of a split converted to one
+# float64 array, divided by 255, and centred in place by the training
+# mean. The package keeps the pixels and decodes the rows it fetches;
+# every decoded row and the mean must keep these bits.
+# ---------------------------------------------------------------------------
+
+
+def ref_idx_features(image_path, limit=None):
+    """The first ``limit`` images of an IDX file (raw or gzipped) as
+    float64 rows ``pixel / 255``."""
+    blob = Path(image_path).read_bytes()
+    if blob[:2] == b"\x1f\x8b":
+        blob = gzip.decompress(blob)
+    _, n, rows, cols = struct.unpack(">IIII", blob[:16])
+    images = np.frombuffer(blob, dtype=np.uint8, offset=16).reshape(n, rows * cols)
+    features = images[:limit].astype(np.float64)
+    features /= 255.0
+    return features
+
+
+def ref_mean_subtract(train, *others):
+    """Subtract ``np.mean(train, axis=0)`` from every split in place;
+    return the mean."""
+    mean = np.mean(train, axis=0)
+    for features in (train, *others):
+        features -= mean
+    return mean

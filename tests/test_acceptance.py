@@ -291,8 +291,9 @@ def test_second_head_helps_then_returns_diminish(family_accuracies):
 
 def assert_single_head_assembly_is_exact(ds, monkeypatch):
     bank = WeakClassifierBank(ds.dim, ds.num_classes, 1, Rng(3))
-    direct = np.argmax(ds.features @ bank.heads[0], axis=1)
-    assembled = np.argmax(ds.features @ bank.assemble(), axis=1)
+    x = ds.rows(slice(None))
+    direct = np.argmax(x @ bank.heads[0], axis=1)
+    assembled = np.argmax(x @ bank.assemble(), axis=1)
     assert np.array_equal(assembled, direct)
     monkeypatch.setattr(trainer, "_EVAL_CHUNK", 97)
     assert count_hits(None, bank, ds)[0] == int(np.sum(direct == ds.labels))

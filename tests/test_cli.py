@@ -146,7 +146,7 @@ class TestDatasetResolution:
         cfg = parse_config_text(QUICK + "mean_subtract = true\n")
         train, _, mean = load_datasets(cfg)
         assert mean is not None
-        np.testing.assert_allclose(train.features.mean(axis=0), np.zeros(8), atol=1e-12)
+        np.testing.assert_allclose(train.rows(slice(None)).mean(axis=0), np.zeros(8), atol=1e-12)
 
     def test_mnist_requires_directory(self):
         with pytest.raises(ConfigError, match="mnist_dir"):
@@ -171,10 +171,11 @@ class TestDatasetResolution:
         train, evald, mean = load_datasets(replace(cfg, mean_subtract=True))
         assert no_mean is None
         # the out-of-place reference: raw - mean on separate copies
-        ref_mean = np.mean(raw_train.features, axis=0)
+        raw_train_rows, raw_eval_rows = raw_train.rows(slice(None)), raw_eval.rows(slice(None))
+        ref_mean = np.mean(raw_train_rows, axis=0)
         assert np.array_equal(mean, ref_mean)
-        assert np.array_equal(train.features, raw_train.features - ref_mean)
-        assert np.array_equal(evald.features, raw_eval.features - ref_mean)
+        assert np.array_equal(train.rows(slice(None)), raw_train_rows - ref_mean)
+        assert np.array_equal(evald.rows(slice(None)), raw_eval_rows - ref_mean)
         assert np.array_equal(train.labels, raw_train.labels)
         assert len(train) == (limit or len(raw_train))
 
@@ -190,8 +191,9 @@ class TestDatasetResolution:
         finally:
             tracemalloc.stop()
         assert splits[2] is not None
-        # one float64 copy per split plus one file's bytes at a time; a
-        # raw and a centred copy of both splits side by side read 2.0
+        # the pixels of each split plus one file's bytes or one decoded
+        # chunk at a time; a raw and a centred copy of both splits side
+        # by side read 2.0
         assert peak / held <= 1.25
 
     def test_limit_train_converts_only_the_kept_rows(self, tmp_path):
@@ -240,7 +242,7 @@ class TestDatasetResolution:
 
         def arrays(c):
             train, evald, _ = load_datasets(c)
-            return train.features, train.labels, evald.features, evald.labels
+            return train.rows(slice(None)), train.labels, evald.rows(slice(None)), evald.labels
 
         base = arrays(cfg)
         moved = set()
@@ -553,6 +555,32 @@ class TestEvalCommand:
         save_mean(out / "mean.bin", np.zeros(7))
         assert main(["eval", "--checkpoint", str(out / "model.ckpt")]) == 1
         assert "mean" in capsys.readouterr().err
+
+    def test_non_finite_stored_mean_exits_one_naming_it(self, tmp_path, capsys):
+        cfg_path = write_quick(tmp_path, mean_subtract="true")
+        out = tmp_path / "run"
+        main(["train", "--config", str(cfg_path), "--out", str(out)])
+        capsys.readouterr()
+        save_mean(out / "mean.bin", np.full(8, np.nan))
+        assert main(["eval", "--checkpoint", str(out / "model.ckpt")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("emsoftmax: error:")
+        assert "mean.bin: mean has non-finite values" in err[0]
+
+    def test_recomputed_mean_scores_as_the_stored_one(self, tmp_path, capsys):
+        data_dir = tmp_path / "idx"
+        data_dir.mkdir()
+        write_idx_split(data_dir, "train", 120, 8, seed=1)
+        write_idx_split(data_dir, "t10k", 40, 8, seed=2)
+        cfg_path = write_quick(tmp_path, dataset="mnist", mnist_dir=data_dir, mean_subtract="true")
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
+        train_acc = capsys.readouterr().out.strip().split()[-1]
+        (out / "mean.bin").unlink()
+        assert main(["eval", "--checkpoint", str(out / "model.ckpt")]) == 0
+        assert f"top1 accuracy: {train_acc}" in capsys.readouterr().out
 
     def test_stored_mean_needs_no_training_files(self, tmp_path, capsys):
         data_dir = tmp_path / "idx"

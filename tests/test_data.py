@@ -42,8 +42,10 @@ def write_pair(tmp_path, image_blob, label_blob, image_name="imgs"):
 class TestIdxLoading:
     def test_image_values_and_scaling(self, tmp_path):
         pixels = np.array([[[0, 128], [255, 1]]], dtype=np.uint8)
-        feats = load_idx_pair(*write_pair(tmp_path, idx_image_bytes(pixels),
-                                          idx_label_bytes([0]))).features
+        ds = load_idx_pair(*write_pair(tmp_path, idx_image_bytes(pixels),
+                                       idx_label_bytes([0])))
+        assert ds.features.dtype == np.uint8
+        feats = ds.rows(slice(None))
         assert feats.shape == (1, 4)
         np.testing.assert_allclose(feats[0], [0.0, 128 / 255, 1.0, 1 / 255])
 
@@ -129,8 +131,9 @@ class TestIdxLoading:
         kept = load_idx_pair(*paths, limit=limit)
         ref = load_idx_pair(*paths).take(np.arange(min(limit, 50)))
         assert kept.num_classes == ref.num_classes
-        assert kept.features.dtype == ref.features.dtype == np.float64
-        assert np.array_equal(kept.features.view(np.uint64), ref.features.view(np.uint64))
+        kept_rows, ref_rows = kept.rows(slice(None)), ref.rows(slice(None))
+        assert kept_rows.dtype == ref_rows.dtype == np.float64
+        assert np.array_equal(kept_rows.view(np.uint64), ref_rows.view(np.uint64))
         assert kept.labels.dtype == np.int64 and np.array_equal(kept.labels, ref.labels)
 
     def test_limit_still_checks_every_label_and_both_counts(self, tmp_path):
@@ -161,6 +164,12 @@ class TestDataset:
             Dataset(np.zeros((2, 2)), np.array([0, 5]), 2)
         with pytest.raises(ValueError):
             Dataset(np.zeros((2, 2)), np.array([[0], [1]]), 2)
+        with pytest.raises(ValueError, match="pixels must be 2-D"):
+            Dataset(np.zeros((2, 2, 2), dtype=np.uint8), np.array([0, 1]), 2)
+        with pytest.raises(ValueError, match="pixels must be 2-D and non-empty"):
+            Dataset(np.zeros((2, 0), dtype=np.uint8), np.array([0, 1]), 2)
+        with pytest.raises(ValueError, match="mean has shape"):
+            Dataset(np.zeros((2, 2)), np.array([0, 1]), 2, mean=np.zeros(3))
 
     def test_take_returns_independent_copy(self):
         ds = Dataset(np.arange(8.0).reshape(4, 2), np.array([0, 1, 0, 1]), 2)
@@ -177,8 +186,9 @@ class TestMeanSubtract:
         other = Dataset(np.array([[10.0, 10.0]]), np.array([0]), 2)
         new_train, new_other, mean = mean_subtract(train, other)
         np.testing.assert_array_equal(mean, [2.0, 4.0])
-        np.testing.assert_allclose(new_train.features.mean(axis=0), [0.0, 0.0], atol=1e-15)
-        np.testing.assert_array_equal(new_other.features, [[8.0, 6.0]])
+        np.testing.assert_allclose(new_train.rows(slice(None)).mean(axis=0), [0.0, 0.0],
+                                   atol=1e-15)
+        np.testing.assert_array_equal(new_other.rows(slice(None)), [[8.0, 6.0]])
 
     def test_dim_mismatch(self):
         a = Dataset(np.zeros((2, 3)), np.zeros(2, dtype=int), 1)
@@ -189,12 +199,12 @@ class TestMeanSubtract:
     def test_given_mean_applied_to_each_split(self):
         a = Dataset(np.array([[1.0, 3.0], [3.0, 5.0]]), np.array([0, 1]), 2)
         b = Dataset(np.array([[10.0, 10.0]]), np.array([0]), 2)
-        a_features = a.features
+        a_features = a.features.copy()
         assert subtract_mean(np.array([0.5, -1.0]), a, b) is None
-        # in place: the same arrays now hold the centred values
-        assert a.features is a_features
-        np.testing.assert_array_equal(a.features, [[0.5, 4.0], [2.5, 6.0]])
-        np.testing.assert_array_equal(b.features, [[9.5, 11.0]])
+        # the stored rows stay as they are; the fetched rows are centred
+        assert np.array_equal(a.features, a_features)
+        np.testing.assert_array_equal(a.rows(slice(None)), [[0.5, 4.0], [2.5, 6.0]])
+        np.testing.assert_array_equal(b.rows(slice(None)), [[9.5, 11.0]])
         with pytest.raises(ValueError, match="mean has shape"):
             subtract_mean(np.zeros(3), a)
 
@@ -203,6 +213,13 @@ class TestMeanSubtract:
         path = tmp_path / "mean.bin"
         save_mean(path, mean)
         np.testing.assert_array_equal(load_mean(path), mean)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_mean_names_the_file(self, tmp_path, bad):
+        path = tmp_path / "mean.bin"
+        save_mean(path, np.array([0.5, bad, 0.25]))
+        with pytest.raises(IdxFormatError, match="mean.bin: mean has non-finite values"):
+            load_mean(path)
 
     def test_mean_file_truncation(self, tmp_path):
         path = tmp_path / "mean.bin"
