@@ -12,17 +12,21 @@ the CSV unless explicitly enabled).
 An IDX split is held as its uint8 pixels and a synthetic one as float64
 rows; mean subtraction only records the mean on each split, and rows
 are decoded and centred as batches and evaluation chunks fetch them.
-``eval`` reads only the split it scores (plus the training split when it
-must recompute a mean that was not stored).
+:func:`load_datasets` reads and centres the splits for every command;
+``eval`` reads through it only the split it scores (plus the training
+split when it must recompute a mean that was not stored).
 
 Exit codes: 0 success, 1 usage or config error, 2 numerical failure
-(training divergence or a failed gradient check).
+(training divergence or a failed gradient check), 141 (128 + SIGPIPE),
+silently, when the reader of stdout has gone (as ``| head`` does).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
+import os
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -233,7 +237,7 @@ def _find_idx(directory: str, stem: str) -> Path:
         candidate = Path(directory) / name
         if candidate.exists():
             return candidate
-    raise ConfigError(f"missing {stem}[.gz] in {directory or '(unset mnist_dir)'}")
+    raise ConfigError(f"missing {stem}[.gz] in {directory}")
 
 
 # The RunConfig fields that decide which data a run reads: those that
@@ -289,23 +293,32 @@ def _load_splits(cfg: RunConfig, names) -> dict[str, Dataset]:
     return splits
 
 
-def load_datasets(cfg: RunConfig):
-    """(train, eval, mean-or-None) for the configured data source.
+def load_datasets(cfg: RunConfig, names=_SPLITS, mean=None):
+    """The named splits, then their mean: ``load_datasets(cfg)`` is
+    (train, eval, mean), and the mean is None without ``mean_subtract``.
 
-    With ``mean_subtract`` every split is centred by the training mean,
-    which its rows subtract as they are fetched; no split is copied.
+    With it, rows subtract a given (stored) mean as they are fetched, or
+    else the training mean, read from the train split even when it is
+    not named; no split is copied. Splits read together must agree in dim.
     """
-    splits = _load_splits(cfg, _SPLITS)
-    train_ds, eval_ds = splits["train"], splits["eval"]
-    if train_ds.dim != eval_ds.dim:
+    fit = cfg.mean_subtract and mean is None
+    splits = _load_splits(cfg, (*names, "train") if fit else names)
+    if splits.keys() == {"train", "eval"} and splits["train"].dim != splits["eval"].dim:
         raise IdxFormatError(
-            f"{cfg.mnist_dir}: train images have dim {train_ds.dim} but eval images "
-            f"have dim {eval_ds.dim}"
+            f"{cfg.mnist_dir}: train images have dim {splits['train'].dim} but eval images "
+            f"have dim {splits['eval'].dim}"
         )
-    mean = None
-    if cfg.mean_subtract:
-        train_ds, eval_ds, mean = mean_subtract(train_ds, eval_ds)
-    return train_ds, eval_ds, mean
+    named = [splits[name] for name in names]
+    if not cfg.mean_subtract:
+        mean = None
+    elif fit:
+        mean = mean_subtract(splits["train"], *(splits[n] for n in names if n != "train"))[-1]
+    else:
+        try:
+            subtract_mean(mean, *named)
+        except ValueError as exc:
+            raise ConfigError(f"cannot subtract the training mean: {exc}") from exc
+    return (*named, mean)
 
 
 def build_model(cfg: RunConfig, input_dim: int, num_classes: int):
@@ -331,17 +344,8 @@ def run_training(cfg: RunConfig, quiet: bool = False) -> dict:
     train_ds, eval_ds, mean = load_datasets(cfg)
     net, bank = build_model(cfg, train_ds.dim, train_ds.num_classes)
 
-    report = train(
-        net,
-        bank,
-        train_ds,
-        loss_cfg,
-        sgd_cfg,
-        seed=cfg.seed,
-        eval_dataset=eval_ds,
-        log_every=cfg.log_every,
-        eval_every=cfg.eval_every,
-    )
+    report = train(net, bank, train_ds, loss_cfg, sgd_cfg, seed=cfg.seed, eval_dataset=eval_ds,
+                   log_every=cfg.log_every, eval_every=cfg.eval_every)
 
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -411,37 +415,22 @@ def cmd_eval(args) -> int:
     except (OSError, CheckpointError) as exc:
         raise ConfigError(f"cannot load checkpoint {args.checkpoint}: {exc}") from exc
     artifact_dir = Path(args.checkpoint).parent
-    config = args.config
-    if config is None:
-        resolved = artifact_dir / "resolved.cfg"
-        if not resolved.exists():
-            raise ConfigError(
-                f"no resolved.cfg next to {args.checkpoint}; pass --config to name "
-                "the dataset"
-            )
-        config = str(resolved)
-    cfg = _load_config(config)
+    resolved = artifact_dir / "resolved.cfg"
+    if args.config is None and not resolved.exists():
+        raise ConfigError(
+            f"no resolved.cfg next to {args.checkpoint}; pass --config to name the dataset"
+        )
+    cfg = _load_config(resolved if args.config is None else args.config)
     if args.config is not None:
-        _warn_data_changes(cfg, artifact_dir / "resolved.cfg")
+        _warn_data_changes(cfg, resolved)
 
     mean_path = artifact_dir / "mean.bin"
-    mean = load_mean(mean_path) if cfg.mean_subtract and mean_path.exists() else None
-    # read the scored split, and the training split only to score it or to
-    # recompute a mean that was not stored
-    recompute = cfg.mean_subtract and mean is None
-    splits = _load_splits(cfg, (args.split, "train") if recompute else (args.split,))
-    ds = splits[args.split]
+    stored_mean = load_mean(mean_path) if cfg.mean_subtract and mean_path.exists() else None
+    ds, _ = load_datasets(cfg, (args.split,), stored_mean)
     if ds.num_classes != bank.num_classes:
         raise ConfigError(
             f"checkpoint scores {bank.num_classes} classes, dataset has {ds.num_classes}"
         )
-    if cfg.mean_subtract:
-        if recompute:
-            mean = splits["train"].feature_mean()
-        try:
-            subtract_mean(mean, ds)
-        except ValueError as exc:
-            raise ConfigError(f"cannot subtract the training mean: {exc}") from exc
     if ds.dim != net.input_dim:
         raise ConfigError(
             f"checkpoint expects input dim {net.input_dim}, dataset has {ds.dim}"
@@ -527,10 +516,7 @@ def cmd_gradcheck(args) -> int:
             f"got {args.corrupt!r}"
         )
     ok, _ = run_gradcheck_grid(
-        seed=args.seed if args.seed is not None else 0,
-        instances=args.instances,
-        tolerance=args.tolerance,
-        corrupt_block=args.corrupt,
+        args.seed, args.instances, tolerance=args.tolerance, corrupt_block=args.corrupt
     )
     return 0 if ok else 2
 
@@ -539,32 +525,31 @@ def cmd_gradcheck(args) -> int:
 _SWEEP_KEYS = {"lambda": "lambda", "v": "heads", "m": "margin"}
 
 
+def _sweep_list(text: str, parse, what: str) -> tuple[list[str], list]:
+    """The comma-separated tokens of ``text`` and their values; none, a bad
+    one or a repeat is a ConfigError naming ``what``."""
+    tokens = [t.strip() for t in text.split(",") if t.strip()]
+    if not tokens:
+        raise ConfigError(f"sweep needs at least one {what}")
+    try:
+        values = [parse(t) for t in tokens]
+    except ValueError as exc:
+        raise ConfigError(f"bad sweep {what}: {exc}") from exc
+    # a repeated cell would train twice, into one directory or two
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ConfigError(
+                f"sweep {what} {tokens[i]!r} repeats {tokens[values.index(value)]!r}"
+            )
+    return tokens, values
+
+
 def cmd_sweep(args) -> int:
     cfg = _run_config(args)
     field_name, parse = _KEY_TO_FIELD[_SWEEP_KEYS[args.sweep_param]]
-    tokens = [t.strip() for t in args.sweep_values.split(",") if t.strip()]
-    if not tokens:
-        raise ConfigError("sweep needs at least one value")
-    try:
-        parsed = [parse(t) for t in tokens]
-    except ValueError as exc:
-        raise ConfigError(f"bad sweep value: {exc}") from exc
-
-    seed_tokens = ([t.strip() for t in args.sweep_seeds.split(",") if t.strip()]
-                   if args.sweep_seeds else [str(cfg.seed + i) for i in range(3)])
-    try:
-        seeds = [int(t) for t in seed_tokens]
-    except ValueError as exc:
-        raise ConfigError(f"bad sweep seed: {exc}") from exc
-    if not seeds:
-        raise ConfigError("sweep needs at least one seed")
-    # a repeated cell would train twice, into one directory or two
-    for what, toks, values in (("value", tokens, parsed), ("seed", seed_tokens, seeds)):
-        for i, value in enumerate(values):
-            if value in values[:i]:
-                raise ConfigError(
-                    f"sweep {what} {toks[i]!r} repeats {toks[values.index(value)]!r}"
-                )
+    tokens, parsed = _sweep_list(args.sweep_values, parse, "value")
+    defaults = ",".join(str(cfg.seed + i) for i in range(3))
+    _, seeds = _sweep_list(args.sweep_seeds or defaults, int, "seed")
 
     # building every cell's config checks it before the first cell trains
     out = Path(cfg.out_dir)
@@ -652,7 +637,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # a reader that has gone shows up here, not at interpreter exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # send what is left to the null device, or the flush at exit reports it
+        with contextlib.suppress(AttributeError, OSError, ValueError), \
+                open(os.devnull, "w") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
+        return 141
     except (ConfigError, IdxFormatError, CheckpointError, OSError) as exc:
         print(f"emsoftmax: error: {exc}", file=sys.stderr)
         return 1

@@ -217,7 +217,13 @@ def count_hits(
 
     The second element counts labels among the five highest scores
     (ties to the lower class index) when ``top5`` is set, else None.
+    A dataset with more classes than the bank scores is a ValueError:
+    its extra labels could never be hit.
     """
+    if dataset.num_classes > bank.num_classes:
+        raise ValueError(
+            f"dataset has {dataset.num_classes} classes, the bank scores {bank.num_classes}"
+        )
     w_avg = bank.assemble()
     top1_hits = 0
     top5_hits = 0 if top5 else None
@@ -261,7 +267,8 @@ def train(
     ``net`` may be None to train the bank directly on raw features. The
     batch order is fully determined by ``seed``. Parts that do not fit
     together (dims, head count) raise ValueError from the network's or
-    the loss's own checks in the first step, before any update.
+    the loss's own checks in the first step, before any update; a
+    ``log_every`` or ``eval_every`` below 1 raises before that step.
 
     On divergence (loss above 1e6 or non-finite values) the loop halts,
     keeps the state from before the failing update, and flags the report
@@ -270,6 +277,9 @@ def train(
     ``eval_acc`` when the run completes, or an evaluation of the kept
     state after a divergence. It stays NaN without an eval set.
     """
+    for name, every in (("log_every", log_every), ("eval_every", eval_every)):
+        if every < 1:
+            raise ValueError(f"{name} must be at least 1, got {every}")
     report = TrainReport()
     batch_rng = Rng(seed).spawn(7)
     batches = minibatch_stream(len(dataset), min(sgd_cfg.batch_size, len(dataset)), batch_rng)

@@ -1,6 +1,10 @@
 import gzip
+import io
+import os
 import re
 import struct
+import subprocess
+import sys
 import tracemalloc
 import zlib
 from dataclasses import fields, replace
@@ -178,6 +182,22 @@ class TestDatasetResolution:
         assert np.array_equal(evald.rows(slice(None)), raw_eval_rows - ref_mean)
         assert np.array_equal(train.labels, raw_train.labels)
         assert len(train) == (limit or len(raw_train))
+
+    @pytest.mark.parametrize("limit", [0, 23])
+    @pytest.mark.parametrize("split", ["train", "eval"])
+    def test_one_split_loads_as_in_the_pair(self, tmp_path, split, limit):
+        write_idx_split(tmp_path, "train", 60, 6, seed=1)
+        write_idx_split(tmp_path, "t10k", 20, 6, seed=2)
+        cfg = idx_config(tmp_path, mean_subtract=True, limit_train=limit)
+        train, evald, stored = load_datasets(cfg)
+        pair = {"train": train, "eval": evald}[split]
+        # with the stored mean, and with the mean fitted on the train split
+        for ds, mean in (load_datasets(cfg, (split,), stored), load_datasets(cfg, (split,))):
+            assert (mean.view(np.uint64) == stored.view(np.uint64)).all()
+            got, want = ds.rows(slice(None)), pair.rows(slice(None))
+            assert got.shape == want.shape
+            assert (got.view(np.uint64) == want.view(np.uint64)).all()
+            assert (ds.labels == pair.labels).all()
 
     def test_mean_subtract_holds_one_copy_of_each_split(self, tmp_path):
         write_idx_split(tmp_path, "train", 500, 28, seed=1)
@@ -600,9 +620,87 @@ class TestEvalCommand:
         assert main(["eval", "--checkpoint", str(out / "model.ckpt")]) == 1
         assert "train-images" in capsys.readouterr().err
 
+    def test_recomputed_mean_checks_the_dims_of_both_splits(self, tmp_path, capsys):
+        data_dir = tmp_path / "idx"
+        data_dir.mkdir()
+        write_idx_split(data_dir, "train", 120, 8, seed=1)
+        write_idx_split(data_dir, "t10k", 40, 8, seed=2)
+        cfg_path = write_quick(tmp_path, dataset="mnist", mnist_dir=data_dir, mean_subtract="true")
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
+        capsys.readouterr()
+        write_idx_split(data_dir, "t10k", 40, 9, seed=2)
+        (out / "mean.bin").unlink()
+        assert main(["eval", "--checkpoint", str(out / "model.ckpt")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1
+        assert "train images have dim 64 but eval images have dim 81" in err[0]
+
     def test_missing_checkpoint_exits_one(self, tmp_path, capsys):
         cfg_path = write_quick(tmp_path)
         assert main(["eval", "--checkpoint", str(tmp_path / "no.ckpt"), "--config", str(cfg_path)]) == 1
+
+
+class FailingStdout(io.StringIO):
+    """A stdout whose ``fail_on`` method ("write" or "flush") raises ``error``."""
+
+    def __init__(self, fail_on, error):
+        super().__init__()
+        self.fail_on, self.error = fail_on, error
+
+    def write(self, text):
+        if self.fail_on == "write":
+            raise self.error
+        return super().write(text)
+
+    def flush(self):
+        if self.fail_on == "flush":
+            raise self.error
+        super().flush()
+
+
+class TestClosedStdout:
+    def eval_into(self, tmp_path, capsys, monkeypatch, stdout):
+        cfg_path = write_quick(tmp_path)
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        return main(["eval", "--checkpoint", str(out / "model.ckpt")])
+
+    @pytest.mark.parametrize("fail_on", ["write", "flush"])
+    def test_exits_141_writing_nothing(self, tmp_path, capsys, monkeypatch, fail_on):
+        stdout = FailingStdout(fail_on, BrokenPipeError(32, "Broken pipe"))
+        assert self.eval_into(tmp_path, capsys, monkeypatch, stdout) == 141
+        assert capsys.readouterr().err == ""
+
+    def test_other_os_errors_exit_one_with_one_line(self, tmp_path, capsys, monkeypatch):
+        stdout = FailingStdout("write", OSError(5, "Input/output error"))
+        assert self.eval_into(tmp_path, capsys, monkeypatch, stdout) == 1
+        assert capsys.readouterr().err == "emsoftmax: error: [Errno 5] Input/output error\n"
+
+    # unbuffered, the first write fails; buffered, the output waits in
+    # stdout's buffer and the pipe fails at a flush
+    @pytest.mark.parametrize("unbuffered", ["1", None])
+    def test_pipe_without_reader_exits_141_silently(self, unbuffered):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = unbuffered
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "emsoftmax.cli", "gradcheck", "--instances", "1"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 141
+        assert proc.stderr == b""
 
 
 def train_on_damaged_images(tmp_path, name, blob, count=20):

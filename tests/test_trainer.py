@@ -216,6 +216,19 @@ class TestTrain:
         )
         assert rep.diverged
 
+    @pytest.mark.parametrize("name", ["log_every", "eval_every"])
+    def test_interval_below_one_raises_before_the_first_step(self, monkeypatch, name):
+        ds = blob_dataset()
+        net, bank = fresh_model(ds)
+
+        def step(*args):
+            raise AssertionError("a step ran")
+
+        monkeypatch.setattr(trainer, "_gradients", step)
+        with pytest.raises(ValueError, match=f"^{name} must be at least 1, got 0$"):
+            train(net, bank, ds, LossConfig(0.0, 0.0, 1), SgdConfig(max_iters=5, batch_size=32),
+                  seed=1, eval_dataset=ds, **{name: 0})
+
     def test_train_acc_scores_the_model_that_produced_the_loss(self, monkeypatch):
         ds = blob_dataset()
         net, bank = fresh_model(ds, heads=2)
@@ -423,6 +436,17 @@ class TestEvaluate:
         assert count_hits(None, bank, ds) == (1, None)
         monkeypatch.setattr(trainer, "_EVAL_CHUNK", 2)
         assert count_hits(None, bank, ds, top5=True) == (1, 3)
+
+    def test_more_classes_than_the_bank_scores_raise(self):
+        # label 2 could never be the argmax of two scores
+        ds = Dataset(np.eye(3), np.array([0, 1, 2]), 3)
+        bank = WeakClassifierBank(3, 2, 1, Rng(0))
+        bank.heads = np.eye(3)[None, :, :2]
+        for score in (count_hits, evaluate):
+            with pytest.raises(ValueError, match="dataset has 3 classes, the bank scores 2"):
+                score(None, bank, ds)
+        # fewer classes than the bank scores are fine: scores [1, 0], [0, 1], [0, 0]
+        assert count_hits(None, bank, Dataset(np.eye(3), np.array([0, 0, 0]), 1)) == (2, None)
 
 
 class TestGradCheck:
