@@ -118,6 +118,12 @@ class RunConfig:
                     "log_every", "eval_every", "feature_dim"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be at least 1, got {getattr(self, key)}")
+        # evaluations run on log rows only
+        if self.eval_every % self.log_every:
+            raise ConfigError(
+                f"eval_every ({self.eval_every}) must be a multiple of log_every "
+                f"({self.log_every})"
+            )
         if not (math.isfinite(self.synth_noise) and self.synth_noise > 0):
             raise ConfigError(f"synth_noise must be finite and positive, got {self.synth_noise}")
         if any(width < 1 for width in self.hidden_dims):
@@ -467,11 +473,13 @@ def run_gradcheck_grid(
 
     Grid: margin in {0, 1}, lambda in {0, 0.1}, heads in {1, 2, 3}, with
     ``instances`` random small problems per cell (d <= 5, K <= 4,
-    n <= 3). Returns (all passed, worst relative error).
+    n <= 3). This is the one place that judges :func:`grad_check`'s
+    errors: a cell passes when its worst error is at most ``tolerance``,
+    and a NaN error fails its cell and the grid. Returns (passed, worst
+    relative error), the worst being NaN when any error is.
     """
     root = Rng(seed)
     worst = 0.0
-    all_ok = True
     cell = 0
     for m in (0.0, 1.0):
         for lam in (0.0, 0.1):
@@ -489,20 +497,17 @@ def run_gradcheck_grid(
                         [_rand_int(r, 0, k - 1) for _ in range(n)], dtype=np.int64
                     )
                     cfg = LossConfig(margin=m, diversity_weight=lam, num_heads=v)
-                    res = grad_check(
-                        None, bank, x, labels, cfg,
-                        tolerance=tolerance, corrupt_block=corrupt_block,
-                    )
-                    cell_worst = max(cell_worst, res["max_error"])
-                ok = cell_worst <= tolerance
-                all_ok = all_ok and ok
-                worst = max(worst, cell_worst)
+                    res = grad_check(None, bank, x, labels, cfg, corrupt_block=corrupt_block)
+                    # np.maximum, unlike max(), carries a NaN error through
+                    cell_worst = float(np.maximum(cell_worst, res["max_error"]))
+                worst = float(np.maximum(worst, cell_worst))
                 printer(
                     f"m={m:g} lambda={lam:g} V={v}: max rel err {cell_worst:.3e} "
-                    f"[{'ok' if ok else 'FAIL'}]"
+                    f"[{'ok' if cell_worst <= tolerance else 'FAIL'}]"
                 )
-    printer(f"overall max rel err {worst:.3e} [{'ok' if all_ok else 'FAIL'}]")
-    return all_ok, worst
+    passed = worst <= tolerance
+    printer(f"overall max rel err {worst:.3e} [{'ok' if passed else 'FAIL'}]")
+    return passed, worst
 
 
 def cmd_gradcheck(args) -> int:
@@ -586,7 +591,11 @@ def cmd_sweep(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that exits 1 (not 2) on usage errors, per our convention."""
+    """argparse that exits 1 (not 2) on usage errors, per our convention,
+    and lets a failed write of --help raise, as every other write does."""
+
+    def print_help(self, file=None):
+        (file or sys.stdout).write(self.format_help())
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -635,12 +644,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        code = args.func(args)
-        # a reader that has gone shows up here, not at interpreter exit
-        sys.stdout.flush()
-        return code
+        try:
+            # --help and usage errors exit inside parse_args
+            args = parser.parse_args(argv)
+            return args.func(args)
+        finally:
+            # a reader that has gone shows up here, not at interpreter exit
+            sys.stdout.flush()
     except BrokenPipeError:
         # send what is left to the null device, or the flush at exit reports it
         with contextlib.suppress(AttributeError, OSError, ValueError), \

@@ -188,15 +188,6 @@ def _row_sum(e: np.ndarray, k: int) -> np.ndarray:
     return total
 
 
-def _check_labels(labels, n: int, num_classes: int) -> np.ndarray:
-    labels = np.asarray(labels)
-    if labels.shape != (n,):
-        raise ValueError(f"expected {n} labels, got shape {labels.shape}")
-    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
-        raise ValueError(f"labels must lie in [0, {num_classes})")
-    return labels.astype(np.int64)
-
-
 def _margin_softmax(scores: np.ndarray, labels: np.ndarray, m: float):
     """Margin-adjusted softmax rows and per-row losses of (..., n, K) scores.
 
@@ -264,18 +255,21 @@ def _check_bank(bank) -> np.ndarray:
     return w
 
 
-def _check_heads(num_heads: int, cfg: LossConfig) -> None:
+def _check_inputs(x_batch, labels, w: np.ndarray, cfg: LossConfig):
+    """The features as a float64 matrix and the labels as int64, checked
+    against a ``(..., V, d, K)`` bank ``w`` and the config's head count."""
+    num_heads, d, k = w.shape[-3:]
     if num_heads != cfg.num_heads:
         raise ValueError(f"bank has {num_heads} heads, config says {cfg.num_heads}")
-
-
-def _check_batch(x_batch, labels, d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     x_batch = as_matrix(x_batch, "x_batch")
     if x_batch.shape[1] != d:
-        raise ValueError(
-            f"classifier expects features of dim {d}, got {x_batch.shape[1]}"
-        )
-    return x_batch, _check_labels(labels, x_batch.shape[0], k)
+        raise ValueError(f"classifier expects features of dim {d}, got {x_batch.shape[1]}")
+    labels = np.asarray(labels)
+    if labels.shape != (x_batch.shape[0],):
+        raise ValueError(f"expected {x_batch.shape[0]} labels, got shape {labels.shape}")
+    if labels.size and (labels.min() < 0 or labels.max() >= k):
+        raise ValueError(f"labels must lie in [0, {k})")
+    return x_batch, labels.astype(np.int64)
 
 
 @functools.lru_cache(maxsize=None)
@@ -420,8 +414,7 @@ def em_softmax_forward(x_batch: np.ndarray, bank, labels, cfg: LossConfig) -> Lo
     is batch independent); total = classification + lambda * diversity.
     """
     w = _check_bank(bank)
-    _check_heads(len(w), cfg)
-    x_batch, labels = _check_batch(x_batch, labels, w.shape[1], w.shape[2])
+    x_batch, labels = _check_inputs(x_batch, labels, w, cfg)
     classification, diversity, total, probs, index, triple = _loss_core(x_batch, w, labels, cfg)
     return LossOutput(float(total), float(classification), float(diversity), probs,
                       (x_batch, w, index, probs, triple, cfg))
@@ -437,8 +430,7 @@ def em_softmax_totals(x_batch: np.ndarray, banks, labels, cfg: LossConfig) -> np
     banks = np.asarray(banks, dtype=np.float64)
     if banks.ndim != 4 or 0 in banks.shape:
         raise ValueError(f"banks must be a non-empty (B, V, d, K) stack, got {banks.shape}")
-    _check_heads(banks.shape[1], cfg)
-    x_batch, labels = _check_batch(x_batch, labels, banks.shape[2], banks.shape[3])
+    x_batch, labels = _check_inputs(x_batch, labels, banks, cfg)
     return _loss_core(x_batch, banks, labels, cfg)[2]
 
 

@@ -12,8 +12,9 @@ Checkpoints are a self-describing little-endian binary format (magic,
 version, layer dims, raw float64 payload, CRC-32 trailer). Loading
 verifies magic, version, and checksum separately so corruption reports
 what actually went wrong. Each array's ``(rows, cols)`` is checked
-against the shape the header implies before its payload is read, and
-bytes after the last head are rejected.
+against the shape the header implies before its payload is read, every
+layer is read before the network is built, and bytes after the last
+head are rejected.
 """
 
 from __future__ import annotations
@@ -223,13 +224,17 @@ def load_checkpoint(path) -> tuple[MlpFeatureExtractor, WeakClassifierBank]:
         raise CheckpointError(f"unsupported checkpoint version {version}")
     n_dims = r.u32()
     dims = [r.u32() for _ in range(n_dims)]
+    # every array is read, against the file's size, before the network is
+    # built: a header that claims huge layers cannot allocate them
+    weights, biases = [], []
+    for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
+        weights.append(r.array((fan_in, fan_out), f"layer {i} w{i} of dims {dims}"))
+        biases.append(r.array((1, fan_out), f"layer {i} b{i} of dims {dims}"))
     try:
         net = MlpFeatureExtractor(dims)
     except ValueError as exc:
         raise CheckpointError(f"bad layer dims {dims}: {exc}") from exc
-    for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
-        net.weights[i] = r.array((fan_in, fan_out), f"layer {i} w{i} of dims {dims}")
-        net.biases[i] = r.array((1, fan_out), f"layer {i} b{i} of dims {dims}")
+    net.weights, net.biases = weights, biases
     num_heads = r.u32()
     feature_dim = r.u32()
     num_classes = r.u32()

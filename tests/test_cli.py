@@ -1,5 +1,6 @@
 import gzip
 import io
+import math
 import os
 import re
 import struct
@@ -12,7 +13,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from emsoftmax import cli
+from emsoftmax import cli, trainer
 from emsoftmax.cli import (
     _DATA_KEYS,
     _SOURCE_KEYS,
@@ -250,6 +251,9 @@ class TestDatasetResolution:
                 return other_source[value]
             if name == "mnist_dir":
                 return str(tmp_path / "b")
+            if name in ("log_every", "eval_every"):
+                # eval_every stays a multiple of log_every
+                return value * 2
             if isinstance(value, bool):
                 return not value
             if isinstance(value, str):
@@ -374,6 +378,7 @@ INVALID_VALUES = [
     ({"heads": "0"}, "num_heads must be at least 1"),
     ({"momentum": "1.5"}, "momentum must lie in [0, 1)"),
     ({"lr_drop_iters": "80,40"}, "lr_drop_iters must be strictly increasing"),
+    ({"log_every": "3", "eval_every": "5"}, "eval_every (5) must be a multiple of log_every (3)"),
 ]
 # values that describe eval's dataset; the others describe the model, which
 # eval takes from the checkpoint, but a config must be valid as a whole
@@ -682,7 +687,8 @@ class TestClosedStdout:
         assert capsys.readouterr().err == "emsoftmax: error: [Errno 5] Input/output error\n"
 
     # unbuffered, the first write fails; buffered, the output waits in
-    # stdout's buffer and the pipe fails at a flush
+    # stdout's buffer and the pipe fails at a flush. argparse prints --help
+    # and exits inside parse_args, before the command runs.
     @pytest.mark.parametrize("unbuffered", ["1", None])
     def test_pipe_without_reader_exits_141_silently(self, unbuffered):
         src = os.path.dirname(os.path.dirname(cli.__file__))
@@ -690,17 +696,17 @@ class TestClosedStdout:
         env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
         if unbuffered:
             env["PYTHONUNBUFFERED"] = unbuffered
-        read_end, write_end = os.pipe()
-        os.close(read_end)
-        try:
-            proc = subprocess.run(
-                [sys.executable, "-m", "emsoftmax.cli", "gradcheck", "--instances", "1"],
-                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
-            )
-        finally:
-            os.close(write_end)
-        assert proc.returncode == 141
-        assert proc.stderr == b""
+        for argv in (["gradcheck", "--instances", "1"], ["sweep", "--help"]):
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            try:
+                proc = subprocess.run(
+                    [sys.executable, "-m", "emsoftmax.cli", *argv],
+                    stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+                )
+            finally:
+                os.close(write_end)
+            assert (argv, proc.returncode, proc.stderr) == (argv, 141, b"")
 
 
 def train_on_damaged_images(tmp_path, name, blob, count=20):
@@ -722,10 +728,11 @@ def gzipped_images(damage):
     return blob[:-8] + bytes(b ^ 0xFF for b in blob[-8:-4]) + blob[-4:]
 
 
-def eval_with_damaged_checkpoint(tmp_path, extra):
-    """An eval command on a CRC-valid checkpoint with ``extra`` after its bank."""
+def eval_with_damaged_checkpoint(tmp_path, damage):
+    """An eval command on a CRC-valid checkpoint whose bytes before the CRC
+    are ``damage`` applied to an intact checkpoint's."""
     ckpt = untrained_checkpoint(tmp_path)
-    body = ckpt.read_bytes()[:-4] + extra
+    body = damage(ckpt.read_bytes()[:-4])
     ckpt.write_bytes(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
     return ["eval", "--checkpoint", str(ckpt), "--config", str(write_quick(tmp_path))], ckpt
 
@@ -757,9 +764,13 @@ UNREADABLE_INPUTS = {
     "non-UTF-8 resolved.cfg": lambda tmp: eval_without_config(tmp, b"\xff\n"),
     "unknown key in resolved.cfg": lambda tmp: eval_without_config(tmp, b"bogus = 1\n"),
     "unknown key in --config": lambda tmp: train_with_config_bytes(tmp, b"bogus = 1\n"),
-    "3 bytes after the bank": lambda tmp: eval_with_damaged_checkpoint(tmp, b"\x00\x01\x02"),
+    "3 bytes after the bank": lambda tmp: eval_with_damaged_checkpoint(
+        tmp, lambda body: body + b"\x00\x01\x02"),
     "array after the bank": lambda tmp: eval_with_damaged_checkpoint(
-        tmp, struct.pack("<II", 1, 1) + bytes(8)),
+        tmp, lambda body: body + struct.pack("<II", 1, 1) + bytes(8)),
+    # a 2^20 x 2^20 layer would need 8 TiB: the arrays are read before the net is built
+    "huge layer dims, no payload": lambda tmp: eval_with_damaged_checkpoint(
+        tmp, lambda _: b"EMSM" + struct.pack("<IIII", 1, 2, 2**20, 2**20)),
 }
 
 
@@ -833,6 +844,16 @@ class TestGradcheckCommand:
         captured = capsys.readouterr()
         assert "emsoftmax: error: --tolerance must be finite and positive" in captured.err
         assert captured.out == ""
+
+    def test_nan_errors_fail_every_cell_and_the_grid(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            trainer, "em_softmax_totals", lambda _x, banks, *_: np.full(len(banks), np.nan)
+        )
+        lines = []
+        ok, worst = cli.run_gradcheck_grid(0, 1, printer=lines.append)
+        assert ok is False and math.isnan(worst)
+        assert len(lines) == 13 and all(line.endswith("[FAIL]") for line in lines), lines
+        assert main(["gradcheck", "--instances", "1"]) == 2
 
     def test_corrupted_gradient_detected(self, capsys):
         assert main(["gradcheck", "--instances", "1", "--corrupt", "head0"]) == 2
@@ -920,6 +941,18 @@ class TestSweepCommand:
         cfg = parse_config_text(write_quick(tmp_path, heads=3, max_iters=2).read_text())
         result = run_training(replace(cfg, out_dir=str(tmp_path / "run")), quiet=True)
         assert result["diversity"] == 0.0
+
+    def test_diverging_cells_exit_two_and_keep_every_row(self, tmp_path, capsys):
+        cfg_path = write_quick(tmp_path, base_lr="10000.0", log_every="1")
+        out = tmp_path / "sweep"
+        assert main([
+            "sweep", "--config", str(cfg_path), "--out", str(out),
+            "--sweep-param", "lambda", "--sweep-values", "0,0.1", "--sweep-seeds", "4,5",
+        ]) == 2
+        assert "at least one sweep cell diverged" in capsys.readouterr().err
+        rows = [line.split(",")[:2] for line in (out / "sweep.csv").read_text().splitlines()]
+        assert rows == [["value", "seed"], ["0", "4"], ["0", "5"], ["0", "mean"],
+                        ["0.1", "4"], ["0.1", "5"], ["0.1", "mean"]]
 
     def test_bad_sweep_values_exit_one(self, tmp_path, capsys):
         code, _ = self.run_sweep(tmp_path, "lambda", "0,huh")

@@ -329,3 +329,11 @@ class TestCheckpoint:
         self.write_with_crc(path, b"EMSM" + struct.pack("<III", 1, 1, 20))
         with pytest.raises(CheckpointError, match="dims"):
             load_checkpoint(path)
+
+    def test_huge_header_dims_without_payload_are_truncated(self, tmp_path):
+        # a 2^20 x 2^20 layer would need 8 TiB: every array is read against
+        # the file's size before the network is built
+        path = tmp_path / "x.ckpt"
+        self.write_with_crc(path, b"EMSM" + struct.pack("<IIII", 1, 2, 2**20, 2**20))
+        with pytest.raises(CheckpointError, match="^truncated checkpoint: wanted 8 bytes"):
+            load_checkpoint(path)

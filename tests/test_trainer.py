@@ -216,6 +216,21 @@ class TestTrain:
         )
         assert rep.diverged
 
+    def test_eval_every_off_the_log_rows_raises_before_the_first_step(self, monkeypatch):
+        # evaluations run on log rows: every 5 with a row every 3 would
+        # evaluate at 15 and 20 only
+        ds = blob_dataset()
+        net, bank = fresh_model(ds)
+
+        def step(*args):
+            raise AssertionError("a step ran")
+
+        monkeypatch.setattr(trainer, "_gradients", step)
+        with pytest.raises(ValueError,
+                           match=r"^eval_every \(5\) must be a multiple of log_every \(3\)$"):
+            train(net, bank, ds, LossConfig(0.0, 0.0, 1), SgdConfig(max_iters=20, batch_size=32),
+                  seed=1, eval_dataset=ds, log_every=3, eval_every=5)
+
     @pytest.mark.parametrize("name", ["log_every", "eval_every"])
     def test_interval_below_one_raises_before_the_first_step(self, monkeypatch, name):
         ds = blob_dataset()
@@ -457,8 +472,19 @@ class TestGradCheck:
             net, bank, ds.features[:3], ds.labels[:3],
             LossConfig(0.5, 0.1, 2),
         )
-        assert res["passed"], res
+        assert res["max_error"] <= 1e-5, res
         assert set(res["block_errors"]) == {"w0", "b0", "w1", "b1", "head0", "head1"}
+
+    def test_corrupted_network_block_detected(self):
+        ds = blob_dataset(per=4, dim=5)
+        net, bank = fresh_model(ds, heads=2, hidden=(4,), feat=3)
+        res = grad_check(
+            net, bank, ds.features[:3], ds.labels[:3],
+            LossConfig(0.5, 0.1, 2), corrupt_block="w1",
+        )
+        errors = res["block_errors"]
+        assert errors["w1"] > 1e-3
+        assert all(error <= 1e-5 for name, error in errors.items() if name != "w1"), errors
 
     def test_corrupted_block_detected(self):
         ds = blob_dataset(per=3, dim=4)
@@ -467,7 +493,7 @@ class TestGradCheck:
             None, bank, ds.features[:2], ds.labels[:2],
             LossConfig(0.0, 0.1, 2), corrupt_block="head1",
         )
-        assert not res["passed"]
+        assert not res["max_error"] <= 1e-5
         assert res["block_errors"]["head1"] > 1e-3
 
     @pytest.mark.parametrize("corrupt", [None, "head1"])
@@ -488,7 +514,7 @@ class TestGradCheck:
             denom = np.maximum(np.maximum(np.abs(a), np.abs(numeric[v])), 1e-3)
             expected[f"head{v}"] = float(np.max(np.abs(a - numeric[v]) / denom))
         assert res["block_errors"] == expected
-        assert res["passed"] == (corrupt is None)
+        assert (res["max_error"] <= 1e-5) == (corrupt is None)
 
     @staticmethod
     def wide_bank_check(monkeypatch, **kwargs):
@@ -511,11 +537,11 @@ class TestGradCheck:
 
     def test_bank_spanning_several_chunks_passes(self, monkeypatch):
         res = self.wide_bank_check(monkeypatch)
-        assert res["passed"], res
+        assert res["max_error"] <= 1e-5, res
 
     def test_corruption_detected_across_chunks(self, monkeypatch):
         res = self.wide_bank_check(monkeypatch, corrupt_block="head1")
-        assert not res["passed"]
+        assert not res["max_error"] <= 1e-5
         assert res["block_errors"]["head1"] > 1e-3
         assert res["block_errors"]["head0"] <= 1e-5
 
@@ -536,7 +562,7 @@ class TestGradCheck:
         net, bank = fresh_model(ds, heads=2, hidden=(4,), feat=3)
         res = grad_check(net, bank, ds.features[:3], ds.labels[:3], LossConfig(0.5, 0.1, 2))
         assert np.isnan(res["block_errors"]["head0"])
-        assert not res["passed"]
+        assert not res["max_error"] <= 1e-5
 
     def test_unknown_corrupt_block_rejected(self):
         ds = blob_dataset(per=3, dim=4)
