@@ -41,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensor import Rng, as_matrix
+from .tensor import Rng, as_integers, as_matrix
 
 __all__ = [
     "Dataset",
@@ -87,7 +87,7 @@ class Dataset:
             self.features = as_matrix(self.features, "features")
         elif self.features.ndim != 2 or 0 in self.features.shape:
             raise ValueError(f"pixels must be 2-D and non-empty, got shape {self.features.shape}")
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        self.labels = as_integers(self.labels, "labels").astype(np.int64, copy=False)
         if self.labels.ndim != 1:
             raise ValueError(f"labels must be 1-D, got shape {self.labels.shape}")
         if self.labels.shape[0] != self.features.shape[0]:
@@ -157,7 +157,7 @@ class Dataset:
     def take(self, indices) -> "Dataset":
         """Row subset (copy) with the same class count and mean."""
         # integer-array indexing always returns a fresh array
-        indices = np.asarray(indices, dtype=np.int64)
+        indices = as_integers(indices, "row indices")
         return Dataset(self.features[indices], self.labels[indices], self.num_classes, self.mean)
 
 

@@ -20,16 +20,18 @@ its centered Gram ``Gu = H Wu^T Wu H`` once; every ``Kv`` is summed from
 those Grams.
 
 One private core computes the loss over a stacked ``(..., V, d, K)``
-bank, with an optional leading batch axis of whole banks. The public
-entry points validate their inputs once and call it:
-:func:`em_softmax_forward` on one bank, :func:`em_softmax_totals` on a
-``(B, V, d, K)`` stack of banks (the gradient checker's finite
-differences), and :func:`diversity_penalty` through the same kernel
+bank, with an optional leading batch axis of whole banks. Inputs are
+validated once, where they enter: :func:`em_softmax_forward` checks one
+bank with its features and labels and scores it, and
+:func:`diversity_penalty` checks a bank and goes through the same kernel
 builder. The forward records its checked inputs, config, probabilities,
 label index, normalized heads, their column norms and the products
-``Wv_hat Kv`` in its output, and :func:`em_softmax_backward` takes that
+``Wv_hat Kv`` in its output. :func:`em_softmax_backward` takes that
 output alone and works from the record over the whole stack, so one
-training step builds the kernels once.
+training step builds the kernels once. :func:`em_softmax_totals` takes
+it with a ``(B, V, d, K)`` stack of banks shaped like the forward's (the
+gradient checker's perturbed copies) and scores every bank on the
+forward's checked batch, checking only the stack's shape.
 
 At the shapes this toolkit trains (K = 10 classes, a few heads), numpy's
 per-call and per-row reduction overheads cost more than the arithmetic,
@@ -55,7 +57,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import as_matrix, sum_in_order
+from .tensor import as_integers, as_matrix, sum_in_order
 
 __all__ = [
     "PROB_FLOOR",
@@ -113,13 +115,14 @@ class LossOutput:
 
     ``probs_per_head`` holds the margin-adjusted softmax rows of every
     head, shape ``(V, n, K)``. ``_record`` is the forward's private
-    record: its checked features, its own copy of the bank, the index of
-    every row's label in the raveled ``(V * n * K,)`` probabilities, the
-    probabilities, the diversity triple (``Wv_hat``, the ``(V, 1, K)``
-    column norms of the bank, the products ``Wv_hat Kv``; None for a
-    single head) and the config.
-    :func:`em_softmax_forward` fills it in and :func:`em_softmax_backward`
-    reads it; an output built by hand leaves it None and has no backward.
+    record: its checked features, its own copy of the bank, its checked
+    int64 labels, the index of every row's label in the raveled
+    ``(V * n * K,)`` probabilities, the probabilities, the diversity
+    triple (``Wv_hat``, the ``(V, 1, K)`` column norms of the bank, the
+    products ``Wv_hat Kv``; None for a single head) and the config.
+    :func:`em_softmax_forward` fills it in; :func:`em_softmax_backward`
+    and :func:`em_softmax_totals` read it. An output built by hand leaves
+    it None and has neither a backward nor totals.
     """
 
     total_loss: float
@@ -257,7 +260,8 @@ def _check_bank(bank) -> np.ndarray:
 
 def _check_inputs(x_batch, labels, w: np.ndarray, cfg: LossConfig):
     """The features as a float64 matrix and the labels as int64, checked
-    against a ``(..., V, d, K)`` bank ``w`` and the config's head count."""
+    against a ``(..., V, d, K)`` bank ``w`` and the config's head count.
+    Labels of a non-integer dtype are rejected, not truncated."""
     num_heads, d, k = w.shape[-3:]
     if num_heads != cfg.num_heads:
         raise ValueError(f"bank has {num_heads} heads, config says {cfg.num_heads}")
@@ -267,7 +271,8 @@ def _check_inputs(x_batch, labels, w: np.ndarray, cfg: LossConfig):
     labels = np.asarray(labels)
     if labels.shape != (x_batch.shape[0],):
         raise ValueError(f"expected {x_batch.shape[0]} labels, got shape {labels.shape}")
-    if labels.size and (labels.min() < 0 or labels.max() >= k):
+    labels = as_integers(labels, "labels")
+    if np.minimum.reduce(labels) < 0 or np.maximum.reduce(labels) >= k:
         raise ValueError(f"labels must lie in [0, {k})")
     return x_batch, labels.astype(np.int64)
 
@@ -417,21 +422,37 @@ def em_softmax_forward(x_batch: np.ndarray, bank, labels, cfg: LossConfig) -> Lo
     x_batch, labels = _check_inputs(x_batch, labels, w, cfg)
     classification, diversity, total, probs, index, triple = _loss_core(x_batch, w, labels, cfg)
     return LossOutput(float(total), float(classification), float(diversity), probs,
-                      (x_batch, w, index, probs, triple, cfg))
+                      (x_batch, w, labels, index, probs, triple, cfg))
 
 
-def em_softmax_totals(x_batch: np.ndarray, banks, labels, cfg: LossConfig) -> np.ndarray:
-    """Total loss of every bank in a ``(B, V, d, K)`` stack, shape (B,).
+def _record_of(fwd: LossOutput) -> tuple:
+    """The record :func:`em_softmax_forward` kept in ``fwd``."""
+    record = getattr(fwd, "_record", None)
+    if record is None:
+        raise ValueError("forward output was not produced by em_softmax_forward")
+    return record
 
+
+def em_softmax_totals(fwd: LossOutput, banks) -> np.ndarray:
+    """Total loss of every bank in a ``(B, V, d, K)`` stack, shape (B,),
+    on the batch and config of the forward pass ``fwd``.
+
+    The stack holds banks shaped like the one ``fwd`` scored, typically
+    perturbed copies of it (the gradient checker's finite differences).
     Entry b equals ``em_softmax_forward(x_batch, banks[b], labels,
-    cfg).total_loss`` up to rounding in the last bits; the whole stack
-    is validated once and scored in one pass.
+    cfg).total_loss`` for the features, labels and config that ``fwd``
+    checked and recorded, up to rounding in the last bits. Those inputs
+    are not checked again: only the record and the stack's ``(V, d, K)``
+    are, and the whole stack is scored in one pass.
     """
+    x, w, labels, *_, cfg = _record_of(fwd)
     banks = np.asarray(banks, dtype=np.float64)
-    if banks.ndim != 4 or 0 in banks.shape:
-        raise ValueError(f"banks must be a non-empty (B, V, d, K) stack, got {banks.shape}")
-    x_batch, labels = _check_inputs(x_batch, labels, banks, cfg)
-    return _loss_core(x_batch, banks, labels, cfg)[2]
+    if banks.ndim != 4 or banks.shape[0] == 0 or banks.shape[1:] != w.shape:
+        raise ValueError(
+            f"banks must be a non-empty (B, {', '.join(map(str, w.shape))}) stack "
+            f"like the forward's bank, got {banks.shape}"
+        )
+    return _loss_core(x, banks, labels, cfg)[2]
 
 
 def em_softmax_backward(fwd: LossOutput) -> tuple[np.ndarray, np.ndarray]:
@@ -450,10 +471,7 @@ def em_softmax_backward(fwd: LossOutput) -> tuple[np.ndarray, np.ndarray]:
     when each term holds at least two values; a single value per head
     would be summed pairwise (from V = 8), so that case keeps the loop.
     """
-    record = getattr(fwd, "_record", None)
-    if record is None:
-        raise ValueError("forward output was not produced by em_softmax_forward")
-    x, w, index, probs, triple, cfg = record
+    x, w, _, index, probs, triple, cfg = _record_of(fwd)
 
     delta = probs.copy()
     delta.reshape(-1)[index] -= 1.0

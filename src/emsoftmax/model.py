@@ -43,6 +43,13 @@ class CheckpointError(Exception):
     """A checkpoint is unreadable: bad magic, version, size, CRC, or shapes."""
 
 
+def _check_layer_dims(dims: list[int]) -> None:
+    if len(dims) < 2:
+        raise ValueError("need at least an input and an output dim")
+    if any(d < 1 for d in dims):
+        raise ValueError(f"layer dims must be positive, got {dims}")
+
+
 class MlpFeatureExtractor:
     """Affine+ReLU stack with a linear final layer.
 
@@ -54,10 +61,7 @@ class MlpFeatureExtractor:
 
     def __init__(self, layer_dims, rng: Rng | None = None):
         dims = [int(d) for d in layer_dims]
-        if len(dims) < 2:
-            raise ValueError("need at least an input and an output dim")
-        if any(d < 1 for d in dims):
-            raise ValueError(f"layer dims must be positive, got {dims}")
+        _check_layer_dims(dims)
         self.layer_dims = dims
         self.weights: list[np.ndarray] = []
         self.biases: list[np.ndarray] = []
@@ -156,30 +160,35 @@ def _pack_array(a: np.ndarray) -> bytes:
 
 
 class _Reader:
-    def __init__(self, blob: bytes):
+    """Reads a checkpoint's payload, the file's bytes before the CRC, in
+    place: arrays are read-only views of ``blob``, copied by the caller."""
+
+    def __init__(self, blob: bytes, end: int):
         self.blob = blob
+        self.end = end
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.blob):
+    def skip(self, n: int) -> int:
+        """Offset of the next ``n`` bytes, which the reader then passes."""
+        if self.pos + n > self.end:
             raise CheckpointError(
                 f"truncated checkpoint: wanted {n} bytes at offset {self.pos}, "
-                f"file has {len(self.blob)}"
+                f"file has {self.end}"
             )
-        out = self.blob[self.pos : self.pos + n]
         self.pos += n
-        return out
+        return self.pos - n
 
     def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
+        return struct.unpack_from("<I", self.blob, self.skip(4))[0]
 
     def array(self, shape: tuple[int, int], what: str) -> np.ndarray:
-        """The next array, whose ``(rows, cols)`` must be ``shape``."""
-        found = struct.unpack("<II", self.take(8))
+        """A view of the next array, whose ``(rows, cols)`` must be ``shape``."""
+        found = struct.unpack_from("<II", self.blob, self.skip(8))
         if found != shape:
             raise CheckpointError(f"{what} has shape {found}, header says {shape}")
-        raw = self.take(shape[0] * shape[1] * 8)
-        return np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        count = shape[0] * shape[1]
+        offset = self.skip(count * 8)
+        return np.frombuffer(self.blob, "<f8", count, offset).reshape(shape)
 
 
 def save_checkpoint(path, net: MlpFeatureExtractor, bank: WeakClassifierBank) -> None:
@@ -203,22 +212,27 @@ def save_checkpoint(path, net: MlpFeatureExtractor, bank: WeakClassifierBank) ->
 
 
 def load_checkpoint(path) -> tuple[MlpFeatureExtractor, WeakClassifierBank]:
-    """Read a checkpoint, verifying magic, version, and checksum."""
+    """Read a checkpoint, verifying magic, version, and checksum.
+
+    The file's bytes are read once and every array is copied straight
+    out of them, so loading holds about twice the file's size at its
+    peak.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < len(_MAGIC) + 4:
         raise CheckpointError(f"file too short to be a checkpoint ({len(blob)} bytes)")
     if blob[: len(_MAGIC)] != _MAGIC:
         raise CheckpointError(f"bad magic {blob[:len(_MAGIC)]!r}, expected {_MAGIC!r}")
-    payload, trailer = blob[:-4], blob[-4:]
-    crc = struct.unpack("<I", trailer)[0]
-    actual = zlib.crc32(payload) & 0xFFFFFFFF
+    end = len(blob) - 4
+    crc = struct.unpack_from("<I", blob, end)[0]
+    actual = zlib.crc32(memoryview(blob)[:end]) & 0xFFFFFFFF
     if crc != actual:
         raise CheckpointError(
             f"checksum mismatch: stored {crc:#010x}, computed {actual:#010x}"
         )
-    r = _Reader(payload)
-    r.take(len(_MAGIC))
+    r = _Reader(blob, end)
+    r.skip(len(_MAGIC))
     version = r.u32()
     if version != _VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
@@ -228,13 +242,15 @@ def load_checkpoint(path) -> tuple[MlpFeatureExtractor, WeakClassifierBank]:
     # built: a header that claims huge layers cannot allocate them
     weights, biases = [], []
     for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
-        weights.append(r.array((fan_in, fan_out), f"layer {i} w{i} of dims {dims}"))
-        biases.append(r.array((1, fan_out), f"layer {i} b{i} of dims {dims}"))
+        weights.append(r.array((fan_in, fan_out), f"layer {i} w{i} of dims {dims}").copy())
+        biases.append(r.array((1, fan_out), f"layer {i} b{i} of dims {dims}").copy())
     try:
-        net = MlpFeatureExtractor(dims)
+        _check_layer_dims(dims)
     except ValueError as exc:
         raise CheckpointError(f"bad layer dims {dims}: {exc}") from exc
-    net.weights, net.biases = weights, biases
+    # built around the arrays just read, without zero weights to replace
+    net = MlpFeatureExtractor.__new__(MlpFeatureExtractor)
+    net.layer_dims, net.weights, net.biases = dims, weights, biases
     num_heads = r.u32()
     feature_dim = r.u32()
     num_classes = r.u32()
@@ -247,8 +263,8 @@ def load_checkpoint(path) -> tuple[MlpFeatureExtractor, WeakClassifierBank]:
             f"bank expects {feature_dim}-dim features, network emits {dims[-1]}"
         )
     heads = [r.array((feature_dim, num_classes), f"head {v}") for v in range(num_heads)]
-    if r.pos != len(payload):
-        raise CheckpointError(f"{len(payload) - r.pos} bytes after the last head")
+    if r.pos != end:
+        raise CheckpointError(f"{end - r.pos} bytes after the last head")
     bank = WeakClassifierBank.__new__(WeakClassifierBank)
     bank.heads = np.array(heads)
     return net, bank

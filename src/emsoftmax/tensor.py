@@ -27,6 +27,7 @@ import numpy as np
 
 __all__ = [
     "Rng",
+    "as_integers",
     "as_matrix",
     "gaussian_init",
     "sum_in_order",
@@ -173,6 +174,15 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
         raise ValueError(f"{name} must be 2-D, got shape {out.shape}")
     if out.shape[0] < 1 or out.shape[1] < 1:
         raise ValueError(f"{name} must have positive dimensions, got {out.shape}")
+    return out
+
+
+def as_integers(a, name: str) -> np.ndarray:
+    """``a`` as an array of its own integer dtype. Any other dtype (float,
+    bool, object) is rejected, not cast: a cast would truncate it."""
+    out = np.asarray(a)
+    if out.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be integers, got dtype {out.dtype}")
     return out
 
 

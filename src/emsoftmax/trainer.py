@@ -23,8 +23,10 @@ central finite differences of the scalar loss and is the backbone of the
 correctness tests; it always runs the exact diversity backward since the
 detached training rule is deliberately not the derivative of the
 penalty. Bank blocks are differenced in batches: every perturbed bank
-is scored through :func:`em_softmax_totals` in chunks. Network blocks
-change the features, so they are still differenced entry by entry.
+is scored through :func:`em_softmax_totals` in chunks, on the batch
+that the step's own forward pass checked, so the inputs are validated
+once per check. Network blocks change the features, so they are still
+differenced entry by entry.
 """
 
 from __future__ import annotations
@@ -62,8 +64,8 @@ _LOSS_CEILING = 1e6
 
 # grad_check scores perturbed banks in chunks whose largest temporary (the
 # bank stack, the scores or the V-1 other heads' Grams gathered for every
-# diversity kernel) holds about this many float64 values; a chunk holds at
-# least one bank.
+# diversity kernel) holds about this many float64 values; a chunk holds an
+# even number of banks, at least two (one raised and one lowered copy).
 _FD_CHUNK_VALUES = 1_000_000
 _FD_STEP = 1e-6  # grad_check's central-difference step
 _EVAL_CHUNK = 4096  # rows count_hits scores per chunk
@@ -355,27 +357,30 @@ def _entrywise_differences(net, bank_heads, x, y, loss_cfg, param) -> np.ndarray
     return numeric.reshape(param.shape)
 
 
-def _bank_differences(feats, bank_heads, y, loss_cfg) -> np.ndarray:
+def _bank_differences(fwd, bank_heads) -> np.ndarray:
     """Central differences of the loss for every bank entry, shape (V, d, K).
 
-    Bank 2j is the bank with entry j set to ``orig + _FD_STEP``, bank 2j + 1
-    the same with ``orig - _FD_STEP``; all 2P of them are scored in chunks.
+    ``fwd`` is the forward pass that scored ``bank_heads``; every perturbed
+    bank is scored on its batch through :func:`em_softmax_totals`. Bank 2j
+    is the bank with entry j set to ``orig + _FD_STEP``, bank 2j + 1 the
+    same with ``orig - _FD_STEP``. All 2P of them are scored in chunks of
+    an even number of banks, so a chunk that starts at bank ``2 * e0``
+    holds whole pairs: c copies of the bank from one ``np.repeat``, whose
+    raveled values take ``+= _FD_STEP`` at ``e0 + i * (2P + 1)`` and
+    ``-= _FD_STEP`` at ``P + e0 + i * (2P + 1)`` for i < c / 2.
     """
-    flat = bank_heads.ravel()
     num_heads, d, k = bank_heads.shape
-    per_bank = num_heads * k * max(d, feats.shape[0], (num_heads - 1) * k)
-    chunk = max(1, _FD_CHUNK_VALUES // per_bank)
-    totals = np.empty(2 * flat.size)
+    size = bank_heads.size
+    per_bank = num_heads * k * max(d, fwd.probs_per_head.shape[-2], (num_heads - 1) * k)
+    chunk = 2 * max(1, _FD_CHUNK_VALUES // (2 * per_bank))
+    totals = np.empty(2 * size)
     for start in range(0, totals.size, chunk):
-        banks = np.arange(start, min(start + chunk, totals.size))
-        entries = banks // 2
-        stack = np.repeat(flat[None, :], banks.size, axis=0)
-        stack[np.arange(banks.size), entries] = np.where(
-            banks % 2 == 0, flat[entries] + _FD_STEP, flat[entries] - _FD_STEP
-        )
-        totals[banks] = em_softmax_totals(
-            feats, stack.reshape(banks.size, num_heads, d, k), y, loss_cfg
-        )
+        stop = min(start + chunk, totals.size)
+        stack = np.repeat(bank_heads[None], stop - start, axis=0)
+        values = stack.reshape(-1)
+        values[start // 2 :: 2 * size + 1] += _FD_STEP
+        values[size + start // 2 :: 2 * size + 1] -= _FD_STEP
+        totals[start:stop] = em_softmax_totals(fwd, stack)
     return ((totals[0::2] - totals[1::2]) / (2 * _FD_STEP)).reshape(bank_heads.shape)
 
 
@@ -410,11 +415,12 @@ def grad_check(
     diversity backward is always used here because the detached
     training rule is not the derivative of the loss.
 
-    The features are computed once for the bank blocks, all their
-    perturbed banks are scored in batches, and the errors of the whole
-    bank are formed in one pass, then maximized head by head; network
-    blocks are differenced entry by entry, one forward pass per
-    perturbation.
+    The step's forward pass checks the inputs once; all the bank's
+    perturbed banks are scored in batches on that pass's batch, and the
+    errors of the whole bank are formed in one pass, then maximized head
+    by head. Network blocks are differenced entry by entry, one forward
+    pass per perturbation. ``labels`` reach the forward unconverted, so
+    non-integer labels are rejected there.
 
     ``corrupt_block`` deliberately perturbs one analytic block (e.g.
     ``"head0"`` or ``"w1"``) before comparison — the self-test that the
@@ -427,9 +433,8 @@ def grad_check(
     """
     check_cfg = replace(loss_cfg, exact_diversity_grad=True)
     x = np.asarray(x_batch, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
 
-    _, feats, grads = _gradients(net, bank, x, y, check_cfg)
+    fwd, _, grads = _gradients(net, bank, x, labels, check_cfg)
     # the bank, the last block, is compared head by head
     *net_blocks, _ = _parameters(net, bank)
     head_names = [f"head{v}" for v in range(bank.num_heads)]
@@ -439,19 +444,24 @@ def grad_check(
             raise ValueError(f"unknown block {corrupt_block!r}, have {names}")
 
     errors: dict[str, float] = {}
+    # relative errors are >= 0, so starting from 0.0 changes no maximum;
+    # np.maximum, unlike max(), cannot skip a NaN block error
+    worst = 0.0
     for (name, param, _), analytic in zip(net_blocks, grads):
         if name == corrupt_block:
             analytic = analytic + 1e-2
-        numeric = _entrywise_differences(net, bank.heads, x, y, check_cfg, param)
-        errors[name] = float(np.max(_relative_errors(analytic, numeric)))
+        numeric = _entrywise_differences(net, bank.heads, x, labels, check_cfg, param)
+        error = np.maximum.reduce(_relative_errors(analytic, numeric), axis=None)
+        errors[name] = float(error)
+        worst = np.maximum(worst, error)
     analytic = grads[-1]
     if corrupt_block in head_names:
         analytic = analytic.copy()
         analytic[head_names.index(corrupt_block)] += 1e-2
-    numeric = _bank_differences(feats, bank.heads, y, check_cfg)
+    numeric = _bank_differences(fwd, bank.heads)
     per_head = _relative_errors(analytic, numeric).reshape(len(head_names), -1)
     # max is exact, so each head's error has the bits of its block's own max
-    errors.update(zip(head_names, np.max(per_head, axis=1).tolist()))
-
-    # np.max, unlike max(), cannot skip a NaN block error
-    return {"block_errors": errors, "max_error": float(np.max(list(errors.values())))}
+    head_errors = np.maximum.reduce(per_head, axis=1)
+    errors.update(zip(head_names, head_errors.tolist()))
+    worst = np.maximum(worst, np.maximum.reduce(head_errors))
+    return {"block_errors": errors, "max_error": float(worst)}

@@ -8,7 +8,8 @@ operation order bit for bit: ``ref_diversity_kernel``,
 ``ref_em_softmax_backward``, ``ref_mlp_backward``, ``ref_sgd_step`` and
 the earlier loss core (``ref_softmax_probs``, ``ref_margin_softmax``,
 ``ref_kernel_loop``, ``ref_loss_forward``, ``ref_loss_totals`` and
-``ref_loss_backward``), the earlier whole-array draws (``ref_raw``,
+``ref_loss_backward``), the earlier finite differences of a bank
+(``ref_bank_differences``), the earlier whole-array draws (``ref_raw``,
 ``ref_uniform``, ``ref_normal``, ``ref_gaussian_init`` and
 ``ref_synth_blobs``), and the earlier eager IDX features
 (``ref_idx_features`` and ``ref_mean_subtract``).
@@ -283,6 +284,30 @@ def ref_loss_totals(x_batch, banks, labels, cfg):
     x = np.asarray(x_batch, dtype=np.float64)
     banks = np.asarray(banks, dtype=np.float64)
     return _ref_core(x, banks, np.asarray(labels, dtype=np.int64), cfg)[2]
+
+
+def ref_bank_differences(feats, bank_heads, y, loss_cfg, chunk_values, step=1e-6):
+    """Central differences of every bank entry as the gradient checker
+    formed them before: chunks of banks ``chunk_values // per_bank`` long
+    (odd lengths included), each built by one fancy-indexed write of an
+    ``np.where`` of the raised and lowered entries, scored through
+    :func:`ref_loss_totals`."""
+    flat = bank_heads.ravel()
+    num_heads, d, k = bank_heads.shape
+    per_bank = num_heads * k * max(d, feats.shape[0], (num_heads - 1) * k)
+    chunk = max(1, chunk_values // per_bank)
+    totals = np.empty(2 * flat.size)
+    for start in range(0, totals.size, chunk):
+        banks = np.arange(start, min(start + chunk, totals.size))
+        entries = banks // 2
+        stack = np.repeat(flat[None, :], banks.size, axis=0)
+        stack[np.arange(banks.size), entries] = np.where(
+            banks % 2 == 0, flat[entries] + step, flat[entries] - step
+        )
+        totals[banks] = ref_loss_totals(
+            feats, stack.reshape(banks.size, num_heads, d, k), y, loss_cfg
+        )
+    return ((totals[0::2] - totals[1::2]) / (2 * step)).reshape(bank_heads.shape)
 
 
 def ref_loss_backward(fwd):

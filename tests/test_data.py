@@ -171,6 +171,29 @@ class TestDataset:
         with pytest.raises(ValueError, match="mean has shape"):
             Dataset(np.zeros((2, 2)), np.array([0, 1]), 2, mean=np.zeros(3))
 
+    @pytest.mark.parametrize("labels", [[0.5, 1.7], [0.0, 1.0], [False, True]],
+                             ids=["fractions", "whole floats", "bool"])
+    def test_non_integer_labels_rejected(self, labels):
+        # a cast to int64 would keep [0.5, 1.7] as the labels [0, 1]
+        dtype = np.asarray(labels).dtype
+        with pytest.raises(ValueError, match=f"labels must be integers, got dtype {dtype}"):
+            Dataset(np.zeros((2, 2)), labels, 2)
+
+    @pytest.mark.parametrize("indices", [[0.5, 1.5], [0.0, 1.0], [True, False, True]],
+                             ids=["fractions", "whole floats", "bool"])
+    def test_take_rejects_non_integer_indices(self, indices):
+        ds = Dataset(np.arange(6.0).reshape(3, 2), np.array([0, 1, 0]), 2)
+        dtype = np.asarray(indices).dtype
+        with pytest.raises(ValueError, match=f"row indices must be integers, got dtype {dtype}"):
+            ds.take(indices)
+
+    def test_unsigned_labels_and_indices_accepted(self):
+        ds = Dataset(np.arange(6.0).reshape(3, 2), np.array([0, 1, 1], dtype=np.uint8), 2)
+        assert ds.labels.dtype == np.int64
+        sub = ds.take(np.array([2, 0], dtype=np.uint32))
+        np.testing.assert_array_equal(sub.features, [[4.0, 5.0], [0.0, 1.0]])
+        np.testing.assert_array_equal(sub.labels, [1, 0])
+
     def test_take_returns_independent_copy(self):
         ds = Dataset(np.arange(8.0).reshape(4, 2), np.array([0, 1, 0, 1]), 2)
         sub = ds.take([1, 3])

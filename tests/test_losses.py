@@ -300,6 +300,30 @@ class TestForward:
         out = em_softmax_forward(x, [np.eye(2)], [0], LossConfig(1.0, 0.0, 1))
         np.testing.assert_allclose(out.probs_per_head[0], [[0.5, 0.5]], atol=1e-15)
 
+    def test_features_and_labels_must_fit_the_bank(self):
+        x, cfg = np.zeros((2, 3)), LossConfig(0, 0, 2)
+        with pytest.raises(ValueError, match="features of dim 5"):
+            em_softmax_forward(x, np.ones((2, 5, 2)), [0, 1], cfg)
+        with pytest.raises(ValueError, match="expected 2 labels"):
+            em_softmax_forward(x, np.ones((2, 3, 2)), [0, 1, 1], cfg)
+        with pytest.raises(ValueError, match=r"labels must lie in \[0, 2\)"):
+            em_softmax_forward(x, np.ones((2, 3, 2)), [0, 2], cfg)
+
+    @pytest.mark.parametrize("labels", [[0.9, 1.9], [0.0, 1.0], [True, False],
+                                        np.array([0, 1], dtype=object)],
+                             ids=["fractions", "whole floats", "bool", "object"])
+    def test_non_integer_labels_rejected(self, labels):
+        # truncating [0.9, 1.9] to [0, 1] would score the wrong classes
+        dtype = np.asarray(labels).dtype
+        with pytest.raises(ValueError, match=f"labels must be integers, got dtype {dtype}"):
+            em_softmax_forward(np.ones((2, 3)), np.ones((1, 3, 2)), labels, LossConfig())
+
+    def test_unsigned_labels_score_like_int64(self):
+        x, bank = np.eye(3)[:2], np.arange(9.0).reshape(1, 3, 3)
+        want = em_softmax_forward(x, bank, np.array([2, 0]), LossConfig(0.5)).total_loss
+        got = em_softmax_forward(x, bank, np.array([2, 0], dtype=np.uint8), LossConfig(0.5))
+        assert got.total_loss == want
+
 
 class TestTotals:
     @pytest.mark.parametrize("v", [1, 2, 3, 6])
@@ -313,7 +337,7 @@ class TestTotals:
             banks = rng.normal(size=(7, v, d, k)) * rng.uniform(0.1, 3.0, size=(7, v, 1, 1))
             x = rng.normal(size=(n, d))
             y = rng.integers(0, k, size=n)
-            totals = em_softmax_totals(x, banks, y, cfg)
+            totals = em_softmax_totals(em_softmax_forward(x, banks[0], y, cfg), banks)
             assert totals.shape == (7,)
             expected = [em_softmax_forward(x, list(b), y, cfg).total_loss for b in banks]
             np.testing.assert_allclose(totals, expected, rtol=0.0, atol=1e-13)
@@ -327,20 +351,29 @@ class TestTotals:
             banks = rng.normal(size=(5, v, 6, 4))
             x = rng.normal(size=(n, 6))
             y = rng.integers(0, 4, size=n)
-            totals = em_softmax_totals(x, banks, y, cfg)
+            totals = em_softmax_totals(em_softmax_forward(x, banks[-1], y, cfg), banks)
             expected = [em_softmax_forward(x, list(b), y, cfg).total_loss for b in banks]
             assert totals.tolist() == expected
 
+    def test_scores_on_the_forwards_batch(self):
+        # the stack is scored on the forward's features, labels and config,
+        # whatever bank the forward itself scored
+        rng = np.random.default_rng(5)
+        x, y, cfg = rng.normal(size=(4, 3)), np.array([1, 0, 2, 2]), LossConfig(1.0, 0.1, 2)
+        banks = rng.normal(size=(3, 2, 3, 3))
+        fwd = em_softmax_forward(x, rng.normal(size=(2, 3, 3)), y, cfg)
+        expected = [em_softmax_forward(x, b, y, cfg).total_loss for b in banks]
+        assert em_softmax_totals(fwd, banks).tolist() == expected
+
     def test_validation(self):
-        x, y = np.zeros((2, 3)), [0, 1]
-        with pytest.raises(ValueError, match="stack"):
-            em_softmax_totals(x, np.zeros((2, 3, 2)), y, LossConfig(0, 0, 2))
-        with pytest.raises(ValueError, match="heads"):
-            em_softmax_totals(x, np.ones((4, 1, 3, 2)), y, LossConfig(0, 0, 2))
-        with pytest.raises(ValueError, match="dim"):
-            em_softmax_totals(x, np.ones((4, 2, 5, 2)), y, LossConfig(0, 0, 2))
-        with pytest.raises(ValueError, match="labels"):
-            em_softmax_totals(x, np.ones((4, 2, 3, 2)), [0, 2], LossConfig(0, 0, 2))
+        fwd = em_softmax_forward(np.zeros((2, 3)), np.ones((2, 3, 2)), [0, 1], LossConfig(0, 0, 2))
+        for shape in ((2, 3, 2), (0, 2, 3, 2), (4, 1, 3, 2), (4, 2, 5, 2), (4, 2, 3, 3)):
+            with pytest.raises(ValueError, match=r"non-empty \(B, 2, 3, 2\) stack"):
+                em_softmax_totals(fwd, np.ones(shape))
+        by_hand = LossOutput(fwd.total_loss, fwd.classification_term,
+                             fwd.diversity_term, fwd.probs_per_head)
+        with pytest.raises(ValueError, match="not produced by em_softmax_forward"):
+            em_softmax_totals(by_hand, np.ones((4, 2, 3, 2)))
 
 
 class TestBackward:

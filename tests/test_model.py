@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -329,6 +330,24 @@ class TestCheckpoint:
         self.write_with_crc(path, b"EMSM" + struct.pack("<III", 1, 1, 20))
         with pytest.raises(CheckpointError, match="dims"):
             load_checkpoint(path)
+
+    def test_load_peaks_below_two_and_a_half_file_sizes(self, tmp_path):
+        # the file's bytes plus one copy of every array: no sliced payload,
+        # no sliced array bytes, no zero weights built and then replaced
+        path = tmp_path / "big.ckpt"
+        save_checkpoint(path, MlpFeatureExtractor([300, 200, 100], Rng(1)),
+                        WeakClassifierBank(100, 10, 2, Rng(2)))
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            net, bank = load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * size, (peak, size)
+        assert net.layer_dims == [300, 200, 100] and bank.heads.shape == (2, 100, 10)
+        assert all(w.flags.writeable and w.flags.owndata for w in net.weights + net.biases)
+        assert bank.heads.flags.writeable and bank.heads.dtype == np.float64
 
     def test_huge_header_dims_without_payload_are_truncated(self, tmp_path):
         # a 2^20 x 2^20 layer would need 8 TiB: every array is read against

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import ref_em_softmax_backward, ref_sgd_step
+from conftest import ref_bank_differences, ref_em_softmax_backward, ref_sgd_step
 from emsoftmax.cli import RunConfig, run_training
 from emsoftmax.data import Dataset, SyntheticSpec, synth_blobs
 from emsoftmax.losses import LossConfig
@@ -506,8 +506,9 @@ class TestGradCheck:
         cfg = LossConfig(0.5, 0.1, 3)
         res = grad_check(None, bank, x, y, cfg, corrupt_block=corrupt)
         check_cfg = replace(cfg, exact_diversity_grad=True)
-        analytic = trainer._gradients(None, bank, x, y, check_cfg)[2][-1]
-        numeric = trainer._bank_differences(x, bank.heads, y, check_cfg)
+        fwd, _, grads = trainer._gradients(None, bank, x, y, check_cfg)
+        analytic = grads[-1]
+        numeric = trainer._bank_differences(fwd, bank.heads)
         expected = {}
         for v in range(3):
             a = analytic[v] + 1e-2 if f"head{v}" == corrupt else analytic[v]
@@ -564,6 +565,15 @@ class TestGradCheck:
         assert np.isnan(res["block_errors"]["head0"])
         assert not res["max_error"] <= 1e-5
 
+    @pytest.mark.parametrize("labels", [[0.9, 1.9], np.array([1, 0], dtype=bool)],
+                             ids=["fractions", "bool"])
+    def test_non_integer_labels_rejected(self, labels):
+        # cast to int64, [0.9, 1.9] would be checked as the labels [0, 1]
+        ds = blob_dataset(per=3, dim=4)
+        bank = WeakClassifierBank(ds.dim, ds.num_classes, 2, Rng(2))
+        with pytest.raises(ValueError, match="labels must be integers"):
+            grad_check(None, bank, ds.features[:2], labels, LossConfig(0.0, 0.1, 2))
+
     def test_unknown_corrupt_block_rejected(self):
         ds = blob_dataset(per=3, dim=4)
         bank = WeakClassifierBank(ds.dim, ds.num_classes, 1, Rng(2))
@@ -572,3 +582,42 @@ class TestGradCheck:
                 None, bank, ds.features[:2], ds.labels[:2],
                 LossConfig(0, 0, 1), corrupt_block="nope",
             )
+
+
+class TestBankDifferences:
+    """The perturbed banks, built as repeated copies with two strided
+    writes per chunk, keep every bit of the earlier fancy-indexed stack."""
+
+    @pytest.mark.parametrize("v", [1, 2, 3])
+    @pytest.mark.parametrize("banks_per_chunk", [2, 3, 4, None],
+                             ids=["2 banks", "3 banks", "4 banks", "whole stack"])
+    def test_bits_match_the_earlier_stack(self, monkeypatch, v, banks_per_chunk):
+        # a budget of 3 banks gave odd chunks before; chunks now hold whole pairs
+        rng = Rng(30 + v)
+        d, k, n = 4, 3, 2
+        bank = WeakClassifierBank(d, k, v, rng.spawn(1))
+        x = rng.spawn(2).normal((n, d))
+        y = np.array([2, 0])
+        cfg = LossConfig(0.5, 0.1, v, exact_diversity_grad=True)
+        per_bank = v * k * max(d, n, (v - 1) * k)
+        budget = 10**6 if banks_per_chunk is None else banks_per_chunk * per_bank
+        monkeypatch.setattr(trainer, "_FD_CHUNK_VALUES", budget)
+        calls = []
+        totals = trainer.em_softmax_totals
+
+        def counted(fwd, banks):
+            calls.append(len(banks))
+            return totals(fwd, banks)
+
+        monkeypatch.setattr(trainer, "em_softmax_totals", counted)
+        fwd = trainer._gradients(None, bank, x, y, cfg)[0]
+        got = trainer._bank_differences(fwd, bank.heads)
+        want = ref_bank_differences(x, bank.heads, y, cfg, budget)
+        assert got.shape == want.shape == bank.heads.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert sum(calls) == 2 * bank.heads.size
+        assert all(c % 2 == 0 for c in calls)
+        if banks_per_chunk is None:
+            assert calls == [2 * bank.heads.size]
+        else:
+            assert calls[0] == 2 * (banks_per_chunk // 2)
