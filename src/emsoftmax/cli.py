@@ -362,7 +362,10 @@ def run_training(cfg: RunConfig, quiet: bool = False) -> dict:
         save_mean(out / "mean.bin", mean)
 
     accuracy = report.final_eval_accuracy
-    final_div = sum_in_order(diversity_penalty(bank.heads, v) for v in range(bank.num_heads))
+    # a diverged bank may overflow here; like train's loop, report it
+    # through the result, not numpy's warnings
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        final_div = sum_in_order(diversity_penalty(bank.heads, v) for v in range(bank.num_heads))
 
     if not quiet:
         if report.diverged:

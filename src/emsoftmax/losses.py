@@ -22,16 +22,16 @@ those Grams.
 One private core computes the loss over a stacked ``(..., V, d, K)``
 bank, with an optional leading batch axis of whole banks. Inputs are
 validated once, where they enter: :func:`em_softmax_forward` checks one
-bank with its features and labels and scores it, and
-:func:`diversity_penalty` checks a bank and goes through the same kernel
-builder. The forward records its checked inputs, config, probabilities,
-label index, normalized heads, their column norms and the products
-``Wv_hat Kv`` in its output. :func:`em_softmax_backward` takes that
-output alone and works from the record over the whole stack, so one
-training step builds the kernels once. :func:`em_softmax_totals` takes
-it with a ``(B, V, d, K)`` stack of banks shaped like the forward's (the
-gradient checker's perturbed copies) and scores every bank on the
-forward's checked batch, checking only the stack's shape.
+bank, or a ``(B, V, d, K)`` stack of banks, with its features and labels
+and scores every bank in one pass, and :func:`diversity_penalty` checks
+a bank and goes through the same kernel builder. The forward records its
+checked inputs, config, probabilities, label index, normalized heads,
+their column norms and the products ``Wv_hat Kv`` in its output; of a
+stack (the gradient checker's live bank followed by its perturbed
+copies), it records bank 0 and returns every bank's total beside it.
+:func:`em_softmax_backward` takes that output alone and works from the
+record over all heads at once, so one training step builds the kernels
+once.
 
 At the shapes this toolkit trains (K = 10 classes, a few heads), numpy's
 per-call and per-row reduction overheads cost more than the arithmetic,
@@ -67,7 +67,6 @@ __all__ = [
     "normalize_classifier",
     "diversity_penalty",
     "em_softmax_forward",
-    "em_softmax_totals",
     "em_softmax_backward",
 ]
 
@@ -114,21 +113,23 @@ class LossOutput:
     """Forward result: total = classification + lambda * diversity.
 
     ``probs_per_head`` holds the margin-adjusted softmax rows of every
-    head, shape ``(V, n, K)``. ``_record`` is the forward's private
+    head, shape ``(V, n, K)``. Of a stack of banks, these fields describe
+    bank 0 and ``totals`` holds the total of every bank, shape (B,); it
+    is None for a single bank. ``_record`` is the forward's private
     record: its checked features, its own copy of the bank, its checked
     int64 labels, the index of every row's label in the raveled
     ``(V * n * K,)`` probabilities, the probabilities, the diversity
     triple (``Wv_hat``, the ``(V, 1, K)`` column norms of the bank, the
     products ``Wv_hat Kv``; None for a single head) and the config.
-    :func:`em_softmax_forward` fills it in; :func:`em_softmax_backward`
-    and :func:`em_softmax_totals` read it. An output built by hand leaves
-    it None and has neither a backward nor totals.
+    :func:`em_softmax_forward` fills it in and :func:`em_softmax_backward`
+    reads it. An output built by hand leaves it None and has no backward.
     """
 
     total_loss: float
     classification_term: float
     diversity_term: float
     probs_per_head: np.ndarray
+    totals: np.ndarray | None = None
     _record: tuple | None = field(default=None, repr=False, compare=False)
 
 
@@ -246,16 +247,18 @@ def _unit_columns(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w / np.where(degenerate, 1.0, norms), norms
 
 
-def _check_bank(bank) -> np.ndarray:
+def _check_bank(bank, stacked: bool = False) -> np.ndarray:
     """The bank's heads stacked into one new (V, d, K) float64 array.
 
-    Heads of different shapes fail in numpy with an "inhomogeneous shape"
-    ValueError.
+    With ``stacked``, a ``(B, V, d, K)`` stack of banks is accepted too,
+    as a float64 array that is read, not copied. Heads of different
+    shapes fail in numpy with an "inhomogeneous shape" ValueError.
     """
-    w = np.array(bank, dtype=np.float64)
-    if w.ndim != 3 or 0 in w.shape:
-        raise ValueError(f"bank must have shape (V, d, K) with V, d, K >= 1, got {w.shape}")
-    return w
+    w = np.asarray(bank, dtype=np.float64)
+    if w.ndim not in ((3, 4) if stacked else (3,)) or 0 in w.shape:
+        shapes = "(V, d, K) or (B, V, d, K)" if stacked else "(V, d, K)"
+        raise ValueError(f"bank must have shape {shapes} with every size >= 1, got {w.shape}")
+    return w if w.ndim == 4 else np.array(w)
 
 
 def _check_inputs(x_batch, labels, w: np.ndarray, cfg: LossConfig):
@@ -417,12 +420,30 @@ def em_softmax_forward(x_batch: np.ndarray, bank, labels, cfg: LossConfig) -> Lo
     classification = sum over heads of the batch-mean margin softmax
     loss; diversity = sum over heads of their penalty (weight-only, so it
     is batch independent); total = classification + lambda * diversity.
+
+    ``bank`` is one ``(V, d, K)`` bank, or a ``(B, V, d, K)`` stack of
+    banks that share the batch and config (the gradient checker's live
+    bank followed by its perturbed copies). A stack is checked once
+    against the batch and scored in one pass; the output describes bank
+    0, whose record :func:`em_softmax_backward` reads, and ``totals``
+    holds every bank's total. Bank b of a stack gets the bits that it
+    gets scored alone.
     """
-    w = _check_bank(bank)
+    w = _check_bank(bank, stacked=True)
     x_batch, labels = _check_inputs(x_batch, labels, w, cfg)
     classification, diversity, total, probs, index, triple = _loss_core(x_batch, w, labels, cfg)
-    return LossOutput(float(total), float(classification), float(diversity), probs,
-                      (x_batch, w, labels, index, probs, triple, cfg))
+    if w.ndim == 3:
+        return LossOutput(float(total), float(classification), float(diversity), probs,
+                          _record=(x_batch, w, labels, index, probs, triple, cfg))
+    # bank 0's share of the stack, copied so the output holds no stack-sized array
+    totals = total
+    classification, total, probs = classification[0], total[0], probs[0].copy()
+    if triple is not None:
+        diversity = diversity[0]
+        triple = tuple(part[0].copy() for part in triple)
+    return LossOutput(float(total), float(classification), float(diversity), probs, totals,
+                      (x_batch, w[0].copy(), labels, index[: probs.size // w.shape[-1]].copy(),
+                       probs, triple, cfg))
 
 
 def _record_of(fwd: LossOutput) -> tuple:
@@ -431,28 +452,6 @@ def _record_of(fwd: LossOutput) -> tuple:
     if record is None:
         raise ValueError("forward output was not produced by em_softmax_forward")
     return record
-
-
-def em_softmax_totals(fwd: LossOutput, banks) -> np.ndarray:
-    """Total loss of every bank in a ``(B, V, d, K)`` stack, shape (B,),
-    on the batch and config of the forward pass ``fwd``.
-
-    The stack holds banks shaped like the one ``fwd`` scored, typically
-    perturbed copies of it (the gradient checker's finite differences).
-    Entry b equals ``em_softmax_forward(x_batch, banks[b], labels,
-    cfg).total_loss`` for the features, labels and config that ``fwd``
-    checked and recorded, up to rounding in the last bits. Those inputs
-    are not checked again: only the record and the stack's ``(V, d, K)``
-    are, and the whole stack is scored in one pass.
-    """
-    x, w, labels, *_, cfg = _record_of(fwd)
-    banks = np.asarray(banks, dtype=np.float64)
-    if banks.ndim != 4 or banks.shape[0] == 0 or banks.shape[1:] != w.shape:
-        raise ValueError(
-            f"banks must be a non-empty (B, {', '.join(map(str, w.shape))}) stack "
-            f"like the forward's bank, got {banks.shape}"
-        )
-    return _loss_core(x, banks, labels, cfg)[2]
 
 
 def em_softmax_backward(fwd: LossOutput) -> tuple[np.ndarray, np.ndarray]:

@@ -182,13 +182,17 @@ class _Reader:
         return struct.unpack_from("<I", self.blob, self.skip(4))[0]
 
     def array(self, shape: tuple[int, int], what: str) -> np.ndarray:
-        """A view of the next array, whose ``(rows, cols)`` must be ``shape``."""
+        """A view of the next array, whose ``(rows, cols)`` must be
+        ``shape`` and whose values must all be finite."""
         found = struct.unpack_from("<II", self.blob, self.skip(8))
         if found != shape:
             raise CheckpointError(f"{what} has shape {found}, header says {shape}")
         count = shape[0] * shape[1]
         offset = self.skip(count * 8)
-        return np.frombuffer(self.blob, "<f8", count, offset).reshape(shape)
+        values = np.frombuffer(self.blob, "<f8", count, offset).reshape(shape)
+        if not np.isfinite(values).all():
+            raise CheckpointError(f"{what} has non-finite values")
+        return values
 
 
 def save_checkpoint(path, net: MlpFeatureExtractor, bank: WeakClassifierBank) -> None:
@@ -213,6 +217,10 @@ def save_checkpoint(path, net: MlpFeatureExtractor, bank: WeakClassifierBank) ->
 
 def load_checkpoint(path) -> tuple[MlpFeatureExtractor, WeakClassifierBank]:
     """Read a checkpoint, verifying magic, version, and checksum.
+
+    A NaN or infinite weight is a :class:`CheckpointError` naming its
+    array: its scores would be NaN, and eval would print an accuracy
+    for a model that cannot rank classes.
 
     The file's bytes are read once and every array is copied straight
     out of them, so loading holds about twice the file's size at its

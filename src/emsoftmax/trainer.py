@@ -22,11 +22,13 @@ which :func:`train` catches in one place.
 central finite differences of the scalar loss and is the backbone of the
 correctness tests; it always runs the exact diversity backward since the
 detached training rule is deliberately not the derivative of the
-penalty. Bank blocks are differenced in batches: every perturbed bank
-is scored through :func:`em_softmax_totals` in chunks, on the batch
-that the step's own forward pass checked, so the inputs are validated
-once per check. Network blocks change the features, so they are still
-differenced entry by entry.
+penalty. Bank blocks are differenced in stacks of perturbed banks, all
+scored by :func:`em_softmax_forward`: the step's own forward scores the
+live bank at the front of the first stack, so one pass gives both the
+record the backward reads and the first chunk of perturbed totals, and
+a bank small enough for one chunk costs one forward and one backward.
+Network blocks change the features, so they are still differenced
+entry by entry.
 """
 
 from __future__ import annotations
@@ -39,12 +41,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import Dataset, minibatch_stream
-from .losses import (
-    LossConfig,
-    em_softmax_backward,
-    em_softmax_forward,
-    em_softmax_totals,
-)
+from .losses import LossConfig, em_softmax_backward, em_softmax_forward
 from .model import MlpFeatureExtractor, WeakClassifierBank
 from .tensor import Rng
 
@@ -65,7 +62,8 @@ _LOSS_CEILING = 1e6
 # grad_check scores perturbed banks in chunks whose largest temporary (the
 # bank stack, the scores or the V-1 other heads' Grams gathered for every
 # diversity kernel) holds about this many float64 values; a chunk holds an
-# even number of banks, at least two (one raised and one lowered copy).
+# even number of banks, at least two (one raised and one lowered copy); the
+# first chunk also carries the live bank, in front.
 _FD_CHUNK_VALUES = 1_000_000
 _FD_STEP = 1e-6  # grad_check's central-difference step
 _EVAL_CHUNK = 4096  # rows count_hits scores per chunk
@@ -195,15 +193,17 @@ def _parameters(net: MlpFeatureExtractor | None, bank: WeakClassifierBank):
     return blocks + [("bank", bank.heads, True)]
 
 
-def _gradients(net: MlpFeatureExtractor | None, bank: WeakClassifierBank, x, y,
-               cfg: LossConfig):
+def _gradients(net: MlpFeatureExtractor | None, heads: np.ndarray, x, y, cfg: LossConfig):
     """One step's loss forward, features and gradients.
 
-    Returns ``(fwd, feats, grads)``, ``grads`` aligned with
-    :func:`_parameters`. Without a network the features are ``x`` itself.
+    ``heads`` is the bank's ``(V, d, K)`` array, or a stack of banks with
+    the live bank in front (see :func:`em_softmax_forward`); the
+    gradients are those of the live bank. Returns ``(fwd, feats,
+    grads)``, ``grads`` aligned with :func:`_parameters`. Without a
+    network the features are ``x`` itself.
     """
     feats, cache = (x, None) if net is None else net.forward(x)
-    fwd = em_softmax_forward(feats, bank.heads, y, cfg)
+    fwd = em_softmax_forward(feats, heads, y, cfg)
     grads_bank, grads_feats = em_softmax_backward(fwd)
     grads = [] if net is None else [g for layer in net.backward(cache, grads_feats) for g in layer]
     return fwd, feats, grads + [grads_bank]
@@ -306,7 +306,7 @@ def train(
                 x = dataset.rows(idx)
                 y = dataset.labels[idx]
 
-                fwd, feats, grads = _gradients(net, bank, x, y, loss_cfg)
+                fwd, feats, grads = _gradients(net, bank.heads, x, y, loss_cfg)
                 if not np.isfinite(fwd.total_loss) or fwd.total_loss > _LOSS_CEILING:
                     raise DivergenceError(f"loss {fwd.total_loss:g}, ceiling {_LOSS_CEILING:g}")
                 last = it == sgd_cfg.max_iters - 1
@@ -357,31 +357,51 @@ def _entrywise_differences(net, bank_heads, x, y, loss_cfg, param) -> np.ndarray
     return numeric.reshape(param.shape)
 
 
-def _bank_differences(fwd, bank_heads) -> np.ndarray:
-    """Central differences of the loss for every bank entry, shape (V, d, K).
+def _perturbed_banks(bank_heads: np.ndarray, start: int, stop: int, live: bool = False):
+    """Perturbed banks ``start`` to ``stop - 1`` (both even), after the
+    live bank itself when ``live`` is set.
 
-    ``fwd`` is the forward pass that scored ``bank_heads``; every perturbed
-    bank is scored on its batch through :func:`em_softmax_totals`. Bank 2j
-    is the bank with entry j set to ``orig + _FD_STEP``, bank 2j + 1 the
-    same with ``orig - _FD_STEP``. All 2P of them are scored in chunks of
-    an even number of banks, so a chunk that starts at bank ``2 * e0``
-    holds whole pairs: c copies of the bank from one ``np.repeat``, whose
-    raveled values take ``+= _FD_STEP`` at ``e0 + i * (2P + 1)`` and
-    ``-= _FD_STEP`` at ``P + e0 + i * (2P + 1)`` for i < c / 2.
+    Of the 2P perturbed banks, bank 2j is the bank with entry j set to
+    ``orig + _FD_STEP`` and bank 2j + 1 the same with ``orig - _FD_STEP``.
+    The c = stop - start banks are copies of the bank from one
+    ``np.repeat``, whose raveled values past the live bank take
+    ``+= _FD_STEP`` at ``e0 + i * (2P + 1)`` and ``-= _FD_STEP`` at
+    ``P + e0 + i * (2P + 1)`` for i < c / 2, where e0 = start / 2.
+    """
+    size = bank_heads.size
+    stack = np.repeat(bank_heads[None], live + stop - start, axis=0)
+    values = stack.reshape(-1)[live * size :]
+    values[start // 2 :: 2 * size + 1] += _FD_STEP
+    values[size + start // 2 :: 2 * size + 1] -= _FD_STEP
+    return stack
+
+
+def _differenced_step(net, bank_heads, x, labels, cfg):
+    """The step's gradients, as :func:`_gradients` gives them, and the
+    central differences of the loss for every bank entry, (V, d, K).
+
+    The 2P perturbed banks are scored in chunks of an even number of
+    banks, each chunk whole pairs. The step's forward scores the first
+    chunk behind the live bank: bank 0 of that stack gives the record
+    the backward reads, the rest the first perturbed totals. Later
+    chunks are scored on the step's features by the same forward.
     """
     num_heads, d, k = bank_heads.shape
-    size = bank_heads.size
-    per_bank = num_heads * k * max(d, fwd.probs_per_head.shape[-2], (num_heads - 1) * k)
+    rows = x.shape[0] if x.ndim else 1
+    per_bank = num_heads * k * max(d, rows, (num_heads - 1) * k)
     chunk = 2 * max(1, _FD_CHUNK_VALUES // (2 * per_bank))
-    totals = np.empty(2 * size)
-    for start in range(0, totals.size, chunk):
+    totals = np.empty(2 * bank_heads.size)
+    stop = min(chunk, totals.size)
+    fwd, feats, grads = _gradients(
+        net, _perturbed_banks(bank_heads, 0, stop, live=True), x, labels, cfg
+    )
+    totals[:stop] = fwd.totals[1:]
+    for start in range(stop, totals.size, chunk):
         stop = min(start + chunk, totals.size)
-        stack = np.repeat(bank_heads[None], stop - start, axis=0)
-        values = stack.reshape(-1)
-        values[start // 2 :: 2 * size + 1] += _FD_STEP
-        values[size + start // 2 :: 2 * size + 1] -= _FD_STEP
-        totals[start:stop] = em_softmax_totals(fwd, stack)
-    return ((totals[0::2] - totals[1::2]) / (2 * _FD_STEP)).reshape(bank_heads.shape)
+        stack = _perturbed_banks(bank_heads, start, stop)
+        totals[start:stop] = em_softmax_forward(feats, stack, labels, cfg).totals
+    numeric = (totals[0::2] - totals[1::2]) / (2 * _FD_STEP)
+    return grads, numeric.reshape(bank_heads.shape)
 
 
 def _relative_errors(analytic: np.ndarray, numeric: np.ndarray) -> np.ndarray:
@@ -415,12 +435,12 @@ def grad_check(
     diversity backward is always used here because the detached
     training rule is not the derivative of the loss.
 
-    The step's forward pass checks the inputs once; all the bank's
-    perturbed banks are scored in batches on that pass's batch, and the
-    errors of the whole bank are formed in one pass, then maximized head
-    by head. Network blocks are differenced entry by entry, one forward
-    pass per perturbation. ``labels`` reach the forward unconverted, so
-    non-integer labels are rejected there.
+    The step's forward pass scores the live bank at the front of a stack
+    of its perturbed copies, so the inputs are checked once for a bank
+    that fits one chunk; the errors of the whole bank are formed in one
+    pass, then maximized head by head. Network blocks are differenced
+    entry by entry, one forward pass per perturbation. ``labels`` reach
+    the forward unconverted, so non-integer labels are rejected there.
 
     ``corrupt_block`` deliberately perturbs one analytic block (e.g.
     ``"head0"`` or ``"w1"``) before comparison — the self-test that the
@@ -434,7 +454,7 @@ def grad_check(
     check_cfg = replace(loss_cfg, exact_diversity_grad=True)
     x = np.asarray(x_batch, dtype=np.float64)
 
-    fwd, _, grads = _gradients(net, bank, x, labels, check_cfg)
+    grads, bank_numeric = _differenced_step(net, bank.heads, x, labels, check_cfg)
     # the bank, the last block, is compared head by head
     *net_blocks, _ = _parameters(net, bank)
     head_names = [f"head{v}" for v in range(bank.num_heads)]
@@ -458,8 +478,7 @@ def grad_check(
     if corrupt_block in head_names:
         analytic = analytic.copy()
         analytic[head_names.index(corrupt_block)] += 1e-2
-    numeric = _bank_differences(fwd, bank.heads)
-    per_head = _relative_errors(analytic, numeric).reshape(len(head_names), -1)
+    per_head = _relative_errors(analytic, bank_numeric).reshape(len(head_names), -1)
     # max is exact, so each head's error has the bits of its block's own max
     head_errors = np.maximum.reduce(per_head, axis=1)
     errors.update(zip(head_names, head_errors.tolist()))

@@ -276,7 +276,7 @@ def ref_loss_forward(x_batch, bank, labels, cfg):
     labels = np.asarray(labels, dtype=np.int64)
     classification, diversity, total, probs, pair = _ref_core(x, w, labels, cfg)
     return LossOutput(float(total), float(classification), float(diversity), probs,
-                      (x, w, labels, probs, pair, cfg))
+                      _record=(x, w, labels, probs, pair, cfg))
 
 
 def ref_loss_totals(x_batch, banks, labels, cfg):
@@ -308,6 +308,21 @@ def ref_bank_differences(feats, bank_heads, y, loss_cfg, chunk_values, step=1e-6
             feats, stack.reshape(banks.size, num_heads, d, k), y, loss_cfg
         )
     return ((totals[0::2] - totals[1::2]) / (2 * step)).reshape(bank_heads.shape)
+
+
+def nan_stack_totals(module):
+    """A stand-in for ``module.em_softmax_forward`` that scores like it
+    but gives every bank of a stack a NaN total, as a broken loss would
+    give the gradient checker's perturbed banks."""
+    forward = module.em_softmax_forward
+
+    def stand_in(x_batch, bank, *args):
+        fwd = forward(x_batch, bank, *args)
+        if fwd.totals is not None:
+            fwd.totals = np.full(len(fwd.totals), np.nan)
+        return fwd
+
+    return stand_in
 
 
 def ref_loss_backward(fwd):

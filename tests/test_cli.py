@@ -7,12 +7,14 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+import warnings
 import zlib
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from conftest import nan_stack_totals
 from emsoftmax import cli, trainer
 from emsoftmax.cli import (
     _DATA_KEYS,
@@ -26,7 +28,12 @@ from emsoftmax.cli import (
     run_training,
 )
 from emsoftmax.data import IdxFormatError, save_mean
-from emsoftmax.model import MlpFeatureExtractor, WeakClassifierBank, save_checkpoint
+from emsoftmax.model import (
+    MlpFeatureExtractor,
+    WeakClassifierBank,
+    load_checkpoint,
+    save_checkpoint,
+)
 from emsoftmax.tensor import Rng
 
 QUICK = """
@@ -360,6 +367,19 @@ class TestTrainCommand:
         assert "diverged" in capsys.readouterr().err
         assert (out / "report.csv").exists()
 
+    def test_overflowing_run_exits_two_without_numpy_warnings(self, tmp_path, capsys):
+        # the bank overflows in the first update; the final diversity of
+        # that bank must not reach numpy's warnings, as train's loop does not
+        cfg_path = write_quick(tmp_path, synth_classes=3, synth_samples=10, synth_dim=4,
+                               hidden_dims=5, feature_dim=3, heads=2, base_lr="1e300")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        err = capsys.readouterr().err
+        assert err == "training diverged; partial report kept\n"
+
 
 INVALID_VALUES = [
     ({"feature_dim": "0"}, "feature_dim must be at least 1"),
@@ -562,6 +582,21 @@ class TestEvalCommand:
         code = main(["eval", "--checkpoint", str(out / "model.ckpt"), "--config", str(cfg_path)])
         assert code == 1
         assert "w0" in capsys.readouterr().err
+
+    def test_non_finite_checkpoint_exits_one_naming_the_array(self, tmp_path, capsys):
+        cfg_path = write_quick(tmp_path, synth_classes="3")
+        out = tmp_path / "run"
+        main(["train", "--config", str(cfg_path), "--out", str(out)])
+        capsys.readouterr()
+        net, bank = load_checkpoint(out / "model.ckpt")
+        bank.heads[0, 0, 0] = np.nan
+        save_checkpoint(out / "model.ckpt", net, bank)
+        assert main(["eval", "--checkpoint", str(out / "model.ckpt")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("emsoftmax: error: cannot load checkpoint")
+        assert err[0].endswith("head 0 has non-finite values")
 
     def test_stored_mean_reapplied(self, tmp_path, capsys):
         cfg_path = write_quick(tmp_path, mean_subtract="true")
@@ -846,9 +881,7 @@ class TestGradcheckCommand:
         assert captured.out == ""
 
     def test_nan_errors_fail_every_cell_and_the_grid(self, capsys, monkeypatch):
-        monkeypatch.setattr(
-            trainer, "em_softmax_totals", lambda _x, banks, *_: np.full(len(banks), np.nan)
-        )
+        monkeypatch.setattr(trainer, "em_softmax_forward", nan_stack_totals(trainer))
         lines = []
         ok, worst = cli.run_gradcheck_grid(0, 1, printer=lines.append)
         assert ok is False and math.isnan(worst)

@@ -6,8 +6,10 @@ Python floats. Each of those must give exactly the bits of numpy's own
 reductions, fancy indexing and slice loops, kept in ``conftest`` as
 ``ref_softmax_probs``, ``ref_margin_softmax``, ``ref_kernel_loop`` and
 the whole ``ref_loss_forward`` / ``ref_loss_backward`` /
-``ref_loss_totals``. Arrays are compared as uint64 views with ``==``, so
-even NaN payloads and signed zeros must agree.
+``ref_loss_totals``. A stack of banks scored in one forward must give
+bank 0 the bits of its own forward and every bank the reference total.
+Arrays are compared as uint64 views with ``==``, so even NaN payloads
+and signed zeros must agree.
 """
 
 import warnings
@@ -33,7 +35,6 @@ from emsoftmax.losses import (
     _sum_heads,
     em_softmax_backward,
     em_softmax_forward,
-    em_softmax_totals,
     softmax_probs,
 )
 from emsoftmax.tensor import Rng, _GAMMA, _MIX1, _MIX2
@@ -163,9 +164,61 @@ def test_forward_backward_and_totals_match_reference(v):
             for b, m in ((1, 0.5), (3, 0.0)):
                 banks = g.normal(size=(b, v, d, k))
                 cfg = LossConfig(m, 0.1, v)
-                fwd = em_softmax_forward(x, bank, labels, cfg)
-                assert_bits(em_softmax_totals(fwd, banks),
+                assert_bits(em_softmax_forward(x, banks, labels, cfg).totals,
                             ref_loss_totals(x, banks, labels, cfg))
+
+
+class TestStackedForward:
+    """A ``(B, V, d, K)`` stack in one forward, as the gradient checker
+    scores its live bank in front of the perturbed copies."""
+
+    @pytest.mark.parametrize("v", [1, 2, 3, 6])
+    @pytest.mark.parametrize("k", [2, 10])
+    @pytest.mark.parametrize("n", [1, 3, 128])
+    def test_bank_zero_and_totals_keep_their_bits(self, v, k, n):
+        g = np.random.default_rng(1000 * v + 10 * k + n)
+        d = 4
+        x = g.normal(size=(n, d))
+        labels = g.integers(0, k, size=n)
+        for m, lam in ((0.0, 0.0), (0.0, 0.1), (0.5, 0.0), (0.5, 0.1)):
+            for exact in (False, True):
+                cfg = LossConfig(m, lam, v, exact)
+                banks = g.normal(size=(5, v, d, k))
+                stacked = em_softmax_forward(x, banks, labels, cfg)
+                alone = em_softmax_forward(x, banks[0], labels, cfg)
+                assert_bits(
+                    [stacked.total_loss, stacked.classification_term, stacked.diversity_term],
+                    [alone.total_loss, alone.classification_term, alone.diversity_term],
+                )
+                assert_bits(stacked.probs_per_head, alone.probs_per_head)
+                for got, want in zip(em_softmax_backward(stacked), em_softmax_backward(alone)):
+                    assert_bits(got, want)
+                assert stacked.totals.shape == (5,) and alone.totals is None
+                for b, bank in enumerate(banks):
+                    assert_bits(stacked.totals[b],
+                                ref_loss_totals(x, bank[None], labels, cfg)[0])
+
+    def test_output_holds_no_view_of_the_stack(self):
+        # the record keeps copies of bank 0's share, so the stack-sized
+        # arrays die with the call and the caller may reuse its stack
+        g = np.random.default_rng(9)
+        x, labels, cfg = g.normal(size=(3, 4)), np.array([0, 2, 1]), LossConfig(0.5, 0.1, 2, True)
+        banks = g.normal(size=(6, 2, 4, 3))
+        stacked = em_softmax_forward(x, banks, labels, cfg)
+        want = em_softmax_backward(em_softmax_forward(x, banks[0].copy(), labels, cfg))
+        banks[:] = np.nan
+        assert stacked.probs_per_head.base is None
+        for got, expected in zip(em_softmax_backward(stacked), want):
+            assert_bits(got, expected)
+
+    @pytest.mark.parametrize("shape", [(0, 2, 4, 3), (5, 0, 4, 3), (5, 2, 0, 3), (5, 2, 4, 0),
+                                       (1, 5, 2, 4, 3), (4, 3), (3,)],
+                             ids=["no banks", "no heads", "no dims", "no classes", "5-D",
+                                  "2-D", "1-D"])
+    def test_malformed_stack_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"^bank must have shape \(V, d, K\) or "
+                                             r"\(B, V, d, K\) with every size >= 1, got "):
+            em_softmax_forward(np.ones((3, 4)), np.ones(shape), [0, 2, 1], LossConfig(0, 0, 2))
 
 
 @pytest.mark.parametrize("v", [8, 12])
@@ -203,7 +256,7 @@ def test_zero_columns_warn_and_match_reference():
         for got, want in zip(em_softmax_backward(fwd), ref_loss_backward(ref)):
             assert_bits(got, want)
         with pytest.warns(RuntimeWarning, match="zero column"):
-            totals = em_softmax_totals(fwd, bank[None])
+            totals = em_softmax_forward(x, bank[None], labels, cfg).totals
         with pytest.warns(RuntimeWarning):
             assert_bits(totals, ref_loss_totals(x, bank[None], labels, cfg))
 

@@ -20,7 +20,6 @@ from emsoftmax.losses import (
     diversity_penalty,
     em_softmax_backward,
     em_softmax_forward,
-    em_softmax_totals,
     LossOutput,
     normalize_classifier,
     softmax_probs,
@@ -326,6 +325,9 @@ class TestForward:
 
 
 class TestTotals:
+    """A ``(B, V, d, K)`` stack through the forward: one pass, every
+    bank's total in ``totals``."""
+
     @pytest.mark.parametrize("v", [1, 2, 3, 6])
     @pytest.mark.parametrize("margin", [0.0, 1.0])
     @pytest.mark.parametrize("lam", [0.0, 0.1])
@@ -337,7 +339,7 @@ class TestTotals:
             banks = rng.normal(size=(7, v, d, k)) * rng.uniform(0.1, 3.0, size=(7, v, 1, 1))
             x = rng.normal(size=(n, d))
             y = rng.integers(0, k, size=n)
-            totals = em_softmax_totals(em_softmax_forward(x, banks[0], y, cfg), banks)
+            totals = em_softmax_forward(x, banks, y, cfg).totals
             assert totals.shape == (7,)
             expected = [em_softmax_forward(x, list(b), y, cfg).total_loss for b in banks]
             np.testing.assert_allclose(totals, expected, rtol=0.0, atol=1e-13)
@@ -351,29 +353,37 @@ class TestTotals:
             banks = rng.normal(size=(5, v, 6, 4))
             x = rng.normal(size=(n, 6))
             y = rng.integers(0, 4, size=n)
-            totals = em_softmax_totals(em_softmax_forward(x, banks[-1], y, cfg), banks)
+            totals = em_softmax_forward(x, banks, y, cfg).totals
             expected = [em_softmax_forward(x, list(b), y, cfg).total_loss for b in banks]
             assert totals.tolist() == expected
 
     def test_scores_on_the_forwards_batch(self):
-        # the stack is scored on the forward's features, labels and config,
-        # whatever bank the forward itself scored
+        # the stack is scored on the features, labels and config the
+        # forward checked; the output's own fields are bank 0's
         rng = np.random.default_rng(5)
         x, y, cfg = rng.normal(size=(4, 3)), np.array([1, 0, 2, 2]), LossConfig(1.0, 0.1, 2)
         banks = rng.normal(size=(3, 2, 3, 3))
-        fwd = em_softmax_forward(x, rng.normal(size=(2, 3, 3)), y, cfg)
-        expected = [em_softmax_forward(x, b, y, cfg).total_loss for b in banks]
-        assert em_softmax_totals(fwd, banks).tolist() == expected
+        fwd = em_softmax_forward(x, banks, y, cfg)
+        alone = [em_softmax_forward(x, b, y, cfg) for b in banks]
+        assert fwd.totals.tolist() == [out.total_loss for out in alone]
+        assert (fwd.total_loss, fwd.classification_term, fwd.diversity_term) == (
+            alone[0].total_loss, alone[0].classification_term, alone[0].diversity_term)
+        assert np.array_equal(fwd.probs_per_head, alone[0].probs_per_head)
+        assert alone[0].totals is None
 
     def test_validation(self):
-        fwd = em_softmax_forward(np.zeros((2, 3)), np.ones((2, 3, 2)), [0, 1], LossConfig(0, 0, 2))
-        for shape in ((2, 3, 2), (0, 2, 3, 2), (4, 1, 3, 2), (4, 2, 5, 2), (4, 2, 3, 3)):
-            with pytest.raises(ValueError, match=r"non-empty \(B, 2, 3, 2\) stack"):
-                em_softmax_totals(fwd, np.ones(shape))
-        by_hand = LossOutput(fwd.total_loss, fwd.classification_term,
-                             fwd.diversity_term, fwd.probs_per_head)
-        with pytest.raises(ValueError, match="not produced by em_softmax_forward"):
-            em_softmax_totals(by_hand, np.ones((4, 2, 3, 2)))
+        # the stack is checked against the batch and config once, like one
+        # bank; its malformed shapes are in test_loss_bits
+        x, y, cfg = np.zeros((2, 3)), [0, 1], LossConfig(0, 0, 2)
+        with pytest.raises(ValueError, match="bank has 1 heads, config says 2"):
+            em_softmax_forward(x, np.ones((4, 1, 3, 2)), y, cfg)
+        with pytest.raises(ValueError, match="features of dim 5"):
+            em_softmax_forward(x, np.ones((4, 2, 5, 2)), y, cfg)
+        with pytest.raises(ValueError, match=r"labels must lie in \[0, 2\)"):
+            em_softmax_forward(x, np.ones((4, 2, 3, 2)), [0, 2], cfg)
+        # one bank per diversity penalty: a stack is not a bank there
+        with pytest.raises(ValueError, match=r"bank must have shape \(V, d, K\) with"):
+            diversity_penalty(np.ones((4, 2, 3, 2)), 0)
 
 
 class TestBackward:

@@ -324,6 +324,24 @@ class TestCheckpoint:
                            match=r"head 1 has shape \(4, 3\), header says \(3, 4\)"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("block, value, match", [
+        ("head0", np.nan, "head 0"), ("head1", -np.inf, "head 1"),
+        ("w0", np.inf, r"layer 0 w0 of dims \[5, 4, 3\]"),
+        ("b1", np.nan, r"layer 1 b1 of dims \[5, 4, 3\]"),
+    ])
+    def test_non_finite_values_rejected_naming_the_array(self, tmp_path, block, value, match):
+        # a CRC-valid file, as damage before saving or another writer
+        # leaves it: NaN scores would still print an accuracy
+        net, bank = self.make_pair()
+        if block.startswith("head"):
+            bank.heads[int(block[-1]), 1, 2] = value
+        else:
+            (net.weights if block[0] == "w" else net.biases)[int(block[1])][0, 1] = value
+        path = tmp_path / "x.ckpt"
+        save_checkpoint(path, net, bank)
+        with pytest.raises(CheckpointError, match=f"^{match} has non-finite values$"):
+            load_checkpoint(path)
+
     def test_unbuildable_header_dims(self, tmp_path):
         # magic, version 1, one layer dim: no network can have that shape
         path = tmp_path / "x.ckpt"

@@ -3,7 +3,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import ref_bank_differences, ref_em_softmax_backward, ref_sgd_step
+from conftest import (
+    nan_stack_totals,
+    ref_bank_differences,
+    ref_em_softmax_backward,
+    ref_sgd_step,
+)
 from emsoftmax.cli import RunConfig, run_training
 from emsoftmax.data import Dataset, SyntheticSpec, synth_blobs
 from emsoftmax.losses import LossConfig
@@ -250,9 +255,9 @@ class TestTrain:
         snapshots = []
         gradients = trainer._gradients
 
-        def recording(net, bank, x, y, cfg):
-            fwd, feats, grads = gradients(net, bank, x, y, cfg)
-            snapshots.append((feats, bank.heads.copy(), y))
+        def recording(net, heads, x, y, cfg):
+            fwd, feats, grads = gradients(net, heads, x, y, cfg)
+            snapshots.append((feats, heads.copy(), y))
             return fwd, feats, grads
 
         monkeypatch.setattr(trainer, "_gradients", recording)
@@ -338,7 +343,7 @@ class TestSharedStep:
             net, bank = None, WeakClassifierBank(ds.dim, ds.num_classes, 3, Rng(2))
         blocks = trainer._parameters(net, bank)
         _, _, grads = trainer._gradients(
-            net, bank, ds.features[:6], ds.labels[:6], LossConfig(0.5, 0.1, 3)
+            net, bank.heads, ds.features[:6], ds.labels[:6], LossConfig(0.5, 0.1, 3)
         )
         expected = [("w0", True), ("b0", False), ("w1", True), ("b1", False)] if with_net else []
         assert [(name, decayed) for name, _, decayed in blocks] == expected + [("bank", True)]
@@ -506,9 +511,8 @@ class TestGradCheck:
         cfg = LossConfig(0.5, 0.1, 3)
         res = grad_check(None, bank, x, y, cfg, corrupt_block=corrupt)
         check_cfg = replace(cfg, exact_diversity_grad=True)
-        fwd, _, grads = trainer._gradients(None, bank, x, y, check_cfg)
+        grads, numeric = trainer._differenced_step(None, bank.heads, x, y, check_cfg)
         analytic = grads[-1]
-        numeric = trainer._bank_differences(fwd, bank.heads)
         expected = {}
         for v in range(3):
             a = analytic[v] + 1e-2 if f"head{v}" == corrupt else analytic[v]
@@ -520,20 +524,22 @@ class TestGradCheck:
     @staticmethod
     def wide_bank_check(monkeypatch, **kwargs):
         # 2 heads of 50 x 10: 2000 perturbed banks of 1000 values each, so
-        # at about 1e6 values per chunk the banks need at least two calls
+        # at about 1e6 values per chunk the banks need at least two stacks;
+        # the first also holds the live bank
         calls = []
-        totals = trainer.em_softmax_totals
+        forward = trainer.em_softmax_forward
 
-        def counted(*args):
-            calls.append(args[1].shape[0])
-            return totals(*args)
+        def counted(x, heads, *args):
+            if np.ndim(heads) == 4:
+                calls.append(len(heads))
+            return forward(x, heads, *args)
 
-        monkeypatch.setattr(trainer, "em_softmax_totals", counted)
+        monkeypatch.setattr(trainer, "em_softmax_forward", counted)
         rng = Rng(21)
         bank = WeakClassifierBank(50, 10, 2, rng.spawn(1))
         x = rng.spawn(2).normal((3, 50))
         res = grad_check(None, bank, x, [0, 4, 9], LossConfig(1.0, 0.1, 2), **kwargs)
-        assert len(calls) >= 2 and sum(calls) == 2 * 2 * 50 * 10
+        assert len(calls) >= 2 and sum(calls) == 2 * 2 * 50 * 10 + 1
         return res
 
     def test_bank_spanning_several_chunks_passes(self, monkeypatch):
@@ -556,9 +562,7 @@ class TestGradCheck:
     def test_nan_differences_fail(self, monkeypatch):
         # the network blocks come first and are finite; a NaN in a later
         # block must still fail the check
-        monkeypatch.setattr(
-            trainer, "em_softmax_totals", lambda _x, banks, *_: np.full(len(banks), np.nan)
-        )
+        monkeypatch.setattr(trainer, "em_softmax_forward", nan_stack_totals(trainer))
         ds = blob_dataset(per=4, dim=5)
         net, bank = fresh_model(ds, heads=2, hidden=(4,), feat=3)
         res = grad_check(net, bank, ds.features[:3], ds.labels[:3], LossConfig(0.5, 0.1, 2))
@@ -586,7 +590,8 @@ class TestGradCheck:
 
 class TestBankDifferences:
     """The perturbed banks, built as repeated copies with two strided
-    writes per chunk, keep every bit of the earlier fancy-indexed stack."""
+    writes per chunk and scored behind the live bank in the step's own
+    forward, keep every bit of the earlier fancy-indexed stack."""
 
     @pytest.mark.parametrize("v", [1, 2, 3])
     @pytest.mark.parametrize("banks_per_chunk", [2, 3, 4, None],
@@ -603,21 +608,25 @@ class TestBankDifferences:
         budget = 10**6 if banks_per_chunk is None else banks_per_chunk * per_bank
         monkeypatch.setattr(trainer, "_FD_CHUNK_VALUES", budget)
         calls = []
-        totals = trainer.em_softmax_totals
+        forward = trainer.em_softmax_forward
 
-        def counted(fwd, banks):
-            calls.append(len(banks))
-            return totals(fwd, banks)
+        def counted(x, heads, *args):
+            calls.append(len(heads) if np.ndim(heads) == 4 else None)
+            return forward(x, heads, *args)
 
-        monkeypatch.setattr(trainer, "em_softmax_totals", counted)
-        fwd = trainer._gradients(None, bank, x, y, cfg)[0]
-        got = trainer._bank_differences(fwd, bank.heads)
+        monkeypatch.setattr(trainer, "em_softmax_forward", counted)
+        grads, got = trainer._differenced_step(None, bank.heads, x, y, cfg)
         want = ref_bank_differences(x, bank.heads, y, cfg, budget)
         assert got.shape == want.shape == bank.heads.shape
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-        assert sum(calls) == 2 * bank.heads.size
-        assert all(c % 2 == 0 for c in calls)
+        # every call scores a stack: the live bank, then whole pairs
+        assert None not in calls
+        assert sum(calls) == 2 * bank.heads.size + 1
+        assert calls[0] % 2 == 1 and all(c % 2 == 0 for c in calls[1:])
         if banks_per_chunk is None:
-            assert calls == [2 * bank.heads.size]
+            assert calls == [2 * bank.heads.size + 1]
         else:
-            assert calls[0] == 2 * (banks_per_chunk // 2)
+            assert calls[0] == 2 * (banks_per_chunk // 2) + 1
+        # the live bank's gradients are those of the single-bank step
+        want_grads = trainer._gradients(None, bank.heads, x, y, cfg)[2]
+        assert np.array_equal(grads[-1].view(np.uint64), want_grads[-1].view(np.uint64))
