@@ -13,6 +13,7 @@ from .losses import (
     LossConfig,
     LossOutput,
     diversity_penalty,
+    diversity_terms,
     em_softmax_backward,
     em_softmax_forward,
     normalize_classifier,
@@ -38,6 +39,7 @@ __all__ = [
     "LossConfig",
     "LossOutput",
     "diversity_penalty",
+    "diversity_terms",
     "em_softmax_backward",
     "em_softmax_forward",
     "normalize_classifier",

@@ -45,7 +45,9 @@ from .data import (
     synth_blobs,
     write_atomic,
 )
-from .losses import LossConfig, diversity_penalty
+# evaluate and diversity_penalty stay importable from here: the benchmark in
+# perfbench/ rebinds cli.evaluate and cli.diversity_penalty
+from .losses import LossConfig, diversity_penalty, diversity_terms  # noqa: F401
 from .model import (
     CheckpointError,
     MlpFeatureExtractor,
@@ -54,7 +56,6 @@ from .model import (
     save_checkpoint,
 )
 from .tensor import Rng, sum_in_order
-# evaluate stays importable from here: the benchmark in perfbench/ rebinds cli.evaluate
 from .trainer import SgdConfig, count_hits, evaluate, grad_check, train  # noqa: F401
 
 __all__ = ["ConfigError", "RunConfig", "parse_config_text", "config_to_text", "main"]
@@ -365,7 +366,7 @@ def run_training(cfg: RunConfig, quiet: bool = False) -> dict:
     # a diverged bank may overflow here; like train's loop, report it
     # through the result, not numpy's warnings
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        final_div = sum_in_order(diversity_penalty(bank.heads, v) for v in range(bank.num_heads))
+        final_div = sum_in_order(diversity_terms(bank.heads).tolist())
 
     if not quiet:
         if report.diverged:

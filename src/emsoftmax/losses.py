@@ -23,10 +23,12 @@ One private core computes the loss over a stacked ``(..., V, d, K)``
 bank, with an optional leading batch axis of whole banks. Inputs are
 validated once, where they enter: :func:`em_softmax_forward` checks one
 bank, or a ``(B, V, d, K)`` stack of banks, with its features and labels
-and scores every bank in one pass, and :func:`diversity_penalty` checks
-a bank and goes through the same kernel builder. The forward records its
-checked inputs, config, probabilities, label index, normalized heads,
-their column norms and the products ``Wv_hat Kv`` in its output; of a
+and scores every bank in one pass, and :func:`diversity_terms` checks a
+bank and returns every head's penalty from one build of the kernels
+(:func:`diversity_penalty` is its entry ``v``). The forward records its
+checked features, the bank, the label index, the diversity triple
+(normalized heads, their column norms and the products ``Wv_hat Kv``)
+and the config in its output, beside the probabilities it returns; of a
 stack (the gradient checker's live bank followed by its perturbed
 copies), it records bank 0 and returns every bank's total beside it.
 :func:`em_softmax_backward` takes that output alone and works from the
@@ -41,7 +43,7 @@ softmax rows are reduced column by column in numpy's own order
 1-D index into the raveled scores, every Kv comes from one gathered
 reduction, reductions call ``np.add.reduce`` without numpy's Python
 wrappers, and one bank's head terms are summed as Python floats. No
-quantity is computed twice: the forward's record keeps the heads'
+quantity is computed or kept twice: the forward's record keeps the heads'
 column norms and the products ``Wv_hat Kv`` its penalties were formed
 from, and the backward reads them there. ``tests/test_loss_bits.py``
 holds the plain numpy formulation and compares every output with it bit
@@ -65,6 +67,7 @@ __all__ = [
     "LossOutput",
     "softmax_probs",
     "normalize_classifier",
+    "diversity_terms",
     "diversity_penalty",
     "em_softmax_forward",
     "em_softmax_backward",
@@ -108,19 +111,20 @@ class LossConfig:
             raise ValueError("num_heads must be at least 1")
 
 
-@dataclass
+@dataclass(eq=False)
 class LossOutput:
     """Forward result: total = classification + lambda * diversity.
 
     ``probs_per_head`` holds the margin-adjusted softmax rows of every
     head, shape ``(V, n, K)``. Of a stack of banks, these fields describe
     bank 0 and ``totals`` holds the total of every bank, shape (B,); it
-    is None for a single bank. ``_record`` is the forward's private
-    record: its checked features, its own copy of the bank, its checked
-    int64 labels, the index of every row's label in the raveled
-    ``(V * n * K,)`` probabilities, the probabilities, the diversity
-    triple (``Wv_hat``, the ``(V, 1, K)`` column norms of the bank, the
-    products ``Wv_hat Kv``; None for a single head) and the config.
+    is None for a single bank. Outputs compare by identity: ``a == b``
+    only when ``a`` is ``b``. ``_record`` is the forward's private
+    record: its checked features, its own copy of the bank, the index of
+    every row's label in the raveled ``(V * n * K,)`` probabilities, the
+    diversity triple (``Wv_hat``, the ``(V, 1, K)`` column norms of the
+    bank, the products ``Wv_hat Kv``; None for a single head) and the
+    config; the probabilities themselves are ``probs_per_head``.
     :func:`em_softmax_forward` fills it in and :func:`em_softmax_backward`
     reads it. An output built by hand leaves it None and has no backward.
     """
@@ -130,7 +134,7 @@ class LossOutput:
     diversity_term: float
     probs_per_head: np.ndarray
     totals: np.ndarray | None = None
-    _record: tuple | None = field(default=None, repr=False, compare=False)
+    _record: tuple | None = field(default=None, repr=False)
 
 
 # numpy sums up to this many contiguous values with eight accumulators and
@@ -337,18 +341,27 @@ def _head_penalties(w: np.ndarray):
     return penalties, (w_hats, norms, products)
 
 
-def diversity_penalty(bank, v: int) -> float:
-    """tr(Wv_hat Kv Wv_hat^T) >= 0; zero when the bank has a single head.
+def diversity_terms(bank) -> np.ndarray:
+    """tr(Wv_hat Kv Wv_hat^T) >= 0 of every head, shape (V,); zeros for a
+    single head.
 
-    Equals ``sum_{u != v} ||Wv_hat H Wu_hat^T||_F^2``, i.e. the summed
-    pairwise HSIC of head v against the rest without the (K-1)^-2 scale.
+    Head v's term equals ``sum_{u != v} ||Wv_hat H Wu_hat^T||_F^2``, i.e.
+    the summed pairwise HSIC of head v against the rest without the
+    (K-1)^-2 scale. The kernels are built once for all heads; each term
+    has the bits the forward's penalty of that head has.
     """
     w = _check_bank(bank)
     if len(w) == 1:
-        return 0.0
-    if not 0 <= v < len(w):
-        raise ValueError(f"head index {v} out of range for bank of {len(w)}")
-    return float(_head_penalties(w)[0][v])
+        return np.zeros(1)
+    return _head_penalties(w)[0]
+
+
+def diversity_penalty(bank, v: int) -> float:
+    """Head v's entry of :func:`diversity_terms`."""
+    terms = diversity_terms(bank)
+    if not 0 <= v < len(terms):
+        raise ValueError(f"head index {v} out of range for bank of {len(terms)}")
+    return float(terms[v])
 
 
 def _diversity_grads(w_hats, norms, products, exact: bool) -> np.ndarray:
@@ -434,7 +447,7 @@ def em_softmax_forward(x_batch: np.ndarray, bank, labels, cfg: LossConfig) -> Lo
     classification, diversity, total, probs, index, triple = _loss_core(x_batch, w, labels, cfg)
     if w.ndim == 3:
         return LossOutput(float(total), float(classification), float(diversity), probs,
-                          _record=(x_batch, w, labels, index, probs, triple, cfg))
+                          _record=(x_batch, w, index, triple, cfg))
     # bank 0's share of the stack, copied so the output holds no stack-sized array
     totals = total
     classification, total, probs = classification[0], total[0], probs[0].copy()
@@ -442,16 +455,8 @@ def em_softmax_forward(x_batch: np.ndarray, bank, labels, cfg: LossConfig) -> Lo
         diversity = diversity[0]
         triple = tuple(part[0].copy() for part in triple)
     return LossOutput(float(total), float(classification), float(diversity), probs, totals,
-                      (x_batch, w[0].copy(), labels, index[: probs.size // w.shape[-1]].copy(),
-                       probs, triple, cfg))
-
-
-def _record_of(fwd: LossOutput) -> tuple:
-    """The record :func:`em_softmax_forward` kept in ``fwd``."""
-    record = getattr(fwd, "_record", None)
-    if record is None:
-        raise ValueError("forward output was not produced by em_softmax_forward")
-    return record
+                      (x_batch, w[0].copy(), index[: probs.size // w.shape[-1]].copy(), triple,
+                       cfg))
 
 
 def em_softmax_backward(fwd: LossOutput) -> tuple[np.ndarray, np.ndarray]:
@@ -459,20 +464,23 @@ def em_softmax_backward(fwd: LossOutput) -> tuple[np.ndarray, np.ndarray]:
 
     Returns the ``(V, d, K)`` head gradients ``x^T (probs - onehot)/n +
     lambda * d(diversity)/dWv`` and the feature gradient ``sum_v (probs_v
-    - onehot) Wv^T / n``. Everything comes from the record that
-    :func:`em_softmax_forward` kept in ``fwd``: the inputs, the label
-    index, the probabilities, the normalized heads with their column
-    norms and products ``Wv_hat Kv``, and the config, which supplies
-    lambda and the diversity gradient mode.
+    - onehot) Wv^T / n``. Everything comes from ``fwd``: its
+    probabilities and the record that :func:`em_softmax_forward` kept
+    there, which holds the inputs, the label index, the normalized heads
+    with their column norms and products ``Wv_hat Kv``, and the config,
+    which supplies lambda and the diversity gradient mode.
 
     The feature gradient adds the heads' ``(n, d)`` terms to zeros in
     ascending v. One ``np.add.reduce`` over the head axis does that
     when each term holds at least two values; a single value per head
     would be summed pairwise (from V = 8), so that case keeps the loop.
     """
-    x, w, _, index, probs, triple, cfg = _record_of(fwd)
+    record = getattr(fwd, "_record", None)
+    if record is None:
+        raise ValueError("forward output was not produced by em_softmax_forward")
+    x, w, index, triple, cfg = record
 
-    delta = probs.copy()
+    delta = fwd.probs_per_head.copy()
     delta.reshape(-1)[index] -= 1.0
     delta /= x.shape[0]
     grads_bank = np.matmul(x.T, delta)

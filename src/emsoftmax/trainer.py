@@ -454,7 +454,6 @@ def grad_check(
     check_cfg = replace(loss_cfg, exact_diversity_grad=True)
     x = np.asarray(x_batch, dtype=np.float64)
 
-    grads, bank_numeric = _differenced_step(net, bank.heads, x, labels, check_cfg)
     # the bank, the last block, is compared head by head
     *net_blocks, _ = _parameters(net, bank)
     head_names = [f"head{v}" for v in range(bank.num_heads)]
@@ -462,6 +461,8 @@ def grad_check(
         names = [name for name, _, _ in net_blocks] + head_names
         if corrupt_block not in names:
             raise ValueError(f"unknown block {corrupt_block!r}, have {names}")
+
+    grads, bank_numeric = _differenced_step(net, bank.heads, x, labels, check_cfg)
 
     errors: dict[str, float] = {}
     # relative errors are >= 0, so starting from 0.0 changes no maximum;

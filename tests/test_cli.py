@@ -969,8 +969,7 @@ class TestSweepCommand:
         assert (out / "sweep.csv").read_text().strip().split("\n")[-1] == "0,mean,0.000000,0"
 
     def test_final_diversity_adds_heads_in_plain_order(self, tmp_path, monkeypatch):
-        penalties = [1e16, 1.0, -1e16]
-        monkeypatch.setattr(cli, "diversity_penalty", lambda bank, v: penalties[v])
+        monkeypatch.setattr(cli, "diversity_terms", lambda bank: np.array([1e16, 1.0, -1e16]))
         cfg = parse_config_text(write_quick(tmp_path, heads=3, max_iters=2).read_text())
         result = run_training(replace(cfg, out_dir=str(tmp_path / "run")), quiet=True)
         assert result["diversity"] == 0.0

@@ -33,11 +33,13 @@ from emsoftmax.losses import (
     _diversity_kernels,
     _margin_softmax,
     _sum_heads,
+    diversity_penalty,
+    diversity_terms,
     em_softmax_backward,
     em_softmax_forward,
     softmax_probs,
 )
-from emsoftmax.tensor import Rng, _GAMMA, _MIX1, _MIX2
+from emsoftmax.tensor import Rng, _GAMMA, _MIX1, _MIX2, sum_in_order
 
 K_VALUES = (1, 2, 3, 4, 7, 8, 9, 10, 16, 17, 100, 128, 129)
 # every value of n and of d in {1, 3, 24} appears
@@ -219,6 +221,46 @@ class TestStackedForward:
         with pytest.raises(ValueError, match=r"^bank must have shape \(V, d, K\) or "
                                              r"\(B, V, d, K\) with every size >= 1, got "):
             em_softmax_forward(np.ones((3, 4)), np.ones(shape), [0, 2, 1], LossConfig(0, 0, 2))
+
+
+def ref_head_penalties(bank):
+    """tr(Wv_hat Kv Wv_hat^T) of every head from :func:`ref_kernel_loop`."""
+    if len(bank) == 1:
+        return np.zeros(1)
+    w_hats, kernels = ref_kernel_loop(bank)
+    terms = (w_hats @ kernels) * w_hats
+    return np.sum(terms.reshape(len(bank), -1), axis=-1)
+
+
+class TestDiversityTerms:
+    """Every head's penalty from one call, with the bits of the per-head
+    entry point, of the reference and of the forward's diversity term."""
+
+    @staticmethod
+    def check(bank):
+        v, d, k = bank.shape
+        terms = diversity_terms(bank)
+        assert_bits(terms, [diversity_penalty(bank, u) for u in range(v)])
+        assert_bits(terms, ref_head_penalties(bank))
+        fwd = em_softmax_forward(np.ones((1, d)), bank, [0], LossConfig(0.0, 0.1, v))
+        assert_bits(sum_in_order(terms.tolist()), fwd.diversity_term)
+
+    @pytest.mark.parametrize("v", [1, 2, 3, 6])
+    def test_terms_keep_the_per_head_bits(self, v):
+        g = np.random.default_rng(300 + v)
+        for k in (2, 3, 10):
+            for d in (1, 4, 24):
+                self.check(g.normal(size=(v, d, k)))
+
+    @pytest.mark.parametrize("v", [2, 3, 6])
+    def test_zero_column_bank(self, v):
+        bank = np.random.default_rng(400 + v).normal(size=(v, 4, 5))
+        bank[v - 1, :, 2] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            self.check(bank)
+        with pytest.warns(RuntimeWarning, match="zero column"):
+            diversity_terms(bank)
 
 
 @pytest.mark.parametrize("v", [8, 12])

@@ -13,11 +13,13 @@ from conftest import (
     ref_hsic,
     ref_softmax_loss,
 )
+from emsoftmax import losses
 from emsoftmax.losses import (
     PROB_FLOOR,
     LossConfig,
     _frozen_centering,
     diversity_penalty,
+    diversity_terms,
     em_softmax_backward,
     em_softmax_forward,
     LossOutput,
@@ -263,6 +265,24 @@ class TestDiversity:
             with pytest.raises(ValueError, match="out of range"):
                 diversity_penalty([np.eye(2), np.eye(2)], v)
 
+    @pytest.mark.parametrize("v", [7, -1])
+    def test_head_index_checked_on_a_single_head_bank(self, v):
+        with pytest.raises(ValueError, match=f"head index {v} out of range for bank of 1"):
+            diversity_penalty([np.eye(3)], v)
+
+    def test_terms_build_the_kernels_once(self, monkeypatch):
+        calls = []
+        build = losses._diversity_kernels
+
+        def counted(w):
+            calls.append(w.shape)
+            return build(w)
+
+        monkeypatch.setattr(losses, "_diversity_kernels", counted)
+        terms = diversity_terms(random_bank(np.random.default_rng(8), 4, 3, 6))
+        assert terms.shape == (6,)
+        assert calls == [(6, 4, 3)]
+
 
 class TestForward:
     def test_hand_case(self):
@@ -289,6 +309,15 @@ class TestForward:
         out = em_softmax_forward(x, bank, [0, 1, 2, 0, 1], LossConfig(0.0, 0.0, 2))
         assert out.total_loss == out.classification_term
         assert out.diversity_term > 0.0  # still reported
+
+    def test_outputs_compare_by_identity(self):
+        # field by field, == would compare the probabilities elementwise and
+        # raise on the truth value of an array
+        x, bank, cfg = np.eye(3)[:2], np.arange(12.0).reshape(2, 3, 2), LossConfig(0.5, 0.1, 2)
+        a = em_softmax_forward(x, bank, [1, 0], cfg)
+        b = em_softmax_forward(x, bank, [1, 0], cfg)
+        assert a == a and not a != a
+        assert a != b and not a == b
 
     def test_bank_config_mismatch(self):
         with pytest.raises(ValueError):

@@ -578,7 +578,16 @@ class TestGradCheck:
         with pytest.raises(ValueError, match="labels must be integers"):
             grad_check(None, bank, ds.features[:2], labels, LossConfig(0.0, 0.1, 2))
 
-    def test_unknown_corrupt_block_rejected(self):
+    def test_unknown_corrupt_block_rejected(self, monkeypatch):
+        # the name is checked before the step, so a misspelt block runs no forward
+        calls = []
+        forward = trainer.em_softmax_forward
+
+        def counted(*args):
+            calls.append(1)
+            return forward(*args)
+
+        monkeypatch.setattr(trainer, "em_softmax_forward", counted)
         ds = blob_dataset(per=3, dim=4)
         bank = WeakClassifierBank(ds.dim, ds.num_classes, 1, Rng(2))
         with pytest.raises(ValueError, match="unknown block"):
@@ -586,6 +595,7 @@ class TestGradCheck:
                 None, bank, ds.features[:2], ds.labels[:2],
                 LossConfig(0, 0, 1), corrupt_block="nope",
             )
+        assert calls == []
 
 
 class TestBankDifferences:
