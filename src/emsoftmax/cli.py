@@ -55,7 +55,7 @@ from .model import (
     load_checkpoint,
     save_checkpoint,
 )
-from .tensor import Rng, sum_in_order
+from .tensor import Rng, check_integer, sum_in_order
 from .trainer import SgdConfig, count_hits, evaluate, grad_check, train  # noqa: F401
 
 __all__ = ["ConfigError", "RunConfig", "parse_config_text", "config_to_text", "main"]
@@ -102,6 +102,16 @@ class RunConfig:
     out_dir: str = "out"
 
     def __post_init__(self):
+        try:
+            for f in fields(self):
+                value = getattr(self, f.name)
+                if type(f.default) is int:
+                    check_integer(value, f.name)
+                elif type(f.default) is tuple:
+                    for item in value:
+                        check_integer(item, f"every {f.name} entry")
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if self.dataset not in ("synthetic", "mnist"):
             raise ConfigError(f"dataset must be 'synthetic' or 'mnist', got {self.dataset!r}")
         if self.dataset == "mnist" and not self.mnist_dir:

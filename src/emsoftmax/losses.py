@@ -19,21 +19,24 @@ the training penalty drops. Each pass normalizes every head and forms
 its centered Gram ``Gu = H Wu^T Wu H`` once; every ``Kv`` is summed from
 those Grams.
 
-One private core computes the loss over a stacked ``(..., V, d, K)``
-bank, with an optional leading batch axis of whole banks. Inputs are
-validated once, where they enter: :func:`em_softmax_forward` checks one
-bank, or a ``(B, V, d, K)`` stack of banks, with its features and labels
-and scores every bank in one pass, and :func:`diversity_terms` checks a
-bank and returns every head's penalty from one build of the kernels
-(:func:`diversity_penalty` is its entry ``v``). The forward records its
+One private core computes the loss over the heads stacked as one
+``(V, d, K)`` bank. Inputs are validated once, where they enter:
+:func:`em_softmax_forward` checks one bank with its features and labels,
+and :func:`diversity_terms` checks a bank and returns every head's
+penalty from one build of the kernels (:func:`diversity_penalty` is its
+entry ``v``). The forward can also score ``(V, M, d, K)`` variants, each
+the bank with one head replaced (the gradient checker's perturbed
+banks). The bank's heads and the variants then form one head table: the
+per-head work (scores, margin softmax, batch means, column norms and
+centered Grams) runs once per row, and each bank reads its heads' rows
+through cached index tables for the per-bank work (the in-order head
+sums, its kernels, products and penalties). The forward records its
 checked features, the bank, the label index, the diversity triple
 (normalized heads, their column norms and the products ``Wv_hat Kv``)
-and the config in its output, beside the probabilities it returns; of a
-stack (the gradient checker's live bank followed by its perturbed
-copies), it records bank 0 and returns every bank's total beside it.
-:func:`em_softmax_backward` takes that output alone and works from the
-record over all heads at once, so one training step builds the kernels
-once.
+and the config in its output, beside the probabilities it returns, and
+with variants, every variant's total. :func:`em_softmax_backward` takes
+that output alone and works from the record over all heads at once, so
+one training step builds the kernels once.
 
 At the shapes this toolkit trains (K = 10 classes, a few heads), numpy's
 per-call and per-row reduction overheads cost more than the arithmetic,
@@ -59,7 +62,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import as_integers, as_matrix, sum_in_order
+from .tensor import as_integers, as_matrix, check_integer, sum_in_order
 
 __all__ = [
     "PROB_FLOOR",
@@ -107,7 +110,7 @@ class LossConfig:
             value = getattr(self, name)
             if not math.isfinite(value) or value < 0:
                 raise ValueError(f"{name} must be finite and non-negative, got {value}")
-        if self.num_heads < 1:
+        if check_integer(self.num_heads, "num_heads") < 1:
             raise ValueError("num_heads must be at least 1")
 
 
@@ -116,9 +119,10 @@ class LossOutput:
     """Forward result: total = classification + lambda * diversity.
 
     ``probs_per_head`` holds the margin-adjusted softmax rows of every
-    head, shape ``(V, n, K)``. Of a stack of banks, these fields describe
-    bank 0 and ``totals`` holds the total of every bank, shape (B,); it
-    is None for a single bank. Outputs compare by identity: ``a == b``
+    head, shape ``(V, n, K)``. These fields describe the bank; with
+    variants, ``totals[v, m]`` holds the total of variant (v, m), the
+    bank with head v replaced, shape ``(V, M)``; it is None without
+    variants. Outputs compare by identity: ``a == b``
     only when ``a`` is ``b``. ``_record`` is the forward's private
     record: its checked features, its own copy of the bank, the index of
     every row's label in the raveled ``(V * n * K,)`` probabilities, the
@@ -170,8 +174,8 @@ def softmax_probs(z: np.ndarray) -> np.ndarray:
         e = np.exp(shifted)
         return e / np.sum(e, axis=-1, keepdims=True)
     k = z.shape[-1]
-    row_max = z[..., 0].copy()
-    for j in range(1, k):
+    row_max = np.maximum(z[..., 0], z[..., 1]) if k > 1 else z[..., 0].copy()
+    for j in range(2, k):
         np.maximum(row_max, z[..., j], out=row_max)
     e = z - row_max[..., None]
     np.exp(e, out=e)
@@ -182,8 +186,8 @@ def softmax_probs(z: np.ndarray) -> np.ndarray:
 def _row_sum(e: np.ndarray, k: int) -> np.ndarray:
     """Sum over the last axis (1 <= K <= 128) in numpy's pairwise order."""
     if k < 8:
-        total = e[..., 0].copy()
-        for j in range(1, k):
+        total = e[..., 0] + e[..., 1] if k > 1 else e[..., 0].copy()
+        for j in range(2, k):
             total += e[..., j]
         return total
     acc = [e[..., j] for j in range(8)]
@@ -251,25 +255,38 @@ def _unit_columns(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w / np.where(degenerate, 1.0, norms), norms
 
 
-def _check_bank(bank, stacked: bool = False) -> np.ndarray:
+def _check_bank(bank) -> np.ndarray:
     """The bank's heads stacked into one new (V, d, K) float64 array.
 
-    With ``stacked``, a ``(B, V, d, K)`` stack of banks is accepted too,
-    as a float64 array that is read, not copied. Heads of different
-    shapes fail in numpy with an "inhomogeneous shape" ValueError.
+    Heads of different shapes fail in numpy with an "inhomogeneous shape"
+    ValueError.
     """
-    w = np.asarray(bank, dtype=np.float64)
-    if w.ndim not in ((3, 4) if stacked else (3,)) or 0 in w.shape:
-        shapes = "(V, d, K) or (B, V, d, K)" if stacked else "(V, d, K)"
-        raise ValueError(f"bank must have shape {shapes} with every size >= 1, got {w.shape}")
-    return w if w.ndim == 4 else np.array(w)
+    w = np.array(bank, dtype=np.float64)
+    if w.ndim != 3 or 0 in w.shape:
+        raise ValueError(f"bank must have shape (V, d, K) with every size >= 1, got {w.shape}")
+    return w
+
+
+def _head_table(w: np.ndarray, variants) -> np.ndarray:
+    """The head table of a checked bank and its ``(V, M, d, K)`` variants:
+    the bank's V heads, then variant (v, m) in row ``V + v * M + m``; a new
+    ``(V + V * M, d, K)`` float64 array."""
+    num_heads, d, k = w.shape
+    variants = np.asarray(variants, dtype=np.float64)
+    shape = variants.shape
+    if len(shape) != 4 or shape[0] != num_heads or shape[1] < 1 or shape[2:] != (d, k):
+        raise ValueError(
+            f"variants must have shape (V, M, d, K) = ({num_heads}, M, {d}, {k}) with M >= 1, "
+            f"got {shape}"
+        )
+    return np.concatenate((w, variants.reshape(-1, d, k)))
 
 
 def _check_inputs(x_batch, labels, w: np.ndarray, cfg: LossConfig):
     """The features as a float64 matrix and the labels as int64, checked
-    against a ``(..., V, d, K)`` bank ``w`` and the config's head count.
-    Labels of a non-integer dtype are rejected, not truncated."""
-    num_heads, d, k = w.shape[-3:]
+    against a checked bank ``w`` and the config's head count. Labels of
+    a non-integer dtype are rejected, not truncated."""
+    num_heads, d, k = w.shape
     if num_heads != cfg.num_heads:
         raise ValueError(f"bank has {num_heads} heads, config says {cfg.num_heads}")
     x_batch = as_matrix(x_batch, "x_batch")
@@ -294,17 +311,37 @@ def _frozen_centering(k: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _other_heads(num_heads: int) -> np.ndarray:
-    """Row v lists every head but v in ascending order: (V, V-1)."""
+    """Column v lists every head but v in ascending order: (V-1, V)."""
     others = np.array(
         [[u for u in range(num_heads) if u != v] for v in range(num_heads)], dtype=np.intp
-    )
+    ).T.copy()
     others.flags.writeable = False
     return others
 
 
-def _diversity_kernels(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+@functools.lru_cache(maxsize=128)
+def _variant_banks(num_heads: int, per_head: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where the banks of a head table (see :func:`_head_table`) find
+    their heads, read-only.
+
+    Bank 0 is the bank itself; bank ``1 + v * M + m`` is variant (v, m),
+    the bank with head v replaced by table row ``V + v * M + m``. Returns
+    the table rows of every bank's heads, ``(1 + V * M, V)``, and, for
+    every bank and head v, the rows of its heads but v in ascending
+    order along the leading axis, ``(V-1, 1 + V * M, V)``, as
+    :func:`_other_heads` lists them.
+    """
+    rows = np.arange(num_heads * per_head)
+    heads = np.tile(np.arange(num_heads), (1 + len(rows), 1))
+    heads[1 + rows, rows // per_head] = num_heads + rows
+    others = np.ascontiguousarray(heads[:, _other_heads(num_heads)].transpose(1, 0, 2))
+    heads.flags.writeable = others.flags.writeable = False
+    return heads, others
+
+
+def _diversity_kernels(w: np.ndarray, others: np.ndarray | None = None):
     """Normalized heads, their column norms and every Kv of a checked
-    ``(..., V, d, K)`` bank.
+    ``(..., V, d, K)`` bank, or of a head table.
 
     Returns ``Wv_hat`` stacked like ``w``, the ``(..., V, 1, K)`` column
     norms and the Kv (K x K, PSD) stacked as ``(..., V, K, K)``. Each
@@ -312,13 +349,17 @@ def _diversity_kernels(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     formed once. Every Kv starts from a zero matrix and gains each other
     head's Gram in ascending u; subtracting Gv from the sum of all Grams
     instead would change the last bits of the penalty and both gradients.
+    Of a head table, ``others`` lists the rows each bank's Kv sums (see
+    :func:`_variant_banks`), and the kernels are ``(B, V, K, K)``.
 
     The other heads' Grams of every v are gathered into one
-    ``(..., V, V-1, K, K)`` array and reduced over that axis from zero in
-    one call, in place of a loop of 2V slice-adds. Each step of that
-    reduction adds a whole K x K slice (never fewer than 4 values), so
-    numpy adds them in ascending u, bit for bit like the loop. The
-    gathered array holds V-1 times the values of the kernels.
+    ``(..., V-1, V, K, K)`` array (of a table, ``(V-1, B, V, K, K)``) and
+    reduced over the V-1 axis from zero in one call, in place of a loop
+    of 2V slice-adds. Each step of that reduction adds whole K x K slices
+    (never fewer than 4 values), so numpy adds them in ascending u, bit
+    for bit like the loop; with that axis in front of the kernels' own,
+    a step is one elementwise add over all of them. The gathered array
+    holds V-1 times the values of the kernels.
     """
     k = w.shape[-1]
     if k < 2:
@@ -326,15 +367,26 @@ def _diversity_kernels(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     h = _frozen_centering(k)
     w_hats, norms = _unit_columns(w)
     grams = h @ (np.swapaxes(w_hats, -1, -2) @ w_hats) @ h
-    others = grams[..., _other_heads(w.shape[-3]), :, :]
-    return w_hats, norms, np.add.reduce(others, axis=-3, initial=0.0)
+    if others is None:
+        others = _other_heads(w.shape[-3])
+    gathered = grams[..., others, :, :]
+    return w_hats, norms, np.add.reduce(gathered, axis=-2 - others.ndim, initial=0.0)
 
 
-def _head_penalties(w: np.ndarray):
+def _head_penalties(w: np.ndarray, banks: tuple | None = None):
     """tr(Wv_hat Kv Wv_hat^T) of every head of a checked bank, (..., V),
     and the triple its gradient reads: ``Wv_hat``, the column norms and
-    the products ``Wv_hat Kv``."""
-    w_hats, norms, kernels = _diversity_kernels(w)
+    the products ``Wv_hat Kv``.
+
+    Of a head table, ``banks`` is its :func:`_variant_banks` pair; the
+    penalties are ``(B, V)``, and the triple holds every bank's gathered
+    ``Wv_hat`` and products beside the table's own column norms."""
+    if banks is None:
+        w_hats, norms, kernels = _diversity_kernels(w)
+    else:
+        heads, others = banks
+        w_hats, norms, kernels = _diversity_kernels(w, others)
+        w_hats = w_hats[heads]
     products = w_hats @ kernels
     terms = products * w_hats
     penalties = np.add.reduce(terms.reshape(*terms.shape[:-2], -1), axis=-1)
@@ -392,9 +444,9 @@ def _sum_heads(values: np.ndarray):
 
     One bank's ``(V,)`` values are added one by one as Python floats
     (:func:`~emsoftmax.tensor.sum_in_order`), which are the same IEEE adds
-    in the same order. A stack of banks is summed head by head:
-    ``np.add.reduce`` over the head axis may sum pairwise when that axis
-    becomes the innermost one.
+    in the same order. The ``(B, V)`` values of several banks are summed
+    head by head: ``np.add.reduce`` over the head axis may sum pairwise
+    when that axis becomes the innermost one.
     """
     if values.ndim == 1:
         return sum_in_order(values.tolist())
@@ -404,59 +456,95 @@ def _sum_heads(values: np.ndarray):
     return total
 
 
-def _loss_core(x_batch: np.ndarray, w: np.ndarray, labels: np.ndarray, cfg: LossConfig):
-    """Loss terms of checked inputs over a ``(..., V, d, K)`` bank stack.
+def _loss_core(x_batch: np.ndarray, w: np.ndarray, labels: np.ndarray, cfg: LossConfig,
+               banks: tuple | None = None):
+    """Loss terms of checked inputs over one bank or a head table.
 
-    Returns (classification, diversity, total), each shaped like the
-    leading batch axes of ``w``, the margin-adjusted probabilities
-    ``(..., V, n, K)``, the label index of :func:`_margin_softmax` and
-    the diversity triple of :func:`_head_penalties` (None for a single
-    head). Heads are summed in ascending order from zero, each head's
-    batch mean taken on its own (the sum over rows divided by n, which
-    is what ``np.mean`` computes), so one bank gives the same bits as the
-    head-by-head formulation.
+    ``w`` is one ``(V, d, K)`` bank, or, with ``banks`` (its
+    :func:`_variant_banks` pair), a head table. Every row of ``w`` is
+    scored, normalized and Grammed once; the banks of a table then read
+    their heads' batch means, normalized heads and Grams through
+    ``banks``. Returns (classification, diversity, total), floats of one
+    bank or ``(B,)`` arrays of a table's banks, the margin-adjusted
+    probabilities of every row ``(R, n, K)``, the label index of
+    :func:`_margin_softmax` and the diversity triple of
+    :func:`_head_penalties` (None for a single head). Heads are summed in
+    ascending order from zero, each head's batch mean taken on its own
+    (the sum over rows divided by n, which is what ``np.mean`` computes),
+    so every bank gets the bits of the head-by-head formulation.
     """
     losses, probs, index = _margin_softmax(np.matmul(x_batch, w), labels, cfg.margin)
-    classification = _sum_heads(np.add.reduce(losses, axis=-1) / x_batch.shape[0])
+    head_means = np.add.reduce(losses, axis=-1) / x_batch.shape[0]
+    if banks is not None:
+        head_means = head_means[banks[0]]
+    classification = _sum_heads(head_means)
     diversity = 0.0
     triple = None
-    if w.shape[-3] >= 2:
-        penalties, triple = _head_penalties(w)
+    if head_means.shape[-1] >= 2:
+        penalties, triple = _head_penalties(w, banks)
         diversity = _sum_heads(penalties)
     total = classification + cfg.diversity_weight * diversity
     return classification, diversity, total, probs, index, triple
 
 
-def em_softmax_forward(x_batch: np.ndarray, bank, labels, cfg: LossConfig) -> LossOutput:
+def em_softmax_forward(x_batch: np.ndarray, bank, labels, cfg: LossConfig,
+                       variants=None) -> LossOutput:
     """Forward pass of the combined loss over a feature batch.
 
     classification = sum over heads of the batch-mean margin softmax
     loss; diversity = sum over heads of their penalty (weight-only, so it
     is batch independent); total = classification + lambda * diversity.
 
-    ``bank`` is one ``(V, d, K)`` bank, or a ``(B, V, d, K)`` stack of
-    banks that share the batch and config (the gradient checker's live
-    bank followed by its perturbed copies). A stack is checked once
-    against the batch and scored in one pass; the output describes bank
-    0, whose record :func:`em_softmax_backward` reads, and ``totals``
-    holds every bank's total. Bank b of a stack gets the bits that it
-    gets scored alone.
+    ``bank`` is the ``(V, d, K)`` bank the output describes.
+    ``variants``, shape ``(V, M, d, K)``, asks for the totals of the banks
+    that differ from it in one head (the gradient checker's perturbed
+    banks): variant (v, m) is the bank with head v replaced by
+    ``variants[v, m]``, and ``totals[v, m]`` is its total, with the bits
+    it gets scored alone. The bank's heads and the variants form one head
+    table, checked once against the batch; each of its rows is scored,
+    normalized and Grammed once, and only the sums over each bank's
+    heads, its kernels and its penalties are formed per bank.
     """
-    w = _check_bank(bank, stacked=True)
+    w = _check_bank(bank)
     x_batch, labels = _check_inputs(x_batch, labels, w, cfg)
-    classification, diversity, total, probs, index, triple = _loss_core(x_batch, w, labels, cfg)
-    if w.ndim == 3:
+    if variants is None:
+        classification, diversity, total, probs, index, triple = _loss_core(
+            x_batch, w, labels, cfg)
         return LossOutput(float(total), float(classification), float(diversity), probs,
                           _record=(x_batch, w, index, triple, cfg))
-    # bank 0's share of the stack, copied so the output holds no stack-sized array
-    totals = total
-    classification, total, probs = classification[0], total[0], probs[0].copy()
+    table = _head_table(w, variants)
+    num_heads, per_head = len(w), len(table) // len(w) - 1
+    classification, diversity, total, probs, index, triple = _loss_core(
+        x_batch, table, labels, cfg, _variant_banks(num_heads, per_head))
+    # the bank's share of the table, copied so the output holds no table-sized array
+    probs = probs[:num_heads].copy()
     if triple is not None:
         diversity = diversity[0]
-        triple = tuple(part[0].copy() for part in triple)
-    return LossOutput(float(total), float(classification), float(diversity), probs, totals,
-                      (x_batch, w[0].copy(), index[: probs.size // w.shape[-1]].copy(), triple,
-                       cfg))
+        w_hats, norms, products = triple
+        triple = (w_hats[0].copy(), norms[:num_heads].copy(), products[0].copy())
+    return LossOutput(float(total[0]), float(classification[0]), float(diversity), probs,
+                      total[1:].reshape(num_heads, per_head),
+                      (x_batch, w, index[: probs.size // w.shape[-1]].copy(), triple, cfg))
+
+
+def _head_gradients(fwd: LossOutput) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(V, d, K)`` head gradients of :func:`em_softmax_backward`,
+    and the ``(V, n, K)`` scaled ``(probs - onehot) / n`` they are formed
+    from; a step that trains the bank alone needs nothing more."""
+    record = getattr(fwd, "_record", None)
+    if record is None:
+        raise ValueError("forward output was not produced by em_softmax_forward")
+    x, _, index, triple, cfg = record
+
+    delta = fwd.probs_per_head.copy()
+    delta.reshape(-1)[index] -= 1.0
+    delta /= x.shape[0]
+    grads_bank = np.matmul(x.T, delta)
+    if triple is not None and cfg.diversity_weight != 0.0:
+        grads_bank += cfg.diversity_weight * _diversity_grads(
+            *triple, cfg.exact_diversity_grad
+        )
+    return grads_bank, delta
 
 
 def em_softmax_backward(fwd: LossOutput) -> tuple[np.ndarray, np.ndarray]:
@@ -475,19 +563,8 @@ def em_softmax_backward(fwd: LossOutput) -> tuple[np.ndarray, np.ndarray]:
     when each term holds at least two values; a single value per head
     would be summed pairwise (from V = 8), so that case keeps the loop.
     """
-    record = getattr(fwd, "_record", None)
-    if record is None:
-        raise ValueError("forward output was not produced by em_softmax_forward")
-    x, w, index, triple, cfg = record
-
-    delta = fwd.probs_per_head.copy()
-    delta.reshape(-1)[index] -= 1.0
-    delta /= x.shape[0]
-    grads_bank = np.matmul(x.T, delta)
-    if triple is not None and cfg.diversity_weight != 0.0:
-        grads_bank += cfg.diversity_weight * _diversity_grads(
-            *triple, cfg.exact_diversity_grad
-        )
+    grads_bank, delta = _head_gradients(fwd)
+    x, w = fwd._record[:2]
     per_head_x = np.matmul(delta, np.swapaxes(w, -1, -2))
     if x.size > 1:
         return grads_bank, np.add.reduce(per_head_x, axis=0, initial=0.0)

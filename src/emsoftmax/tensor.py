@@ -29,6 +29,7 @@ __all__ = [
     "Rng",
     "as_integers",
     "as_matrix",
+    "check_integer",
     "gaussian_init",
     "sum_in_order",
     "xavier_scale",
@@ -184,6 +185,15 @@ def as_integers(a, name: str) -> np.ndarray:
     if out.dtype.kind not in "iu":
         raise ValueError(f"{name} must be integers, got dtype {out.dtype}")
     return out
+
+
+def check_integer(value, name: str):
+    """``value`` itself when it is a Python or numpy integer; anything
+    else, bool included, is a ValueError naming ``name``: a float would be
+    truncated, or fail later with a message about something else."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 def xavier_scale(rows: int, cols: int) -> float:

@@ -22,13 +22,15 @@ which :func:`train` catches in one place.
 central finite differences of the scalar loss and is the backbone of the
 correctness tests; it always runs the exact diversity backward since the
 detached training rule is deliberately not the derivative of the
-penalty. Bank blocks are differenced in stacks of perturbed banks, all
-scored by :func:`em_softmax_forward`: the step's own forward scores the
-live bank at the front of the first stack, so one pass gives both the
-record the backward reads and the first chunk of perturbed totals, and
-a bank small enough for one chunk costs one forward and one backward.
-Network blocks change the features, so they are still differenced
-entry by entry.
+penalty. Every perturbed bank differs from the live bank in one head, so
+bank blocks are differenced as perturbed heads: chunks of each head's
+raised and lowered copies, scored as :func:`em_softmax_forward`
+variants of the live bank, which scores each distinct head once. The
+step's own forward scores the first chunk, so one pass gives both the
+record the backward reads and the first perturbed totals, and a bank
+small enough for one chunk costs one forward and one backward. A step
+without a network skips the loss's feature gradient. Network blocks
+change the features, so they are still differenced entry by entry.
 """
 
 from __future__ import annotations
@@ -41,9 +43,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import Dataset, minibatch_stream
-from .losses import LossConfig, em_softmax_backward, em_softmax_forward
+from .losses import LossConfig, _head_gradients, em_softmax_backward, em_softmax_forward
 from .model import MlpFeatureExtractor, WeakClassifierBank
-from .tensor import Rng
+from .tensor import Rng, check_integer
 
 __all__ = [
     "SgdConfig",
@@ -59,11 +61,13 @@ __all__ = [
 
 _LOSS_CEILING = 1e6
 
-# grad_check scores perturbed banks in chunks whose largest temporary (the
-# bank stack, the scores or the V-1 other heads' Grams gathered for every
-# diversity kernel) holds about this many float64 values; a chunk holds an
-# even number of banks, at least two (one raised and one lowered copy); the
-# first chunk also carries the live bank, in front.
+# grad_check scores perturbed banks in chunks whose largest temporary holds
+# at most this many float64 values: the head table's scores (n * K values a
+# row), or, for each bank a chunk scores, its gathered normalized heads
+# (V * d * K) or the V-1 other heads' Grams gathered for each of its V
+# kernels (V * (V-1) * K^2). A chunk holds the same whole pairs (one raised
+# and one lowered copy) of every head, at least one pair, behind the live
+# bank, which counts as V rows.
 _FD_CHUNK_VALUES = 1_000_000
 _FD_STEP = 1e-6  # grad_check's central-difference step
 _EVAL_CHUNK = 4096  # rows count_hits scores per chunk
@@ -89,7 +93,9 @@ class SgdConfig:
             raise ValueError("momentum must lie in [0, 1)")
         if self.weight_decay < 0:
             raise ValueError("weight_decay must be non-negative")
-        drops = tuple(int(i) for i in self.lr_drop_iters)
+        drops = tuple(
+            int(check_integer(i, "every lr_drop_iters entry")) for i in self.lr_drop_iters
+        )
         if list(drops) != sorted(set(drops)):
             raise ValueError("lr_drop_iters must be strictly increasing")
         if any(i < 0 for i in drops):
@@ -97,10 +103,9 @@ class SgdConfig:
         object.__setattr__(self, "lr_drop_iters", drops)
         if self.lr_drop_factor <= 0:
             raise ValueError("lr_drop_factor must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
+        for name in ("max_iters", "batch_size"):
+            if check_integer(getattr(self, name), name) < 1:
+                raise ValueError(f"{name} must be at least 1")
 
 
 class DivergenceError(Exception):
@@ -193,19 +198,24 @@ def _parameters(net: MlpFeatureExtractor | None, bank: WeakClassifierBank):
     return blocks + [("bank", bank.heads, True)]
 
 
-def _gradients(net: MlpFeatureExtractor | None, heads: np.ndarray, x, y, cfg: LossConfig):
+def _gradients(net: MlpFeatureExtractor | None, heads: np.ndarray, x, y, cfg: LossConfig,
+               *variants: np.ndarray):
     """One step's loss forward, features and gradients.
 
-    ``heads`` is the bank's ``(V, d, K)`` array, or a stack of banks with
-    the live bank in front (see :func:`em_softmax_forward`); the
-    gradients are those of the live bank. Returns ``(fwd, feats,
-    grads)``, ``grads`` aligned with :func:`_parameters`. Without a
-    network the features are ``x`` itself.
+    ``heads`` is the bank's ``(V, d, K)`` array; ``variants``, when
+    given, are scored in the same forward (see :func:`em_softmax_forward`)
+    and leave the gradients alone. Returns ``(fwd, feats, grads)``,
+    ``grads`` aligned with :func:`_parameters`. Without a network the
+    features are ``x`` itself, and the loss's feature gradient is not
+    formed.
     """
-    feats, cache = (x, None) if net is None else net.forward(x)
-    fwd = em_softmax_forward(feats, heads, y, cfg)
+    if net is None:
+        fwd = em_softmax_forward(x, heads, y, cfg, *variants)
+        return fwd, x, [_head_gradients(fwd)[0]]
+    feats, cache = net.forward(x)
+    fwd = em_softmax_forward(feats, heads, y, cfg, *variants)
     grads_bank, grads_feats = em_softmax_backward(fwd)
-    grads = [] if net is None else [g for layer in net.backward(cache, grads_feats) for g in layer]
+    grads = [g for layer in net.backward(cache, grads_feats) for g in layer]
     return fwd, feats, grads + [grads_bank]
 
 
@@ -357,50 +367,57 @@ def _entrywise_differences(net, bank_heads, x, y, loss_cfg, param) -> np.ndarray
     return numeric.reshape(param.shape)
 
 
-def _perturbed_banks(bank_heads: np.ndarray, start: int, stop: int, live: bool = False):
-    """Perturbed banks ``start`` to ``stop - 1`` (both even), after the
-    live bank itself when ``live`` is set.
+def _perturbed_heads(bank_heads: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Every head's perturbed copies for its entries ``start`` to
+    ``stop - 1``, as :func:`em_softmax_forward`'s ``(V, M, d, K)``
+    variants, M = 2 * (stop - start).
 
-    Of the 2P perturbed banks, bank 2j is the bank with entry j set to
-    ``orig + _FD_STEP`` and bank 2j + 1 the same with ``orig - _FD_STEP``.
-    The c = stop - start banks are copies of the bank from one
-    ``np.repeat``, whose raveled values past the live bank take
-    ``+= _FD_STEP`` at ``e0 + i * (2P + 1)`` and ``-= _FD_STEP`` at
-    ``P + e0 + i * (2P + 1)`` for i < c / 2, where e0 = start / 2.
+    Variant (v, 2i) is head v with entry start + i set to ``orig +
+    _FD_STEP``, and variant (v, 2i + 1) the same with ``orig - _FD_STEP``.
+    One broadcast writes the copies in place; then, with E = d * K, each
+    head's raveled copies take ``+= _FD_STEP`` at ``start + i * (2E + 1)``
+    and ``-= _FD_STEP`` at ``E + start + i * (2E + 1)``, for every head in
+    two strided writes.
     """
-    size = bank_heads.size
-    stack = np.repeat(bank_heads[None], live + stop - start, axis=0)
-    values = stack.reshape(-1)[live * size :]
-    values[start // 2 :: 2 * size + 1] += _FD_STEP
-    values[size + start // 2 :: 2 * size + 1] -= _FD_STEP
-    return stack
+    num_heads, d, k = bank_heads.shape
+    size = d * k
+    variants = np.empty((num_heads, 2 * (stop - start), d, k))
+    variants[...] = bank_heads[:, None]
+    values = variants.reshape(num_heads, -1)
+    values[:, start :: 2 * size + 1] += _FD_STEP
+    values[:, size + start :: 2 * size + 1] -= _FD_STEP
+    return variants
 
 
 def _differenced_step(net, bank_heads, x, labels, cfg):
     """The step's gradients, as :func:`_gradients` gives them, and the
     central differences of the loss for every bank entry, (V, d, K).
 
-    The 2P perturbed banks are scored in chunks of an even number of
-    banks, each chunk whole pairs. The step's forward scores the first
-    chunk behind the live bank: bank 0 of that stack gives the record
-    the backward reads, the rest the first perturbed totals. Later
-    chunks are scored on the step's features by the same forward.
+    Every head's entries are differenced in chunks of whole pairs, the
+    same entries of every head in one chunk, each scored as
+    :func:`em_softmax_forward` variants of the live bank. The step's own
+    forward scores the first chunk, so it gives both the record the
+    backward reads and the first totals; later chunks are scored on the
+    step's features by the same forward.
     """
     num_heads, d, k = bank_heads.shape
+    size = d * k
     rows = x.shape[0] if x.ndim else 1
-    per_bank = num_heads * k * max(d, rows, (num_heads - 1) * k)
-    chunk = 2 * max(1, _FD_CHUNK_VALUES // (2 * per_bank))
-    totals = np.empty(2 * bank_heads.size)
-    stop = min(chunk, totals.size)
+    per_bank = k * max(num_heads * (num_heads - 1) * k, num_heads * d, rows)
+    pairs = max(1, (_FD_CHUNK_VALUES // (num_heads * per_bank) - 1) // 2)
+    totals = np.empty((num_heads, 2 * size))
+    stop = min(pairs, size)
     fwd, feats, grads = _gradients(
-        net, _perturbed_banks(bank_heads, 0, stop, live=True), x, labels, cfg
+        net, bank_heads, x, labels, cfg, _perturbed_heads(bank_heads, 0, stop)
     )
-    totals[:stop] = fwd.totals[1:]
-    for start in range(stop, totals.size, chunk):
-        stop = min(start + chunk, totals.size)
-        stack = _perturbed_banks(bank_heads, start, stop)
-        totals[start:stop] = em_softmax_forward(feats, stack, labels, cfg).totals
-    numeric = (totals[0::2] - totals[1::2]) / (2 * _FD_STEP)
+    totals[:, : 2 * stop] = fwd.totals
+    for start in range(stop, size, pairs):
+        stop = min(start + pairs, size)
+        variants = _perturbed_heads(bank_heads, start, stop)
+        totals[:, 2 * start : 2 * stop] = em_softmax_forward(
+            feats, bank_heads, labels, cfg, variants
+        ).totals
+    numeric = (totals[:, 0::2] - totals[:, 1::2]) / (2 * _FD_STEP)
     return grads, numeric.reshape(bank_heads.shape)
 
 
@@ -435,10 +452,10 @@ def grad_check(
     diversity backward is always used here because the detached
     training rule is not the derivative of the loss.
 
-    The step's forward pass scores the live bank at the front of a stack
-    of its perturbed copies, so the inputs are checked once for a bank
-    that fits one chunk; the errors of the whole bank are formed in one
-    pass, then maximized head by head. Network blocks are differenced
+    The step's forward pass scores the live bank with its perturbed
+    heads as variants, so the inputs are checked once for a bank that
+    fits one chunk; the errors of the whole bank are formed in one pass,
+    then maximized head by head. Network blocks are differenced
     entry by entry, one forward pass per perturbation. ``labels`` reach
     the forward unconverted, so non-integer labels are rejected there.
 
@@ -483,5 +500,5 @@ def grad_check(
     # max is exact, so each head's error has the bits of its block's own max
     head_errors = np.maximum.reduce(per_head, axis=1)
     errors.update(zip(head_names, head_errors.tolist()))
-    worst = np.maximum(worst, np.maximum.reduce(head_errors))
+    worst = np.maximum.reduce(head_errors, initial=worst)
     return {"block_errors": errors, "max_error": float(worst)}

@@ -310,16 +310,29 @@ def ref_bank_differences(feats, bank_heads, y, loss_cfg, chunk_values, step=1e-6
     return ((totals[0::2] - totals[1::2]) / (2 * step)).reshape(bank_heads.shape)
 
 
-def nan_stack_totals(module):
+def variant_banks(bank, variants):
+    """Every bank that ``variants`` describes, built whole: ``(V * M, V,
+    d, K)``, row ``v * M + m`` the bank with head v replaced by
+    ``variants[v, m]``."""
+    bank = np.asarray(bank, dtype=np.float64)
+    num_heads, per_head = np.shape(variants)[:2]
+    banks = np.repeat(bank[None], num_heads * per_head, axis=0)
+    for v in range(num_heads):
+        for m in range(per_head):
+            banks[v * per_head + m, v] = variants[v][m]
+    return banks
+
+
+def nan_variant_totals(module):
     """A stand-in for ``module.em_softmax_forward`` that scores like it
-    but gives every bank of a stack a NaN total, as a broken loss would
-    give the gradient checker's perturbed banks."""
+    but gives every variant a NaN total, as a broken loss would give the
+    gradient checker's perturbed banks."""
     forward = module.em_softmax_forward
 
     def stand_in(x_batch, bank, *args):
         fwd = forward(x_batch, bank, *args)
         if fwd.totals is not None:
-            fwd.totals = np.full(len(fwd.totals), np.nan)
+            fwd.totals = np.full(fwd.totals.shape, np.nan)
         return fwd
 
     return stand_in

@@ -14,7 +14,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from conftest import nan_stack_totals
+from conftest import nan_variant_totals
 from emsoftmax import cli, trainer
 from emsoftmax.cli import (
     _DATA_KEYS,
@@ -452,6 +452,18 @@ class TestConfigValidation:
         assert eval_with_config(tmp_path, **overrides) == 1
         assert f"emsoftmax: error: {tmp_path / 'run.cfg'}: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, value", [
+        ("synth_classes", 2.5), ("feature_dim", 8.0), ("heads", 2.5), ("max_iters", True),
+        ("seed", 1.5), ("hidden_dims", (4, 2.5)), ("lr_drop_iters", (1.5,)),
+    ])
+    def test_non_integer_fields_rejected(self, name, value):
+        # built directly, not parsed: a float would be truncated or fail later
+        valid = parse_config_text(QUICK)
+        message = (f"every {name} entry" if isinstance(value, tuple) else name) + (
+            " must be an integer, got ")
+        with pytest.raises(ConfigError, match=f"^{message}"):
+            replace(valid, **{name: value})
+
     @pytest.mark.parametrize("overrides, message", INVALID_VALUES)
     def test_no_invalid_config_can_be_built(self, tmp_path, overrides, message):
         with pytest.raises(ConfigError, match=re.escape(message)):
@@ -881,7 +893,7 @@ class TestGradcheckCommand:
         assert captured.out == ""
 
     def test_nan_errors_fail_every_cell_and_the_grid(self, capsys, monkeypatch):
-        monkeypatch.setattr(trainer, "em_softmax_forward", nan_stack_totals(trainer))
+        monkeypatch.setattr(trainer, "em_softmax_forward", nan_variant_totals(trainer))
         lines = []
         ok, worst = cli.run_gradcheck_grid(0, 1, printer=lines.append)
         assert ok is False and math.isnan(worst)

@@ -6,8 +6,9 @@ Python floats. Each of those must give exactly the bits of numpy's own
 reductions, fancy indexing and slice loops, kept in ``conftest`` as
 ``ref_softmax_probs``, ``ref_margin_softmax``, ``ref_kernel_loop`` and
 the whole ``ref_loss_forward`` / ``ref_loss_backward`` /
-``ref_loss_totals``. A stack of banks scored in one forward must give
-bank 0 the bits of its own forward and every bank the reference total.
+``ref_loss_totals``. Variants of a bank scored in one forward must give
+the bank the bits of its own forward and every variant bank the
+reference total.
 Arrays are compared as uint64 views with ``==``, so even NaN payloads
 and signed zeros must agree.
 """
@@ -26,6 +27,7 @@ from conftest import (
     ref_loss_totals,
     ref_margin_softmax,
     ref_softmax_probs,
+    variant_banks,
 )
 from emsoftmax import cli, trainer
 from emsoftmax.losses import (
@@ -163,16 +165,20 @@ def test_forward_backward_and_totals_match_reference(v):
                 assert_bits(fwd.probs_per_head, ref.probs_per_head)
                 for got, want in zip(em_softmax_backward(fwd), ref_loss_backward(ref)):
                     assert_bits(got, want)
-            for b, m in ((1, 0.5), (3, 0.0)):
-                banks = g.normal(size=(b, v, d, k))
+            # one variant per head already makes V banks to score; the widest
+            # K keep one margin
+            for m in (0.5, 0.0) if k < 100 else (0.5,):
+                variants = g.normal(size=(v, 1, d, k))
                 cfg = LossConfig(m, 0.1, v)
-                assert_bits(em_softmax_forward(x, banks, labels, cfg).totals,
-                            ref_loss_totals(x, banks, labels, cfg))
+                assert_bits(em_softmax_forward(x, bank, labels, cfg, variants).totals,
+                            ref_loss_totals(x, variant_banks(bank, variants), labels,
+                                            cfg).reshape(v, 1))
 
 
 class TestStackedForward:
-    """A ``(B, V, d, K)`` stack in one forward, as the gradient checker
-    scores its live bank in front of the perturbed copies."""
+    """A bank and a ``(V, M, d, K)`` stack of variant heads in one forward,
+    as the gradient checker scores the live bank with its perturbed heads.
+    The bank is bank 0 of the forward's head table."""
 
     @pytest.mark.parametrize("v", [1, 2, 3, 6])
     @pytest.mark.parametrize("k", [2, 10])
@@ -185,42 +191,57 @@ class TestStackedForward:
         for m, lam in ((0.0, 0.0), (0.0, 0.1), (0.5, 0.0), (0.5, 0.1)):
             for exact in (False, True):
                 cfg = LossConfig(m, lam, v, exact)
-                banks = g.normal(size=(5, v, d, k))
-                stacked = em_softmax_forward(x, banks, labels, cfg)
-                alone = em_softmax_forward(x, banks[0], labels, cfg)
+                bank, variants = g.normal(size=(v, d, k)), g.normal(size=(v, 4, d, k))
+                scored = em_softmax_forward(x, bank, labels, cfg, variants)
+                alone = em_softmax_forward(x, bank, labels, cfg)
                 assert_bits(
-                    [stacked.total_loss, stacked.classification_term, stacked.diversity_term],
+                    [scored.total_loss, scored.classification_term, scored.diversity_term],
                     [alone.total_loss, alone.classification_term, alone.diversity_term],
                 )
-                assert_bits(stacked.probs_per_head, alone.probs_per_head)
-                for got, want in zip(em_softmax_backward(stacked), em_softmax_backward(alone)):
+                assert_bits(scored.probs_per_head, alone.probs_per_head)
+                for got, want in zip(em_softmax_backward(scored), em_softmax_backward(alone)):
                     assert_bits(got, want)
-                assert stacked.totals.shape == (5,) and alone.totals is None
-                for b, bank in enumerate(banks):
-                    assert_bits(stacked.totals[b],
-                                ref_loss_totals(x, bank[None], labels, cfg)[0])
+                assert scored.totals.shape == (v, 4) and alone.totals is None
+                for b, whole in enumerate(variant_banks(bank, variants)):
+                    assert_bits(scored.totals[b // 4, b % 4],
+                                ref_loss_totals(x, whole[None], labels, cfg)[0])
 
     def test_output_holds_no_view_of_the_stack(self):
-        # the record keeps copies of bank 0's share, so the stack-sized
-        # arrays die with the call and the caller may reuse its stack
+        # the record keeps copies of the bank's share, so the table-sized
+        # arrays die with the call and the caller may reuse its variants
         g = np.random.default_rng(9)
         x, labels, cfg = g.normal(size=(3, 4)), np.array([0, 2, 1]), LossConfig(0.5, 0.1, 2, True)
-        banks = g.normal(size=(6, 2, 4, 3))
-        stacked = em_softmax_forward(x, banks, labels, cfg)
-        want = em_softmax_backward(em_softmax_forward(x, banks[0].copy(), labels, cfg))
-        banks[:] = np.nan
-        assert stacked.probs_per_head.base is None
-        for got, expected in zip(em_softmax_backward(stacked), want):
+        bank, variants = g.normal(size=(2, 4, 3)), g.normal(size=(2, 6, 4, 3))
+        scored = em_softmax_forward(x, bank, labels, cfg, variants)
+        want = em_softmax_backward(em_softmax_forward(x, bank.copy(), labels, cfg))
+        bank[:] = variants[:] = np.nan
+        assert scored.probs_per_head.base is None
+        for part in scored._record[3]:
+            assert part.base is None
+        for got, expected in zip(em_softmax_backward(scored), want):
             assert_bits(got, expected)
 
-    @pytest.mark.parametrize("shape", [(0, 2, 4, 3), (5, 0, 4, 3), (5, 2, 0, 3), (5, 2, 4, 0),
-                                       (1, 5, 2, 4, 3), (4, 3), (3,)],
-                             ids=["no banks", "no heads", "no dims", "no classes", "5-D",
-                                  "2-D", "1-D"])
+    @pytest.mark.parametrize("shape", [(5, 2, 4, 3), (4, 3), (3,), (0, 4, 3), (2, 0, 3),
+                                       (2, 4, 0)],
+                             ids=["stack of banks", "2-D", "1-D", "no heads", "no dims",
+                                  "no classes"])
+    def test_malformed_bank_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"^bank must have shape \(V, d, K\) with every "
+                                             r"size >= 1, got "):
+            em_softmax_forward(np.ones((3, 4)), np.ones(shape), [0, 2, 1], LossConfig(0, 0, 2),
+                               np.ones((2, 1, 4, 3)))
+
+    @pytest.mark.parametrize("shape", [(2, 0, 4, 3), (0, 1, 4, 3), (2, 1, 0, 3), (2, 1, 4, 0),
+                                       (1, 2, 1, 4, 3), (4, 3), (3,), (3, 1, 4, 3),
+                                       (1, 1, 4, 3), (2, 1, 5, 3), (2, 1, 4, 2), (2, 4, 3)],
+                             ids=["no banks", "no heads", "no dims", "no classes", "5-D", "2-D",
+                                  "1-D", "extra head", "missing head", "other dims",
+                                  "other classes", "3-D"])
     def test_malformed_stack_rejected(self, shape):
-        with pytest.raises(ValueError, match=r"^bank must have shape \(V, d, K\) or "
-                                             r"\(B, V, d, K\) with every size >= 1, got "):
-            em_softmax_forward(np.ones((3, 4)), np.ones(shape), [0, 2, 1], LossConfig(0, 0, 2))
+        with pytest.raises(ValueError, match=r"^variants must have shape \(V, M, d, K\) = "
+                                             r"\(2, M, 4, 3\) with M >= 1, got "):
+            em_softmax_forward(np.ones((3, 4)), np.ones((2, 4, 3)), [0, 2, 1],
+                               LossConfig(0, 0, 2), np.ones(shape))
 
 
 def ref_head_penalties(bank):
@@ -297,10 +318,13 @@ def test_zero_columns_warn_and_match_reference():
         assert_bits(fwd.total_loss, ref.total_loss)
         for got, want in zip(em_softmax_backward(fwd), ref_loss_backward(ref)):
             assert_bits(got, want)
+        variants = g.normal(size=(3, 2, 4, 6))
+        variants[0, 1, :, 4] = 0.0
         with pytest.warns(RuntimeWarning, match="zero column"):
-            totals = em_softmax_forward(x, bank[None], labels, cfg).totals
+            totals = em_softmax_forward(x, bank, labels, cfg, variants).totals
         with pytest.warns(RuntimeWarning):
-            assert_bits(totals, ref_loss_totals(x, bank[None], labels, cfg))
+            assert_bits(totals, ref_loss_totals(x, variant_banks(bank, variants), labels,
+                                                cfg).reshape(3, 2))
 
 
 def test_no_warning_without_zero_columns():

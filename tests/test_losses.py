@@ -12,6 +12,7 @@ from conftest import (
     ref_em_softmax_backward,
     ref_hsic,
     ref_softmax_loss,
+    variant_banks,
 )
 from emsoftmax import losses
 from emsoftmax.losses import (
@@ -99,6 +100,12 @@ class TestCrossEntropyAndMargin:
             margin_softmax(np.zeros((1, 2)), [0], -1.0)
         with pytest.raises(ValueError):
             LossConfig(margin=-0.5)
+
+    @pytest.mark.parametrize("value", [2.5, 2.0, True])
+    def test_non_integer_head_count_rejected(self, value):
+        # 2.5 heads failed later with "bank has 2 heads, config says 2.5"
+        with pytest.raises(ValueError, match=rf"^num_heads must be an integer, got {value!r}$"):
+            LossConfig(num_heads=value)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     @pytest.mark.parametrize("name", ["margin", "diversity_weight"])
@@ -354,7 +361,7 @@ class TestForward:
 
 
 class TestTotals:
-    """A ``(B, V, d, K)`` stack through the forward: one pass, every
+    """Variants of one bank through the forward: one pass, every variant
     bank's total in ``totals``."""
 
     @pytest.mark.parametrize("v", [1, 2, 3, 6])
@@ -365,13 +372,15 @@ class TestTotals:
         cfg = LossConfig(margin, lam, v)
         for n in range(1, 6):
             d, k = int(rng.integers(2, 7)), int(rng.integers(2, 6))
-            banks = rng.normal(size=(7, v, d, k)) * rng.uniform(0.1, 3.0, size=(7, v, 1, 1))
+            bank = rng.normal(size=(v, d, k)) * rng.uniform(0.1, 3.0, size=(v, 1, 1))
+            variants = rng.normal(size=(v, 3, d, k)) * rng.uniform(0.1, 3.0, size=(v, 3, 1, 1))
             x = rng.normal(size=(n, d))
             y = rng.integers(0, k, size=n)
-            totals = em_softmax_forward(x, banks, y, cfg).totals
-            assert totals.shape == (7,)
-            expected = [em_softmax_forward(x, list(b), y, cfg).total_loss for b in banks]
-            np.testing.assert_allclose(totals, expected, rtol=0.0, atol=1e-13)
+            totals = em_softmax_forward(x, bank, y, cfg, variants).totals
+            assert totals.shape == (v, 3)
+            expected = [em_softmax_forward(x, list(b), y, cfg).total_loss
+                        for b in variant_banks(bank, variants)]
+            np.testing.assert_allclose(totals.ravel(), expected, rtol=0.0, atol=1e-13)
 
     @pytest.mark.parametrize("v", [1, 2, 6])
     def test_bitwise_equal_to_per_bank_forward(self, v):
@@ -379,38 +388,44 @@ class TestTotals:
         rng = np.random.default_rng(200 + v)
         cfg = LossConfig(0.5, 0.1, v)
         for n in (9, 64, 129):
-            banks = rng.normal(size=(5, v, 6, 4))
+            bank = rng.normal(size=(v, 6, 4))
+            variants = rng.normal(size=(v, 2, 6, 4))
             x = rng.normal(size=(n, 6))
             y = rng.integers(0, 4, size=n)
-            totals = em_softmax_forward(x, banks, y, cfg).totals
-            expected = [em_softmax_forward(x, list(b), y, cfg).total_loss for b in banks]
-            assert totals.tolist() == expected
+            totals = em_softmax_forward(x, bank, y, cfg, variants).totals
+            expected = [em_softmax_forward(x, list(b), y, cfg).total_loss
+                        for b in variant_banks(bank, variants)]
+            assert totals.ravel().tolist() == expected
 
     def test_scores_on_the_forwards_batch(self):
-        # the stack is scored on the features, labels and config the
-        # forward checked; the output's own fields are bank 0's
+        # the variants are scored on the features, labels and config the
+        # forward checked; the output's own fields are the bank's
         rng = np.random.default_rng(5)
         x, y, cfg = rng.normal(size=(4, 3)), np.array([1, 0, 2, 2]), LossConfig(1.0, 0.1, 2)
-        banks = rng.normal(size=(3, 2, 3, 3))
-        fwd = em_softmax_forward(x, banks, y, cfg)
-        alone = [em_softmax_forward(x, b, y, cfg) for b in banks]
-        assert fwd.totals.tolist() == [out.total_loss for out in alone]
+        bank, variants = rng.normal(size=(2, 3, 3)), rng.normal(size=(2, 1, 3, 3))
+        fwd = em_softmax_forward(x, bank, y, cfg, variants)
+        alone = em_softmax_forward(x, bank, y, cfg)
+        assert fwd.totals.ravel().tolist() == [
+            em_softmax_forward(x, b, y, cfg).total_loss for b in variant_banks(bank, variants)]
         assert (fwd.total_loss, fwd.classification_term, fwd.diversity_term) == (
-            alone[0].total_loss, alone[0].classification_term, alone[0].diversity_term)
-        assert np.array_equal(fwd.probs_per_head, alone[0].probs_per_head)
-        assert alone[0].totals is None
+            alone.total_loss, alone.classification_term, alone.diversity_term)
+        assert np.array_equal(fwd.probs_per_head, alone.probs_per_head)
+        assert alone.totals is None
 
     def test_validation(self):
-        # the stack is checked against the batch and config once, like one
-        # bank; its malformed shapes are in test_loss_bits
+        # the bank is checked against the batch and config once, the
+        # variants against the bank; malformed shapes are in test_loss_bits
         x, y, cfg = np.zeros((2, 3)), [0, 1], LossConfig(0, 0, 2)
         with pytest.raises(ValueError, match="bank has 1 heads, config says 2"):
-            em_softmax_forward(x, np.ones((4, 1, 3, 2)), y, cfg)
+            em_softmax_forward(x, np.ones((1, 3, 2)), y, cfg, np.ones((1, 4, 3, 2)))
         with pytest.raises(ValueError, match="features of dim 5"):
-            em_softmax_forward(x, np.ones((4, 2, 5, 2)), y, cfg)
+            em_softmax_forward(x, np.ones((2, 5, 2)), y, cfg, np.ones((2, 4, 5, 2)))
         with pytest.raises(ValueError, match=r"labels must lie in \[0, 2\)"):
-            em_softmax_forward(x, np.ones((4, 2, 3, 2)), [0, 2], cfg)
-        # one bank per diversity penalty: a stack is not a bank there
+            em_softmax_forward(x, np.ones((2, 3, 2)), [0, 2], cfg, np.ones((2, 4, 3, 2)))
+        with pytest.raises(ValueError, match=r"variants must have shape \(V, M, d, K\) = "
+                                             r"\(2, M, 3, 2\) with M >= 1, got \(1, 4, 3, 2\)"):
+            em_softmax_forward(x, np.ones((2, 3, 2)), y, cfg, np.ones((1, 4, 3, 2)))
+        # one bank per diversity penalty: a stack of banks is not a bank
         with pytest.raises(ValueError, match=r"bank must have shape \(V, d, K\) with"):
             diversity_penalty(np.ones((4, 2, 3, 2)), 0)
 

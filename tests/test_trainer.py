@@ -1,17 +1,20 @@
+import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import (
-    nan_stack_totals,
+    nan_variant_totals,
     ref_bank_differences,
     ref_em_softmax_backward,
+    ref_loss_totals,
     ref_sgd_step,
 )
 from emsoftmax.cli import RunConfig, run_training
 from emsoftmax.data import Dataset, SyntheticSpec, synth_blobs
-from emsoftmax.losses import LossConfig
+from emsoftmax.losses import LossConfig, em_softmax_backward, em_softmax_forward
 from emsoftmax import cli, trainer
 from emsoftmax.model import MlpFeatureExtractor, WeakClassifierBank
 from emsoftmax.tensor import Rng
@@ -67,6 +70,25 @@ class TestSgdConfig:
     def test_non_finite_values_rejected(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             SgdConfig(**{name: value})
+
+    @pytest.mark.parametrize("name, value", [("max_iters", 2.5), ("batch_size", 2.5),
+                                             ("max_iters", 3.0), ("batch_size", True)])
+    def test_non_integer_counts_rejected(self, name, value):
+        # 2.5 steps made train die with a raw TypeError
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {value!r}$"):
+            SgdConfig(**{name: value})
+
+    @pytest.mark.parametrize("drops", [(1.5,), (100, 200.0), (True,)])
+    def test_non_integer_drop_iterations_rejected(self, drops):
+        # (1.5,) was truncated to (1,)
+        with pytest.raises(ValueError, match=r"^every lr_drop_iters entry must be an integer"):
+            SgdConfig(lr_drop_iters=drops)
+
+    def test_numpy_integers_accepted(self):
+        cfg = SgdConfig(lr_drop_iters=(np.int64(3), np.int32(7)), max_iters=np.int64(9),
+                        batch_size=np.uint8(4))
+        assert cfg.lr_drop_iters == (3, 7) and all(type(i) is int for i in cfg.lr_drop_iters)
+        assert (cfg.max_iters, cfg.batch_size) == (9, 4)
 
 
 class TestLearningRate:
@@ -351,6 +373,29 @@ class TestSharedStep:
         assert [g.shape for g in grads] == [p.shape for _, p, _ in blocks]
 
 
+class TestBankOnlyStep:
+    """Without a network the step forms no feature gradient; its bank
+    gradient keeps the bits of :func:`em_softmax_backward`'s."""
+
+    @pytest.mark.parametrize("v", [1, 2, 3, 6])
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_bank_gradient_has_the_backwards_bits(self, monkeypatch, v, exact):
+        rng = np.random.default_rng(50 + v)
+        x, y = rng.normal(size=(5, 4)), rng.integers(0, 3, size=5)
+        heads, variants = rng.normal(size=(v, 4, 3)), rng.normal(size=(v, 2, 4, 3))
+        cfg = LossConfig(0.5, 0.1, v, exact)
+        want = em_softmax_backward(em_softmax_forward(x, heads, y, cfg))[0]
+
+        def backward(fwd):
+            raise AssertionError("the bank-only step formed the feature gradient")
+
+        monkeypatch.setattr(trainer, "em_softmax_backward", backward)
+        for extra in ((), (variants,)):
+            fwd, feats, grads = trainer._gradients(None, heads, x, y, cfg, *extra)
+            assert feats is x and len(grads) == 1
+            assert np.array_equal(grads[0].view(np.uint64), want.view(np.uint64))
+
+
 class TestFinalEvaluation:
     def test_completed_run_evaluates_once_per_eval_row(self, tmp_path, monkeypatch):
         calls = []
@@ -523,23 +568,24 @@ class TestGradCheck:
 
     @staticmethod
     def wide_bank_check(monkeypatch, **kwargs):
-        # 2 heads of 50 x 10: 2000 perturbed banks of 1000 values each, so
-        # at about 1e6 values per chunk the banks need at least two stacks;
-        # the first also holds the live bank
+        # 2 heads of 50 x 10: 1000 perturbed copies of each head, whose
+        # banks gather 1000 values each, so at about 1e6 values per chunk
+        # the variants need at least two forwards
         calls = []
         forward = trainer.em_softmax_forward
 
-        def counted(x, heads, *args):
-            if np.ndim(heads) == 4:
-                calls.append(len(heads))
-            return forward(x, heads, *args)
+        def counted(x, heads, labels, cfg, *variants):
+            if variants:
+                calls.append(variants[0].shape[:2])
+            return forward(x, heads, labels, cfg, *variants)
 
         monkeypatch.setattr(trainer, "em_softmax_forward", counted)
         rng = Rng(21)
         bank = WeakClassifierBank(50, 10, 2, rng.spawn(1))
         x = rng.spawn(2).normal((3, 50))
         res = grad_check(None, bank, x, [0, 4, 9], LossConfig(1.0, 0.1, 2), **kwargs)
-        assert len(calls) >= 2 and sum(calls) == 2 * 2 * 50 * 10 + 1
+        assert len(calls) >= 2 and all(heads == 2 for heads, _ in calls)
+        assert sum(per_head for _, per_head in calls) == 2 * 50 * 10
         return res
 
     def test_bank_spanning_several_chunks_passes(self, monkeypatch):
@@ -562,7 +608,7 @@ class TestGradCheck:
     def test_nan_differences_fail(self, monkeypatch):
         # the network blocks come first and are finite; a NaN in a later
         # block must still fail the check
-        monkeypatch.setattr(trainer, "em_softmax_forward", nan_stack_totals(trainer))
+        monkeypatch.setattr(trainer, "em_softmax_forward", nan_variant_totals(trainer))
         ds = blob_dataset(per=4, dim=5)
         net, bank = fresh_model(ds, heads=2, hidden=(4,), feat=3)
         res = grad_check(net, bank, ds.features[:3], ds.labels[:3], LossConfig(0.5, 0.1, 2))
@@ -599,44 +645,116 @@ class TestGradCheck:
 
 
 class TestBankDifferences:
-    """The perturbed banks, built as repeated copies with two strided
-    writes per chunk and scored behind the live bank in the step's own
-    forward, keep every bit of the earlier fancy-indexed stack."""
+    """Every head's perturbed copies, built by one broadcast and two
+    strided writes per chunk and scored as variants of the live bank in
+    the step's own forward, keep every bit of the earlier fancy-indexed
+    stack."""
+
+    @staticmethod
+    def per_bank(v, d, k, n):
+        # the values per variant bank that the chunk size counts
+        return k * max(v * (v - 1) * k, v * d, n)
 
     @pytest.mark.parametrize("v", [1, 2, 3])
     @pytest.mark.parametrize("banks_per_chunk", [2, 3, 4, None],
                              ids=["2 banks", "3 banks", "4 banks", "whole stack"])
     def test_bits_match_the_earlier_stack(self, monkeypatch, v, banks_per_chunk):
-        # a budget of 3 banks gave odd chunks before; chunks now hold whole pairs
+        # a budget of 3 perturbed banks per head rounds down to one pair
         rng = Rng(30 + v)
         d, k, n = 4, 3, 2
         bank = WeakClassifierBank(d, k, v, rng.spawn(1))
         x = rng.spawn(2).normal((n, d))
         y = np.array([2, 0])
         cfg = LossConfig(0.5, 0.1, v, exact_diversity_grad=True)
-        per_bank = v * k * max(d, n, (v - 1) * k)
-        budget = 10**6 if banks_per_chunk is None else banks_per_chunk * per_bank
+        per_bank = self.per_bank(v, d, k, n)
+        # the live bank counts as v rows
+        budget = 10**6 if banks_per_chunk is None else v * (banks_per_chunk + 1) * per_bank
         monkeypatch.setattr(trainer, "_FD_CHUNK_VALUES", budget)
         calls = []
         forward = trainer.em_softmax_forward
 
-        def counted(x, heads, *args):
-            calls.append(len(heads) if np.ndim(heads) == 4 else None)
-            return forward(x, heads, *args)
+        def counted(x, heads, labels, cfg, *variants):
+            calls.append(variants[0].shape[:2] if variants else None)
+            return forward(x, heads, labels, cfg, *variants)
 
         monkeypatch.setattr(trainer, "em_softmax_forward", counted)
         grads, got = trainer._differenced_step(None, bank.heads, x, y, cfg)
         want = ref_bank_differences(x, bank.heads, y, cfg, budget)
         assert got.shape == want.shape == bank.heads.shape
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-        # every call scores a stack: the live bank, then whole pairs
-        assert None not in calls
-        assert sum(calls) == 2 * bank.heads.size + 1
-        assert calls[0] % 2 == 1 and all(c % 2 == 0 for c in calls[1:])
+        # every call scores variants of every head, in whole pairs
+        assert None not in calls and all(heads == v for heads, _ in calls)
+        per_head = [m for _, m in calls]
+        assert sum(per_head) == 2 * d * k and all(m % 2 == 0 for m in per_head)
         if banks_per_chunk is None:
-            assert calls == [2 * bank.heads.size + 1]
+            assert per_head == [2 * d * k]
         else:
-            assert calls[0] == 2 * (banks_per_chunk // 2) + 1
+            assert per_head[0] == 2 * (banks_per_chunk // 2)
         # the live bank's gradients are those of the single-bank step
         want_grads = trainer._gradients(None, bank.heads, x, y, cfg)[2]
         assert np.array_equal(grads[-1].view(np.uint64), want_grads[-1].view(np.uint64))
+
+    @pytest.mark.parametrize("v", [1, 2, 3, 6])
+    @pytest.mark.parametrize("zero_column", [False, True], ids=["", "zero column"])
+    def test_variant_totals_match_the_banks_built_whole(self, v, zero_column):
+        # chunks of 5, 2 and 5 pairs: boundaries inside every head's entries
+        rng = Rng(40 + v)
+        d, k, n = 3, 4, 2
+        bank = WeakClassifierBank(d, k, v, rng.spawn(1)).heads
+        if zero_column:
+            bank[v - 1][:, 2] = 0.0
+        x = rng.spawn(2).normal((n, d))
+        y = np.array([3, 1])
+        cfg = LossConfig(0.5, 0.1, v, exact_diversity_grad=True)
+        for start, stop in ((0, 5), (5, 7), (7, d * k)):
+            variants = trainer._perturbed_heads(bank, start, stop)
+            assert variants.shape == (v, 2 * (stop - start), d, k)
+            whole = []
+            for head in range(v):
+                for j in range(start, stop):
+                    for raised in (True, False):
+                        banked = bank.copy()
+                        flat = banked[head].reshape(-1)
+                        orig = flat[j]
+                        flat[j] = orig + trainer._FD_STEP if raised else orig - trainer._FD_STEP
+                        whole.append(banked)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                got = em_softmax_forward(x, bank, y, cfg, variants).totals
+                want = ref_loss_totals(x, np.array(whole), y, cfg)
+            assert np.array_equal(got.ravel().view(np.uint64), want.view(np.uint64))
+
+    def test_surrogate_sized_bank_stays_within_the_chunk_budget(self, monkeypatch):
+        # the surrogate's bank, V=6 of 24 x 10: every forward's largest
+        # temporary, read off its shapes, holds at most _FD_CHUNK_VALUES
+        v, d, k, n = 6, 24, 10, 3
+        rng = Rng(60)
+        bank = WeakClassifierBank(d, k, v, rng.spawn(1))
+        x = rng.spawn(2).normal((n, d))
+        y = np.array([0, 4, 9])
+        cfg = LossConfig(0.5, 0.1, v, exact_diversity_grad=True)
+        shapes = []
+        forward = trainer.em_softmax_forward
+
+        def counted(x, heads, labels, cfg, *variants):
+            shapes.append(variants[0].shape)
+            return forward(x, heads, labels, cfg, *variants)
+
+        monkeypatch.setattr(trainer, "em_softmax_forward", counted)
+        tracemalloc.start()
+        try:
+            trainer._differenced_step(None, bank.heads, x, y, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(shapes) >= 2 and sum(m for _, m, _, _ in shapes) == 2 * d * k
+        for heads, m, dims, classes in shapes:
+            banks, rows = 1 + heads * m, heads + heads * m
+            gathered_grams = banks * heads * (heads - 1) * classes**2
+            gathered_heads = banks * heads * dims * classes
+            scores = rows * n * classes
+            assert max(gathered_grams, gathered_heads, scores) <= trainer._FD_CHUNK_VALUES
+        # all that a forward holds at once: the gathered Grams beside the
+        # kernels, the gathered heads and the products (about 1.8 budgets'
+        # worth of float64 on numpy 2.4)
+        assert peak <= 3 * 8 * trainer._FD_CHUNK_VALUES
