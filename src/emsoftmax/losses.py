@@ -527,26 +527,6 @@ def em_softmax_forward(x_batch: np.ndarray, bank, labels, cfg: LossConfig,
                       (x_batch, w, index[: probs.size // w.shape[-1]].copy(), triple, cfg))
 
 
-def _head_gradients(fwd: LossOutput) -> tuple[np.ndarray, np.ndarray]:
-    """The ``(V, d, K)`` head gradients of :func:`em_softmax_backward`,
-    and the ``(V, n, K)`` scaled ``(probs - onehot) / n`` they are formed
-    from; a step that trains the bank alone needs nothing more."""
-    record = getattr(fwd, "_record", None)
-    if record is None:
-        raise ValueError("forward output was not produced by em_softmax_forward")
-    x, _, index, triple, cfg = record
-
-    delta = fwd.probs_per_head.copy()
-    delta.reshape(-1)[index] -= 1.0
-    delta /= x.shape[0]
-    grads_bank = np.matmul(x.T, delta)
-    if triple is not None and cfg.diversity_weight != 0.0:
-        grads_bank += cfg.diversity_weight * _diversity_grads(
-            *triple, cfg.exact_diversity_grad
-        )
-    return grads_bank, delta
-
-
 def em_softmax_backward(fwd: LossOutput) -> tuple[np.ndarray, np.ndarray]:
     """Analytic gradients of the total loss that ``fwd`` computed.
 
@@ -563,8 +543,19 @@ def em_softmax_backward(fwd: LossOutput) -> tuple[np.ndarray, np.ndarray]:
     when each term holds at least two values; a single value per head
     would be summed pairwise (from V = 8), so that case keeps the loop.
     """
-    grads_bank, delta = _head_gradients(fwd)
-    x, w = fwd._record[:2]
+    record = getattr(fwd, "_record", None)
+    if record is None:
+        raise ValueError("forward output was not produced by em_softmax_forward")
+    x, w, index, triple, cfg = record
+
+    delta = fwd.probs_per_head.copy()
+    delta.reshape(-1)[index] -= 1.0
+    delta /= x.shape[0]
+    grads_bank = np.matmul(x.T, delta)
+    if triple is not None and cfg.diversity_weight != 0.0:
+        grads_bank += cfg.diversity_weight * _diversity_grads(
+            *triple, cfg.exact_diversity_grad
+        )
     per_head_x = np.matmul(delta, np.swapaxes(w, -1, -2))
     if x.size > 1:
         return grads_bank, np.add.reduce(per_head_x, axis=0, initial=0.0)

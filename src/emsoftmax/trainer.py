@@ -28,8 +28,7 @@ raised and lowered copies, scored as :func:`em_softmax_forward`
 variants of the live bank, which scores each distinct head once. The
 step's own forward scores the first chunk, so one pass gives both the
 record the backward reads and the first perturbed totals, and a bank
-small enough for one chunk costs one forward and one backward. A step
-without a network skips the loss's feature gradient. Network blocks
+small enough for one chunk costs one forward and one backward. Network blocks
 change the features, so they are still differenced entry by entry.
 """
 
@@ -43,7 +42,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import Dataset, minibatch_stream
-from .losses import LossConfig, _head_gradients, em_softmax_backward, em_softmax_forward
+from .losses import LossConfig, em_softmax_backward, em_softmax_forward
 from .model import MlpFeatureExtractor, WeakClassifierBank
 from .tensor import Rng, check_integer
 
@@ -199,23 +198,22 @@ def _parameters(net: MlpFeatureExtractor | None, bank: WeakClassifierBank):
 
 
 def _gradients(net: MlpFeatureExtractor | None, heads: np.ndarray, x, y, cfg: LossConfig,
-               *variants: np.ndarray):
+               variants=None):
     """One step's loss forward, features and gradients.
 
     ``heads`` is the bank's ``(V, d, K)`` array; ``variants``, when
     given, are scored in the same forward (see :func:`em_softmax_forward`)
     and leave the gradients alone. Returns ``(fwd, feats, grads)``,
     ``grads`` aligned with :func:`_parameters`. Without a network the
-    features are ``x`` itself, and the loss's feature gradient is not
-    formed.
+    features are ``x`` itself.
     """
-    if net is None:
-        fwd = em_softmax_forward(x, heads, y, cfg, *variants)
-        return fwd, x, [_head_gradients(fwd)[0]]
-    feats, cache = net.forward(x)
-    fwd = em_softmax_forward(feats, heads, y, cfg, *variants)
+    feats, cache = (x, None) if net is None else net.forward(x)
+    if variants is None:
+        fwd = em_softmax_forward(feats, heads, y, cfg)
+    else:
+        fwd = em_softmax_forward(feats, heads, y, cfg, variants=variants)
     grads_bank, grads_feats = em_softmax_backward(fwd)
-    grads = [g for layer in net.backward(cache, grads_feats) for g in layer]
+    grads = [] if net is None else [g for layer in net.backward(cache, grads_feats) for g in layer]
     return fwd, feats, grads + [grads_bank]
 
 
@@ -408,14 +406,14 @@ def _differenced_step(net, bank_heads, x, labels, cfg):
     totals = np.empty((num_heads, 2 * size))
     stop = min(pairs, size)
     fwd, feats, grads = _gradients(
-        net, bank_heads, x, labels, cfg, _perturbed_heads(bank_heads, 0, stop)
+        net, bank_heads, x, labels, cfg, variants=_perturbed_heads(bank_heads, 0, stop)
     )
     totals[:, : 2 * stop] = fwd.totals
     for start in range(stop, size, pairs):
         stop = min(start + pairs, size)
         variants = _perturbed_heads(bank_heads, start, stop)
         totals[:, 2 * start : 2 * stop] = em_softmax_forward(
-            feats, bank_heads, labels, cfg, variants
+            feats, bank_heads, labels, cfg, variants=variants
         ).totals
     numeric = (totals[:, 0::2] - totals[:, 1::2]) / (2 * _FD_STEP)
     return grads, numeric.reshape(bank_heads.shape)

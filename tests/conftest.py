@@ -329,8 +329,8 @@ def nan_variant_totals(module):
     gradient checker's perturbed banks."""
     forward = module.em_softmax_forward
 
-    def stand_in(x_batch, bank, *args):
-        fwd = forward(x_batch, bank, *args)
+    def stand_in(x_batch, bank, labels, cfg, variants=None):
+        fwd = forward(x_batch, bank, labels, cfg, variants)
         if fwd.totals is not None:
             fwd.totals = np.full(fwd.totals.shape, np.nan)
         return fwd

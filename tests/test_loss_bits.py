@@ -166,8 +166,9 @@ def test_forward_backward_and_totals_match_reference(v):
                 for got, want in zip(em_softmax_backward(fwd), ref_loss_backward(ref)):
                     assert_bits(got, want)
             # one variant per head already makes V banks to score; the widest
-            # K keep one margin
-            for m in (0.5, 0.0) if k < 100 else (0.5,):
+            # K take one margin per V, so each margin still meets every K
+            # and every (n, d) pair across the V range
+            for m in (0.5, 0.0) if k < 100 else ((0.5, 0.0)[v % 2],):
                 variants = g.normal(size=(v, 1, d, k))
                 cfg = LossConfig(m, 0.1, v)
                 assert_bits(em_softmax_forward(x, bank, labels, cfg, variants).totals,

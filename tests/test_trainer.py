@@ -374,24 +374,20 @@ class TestSharedStep:
 
 
 class TestBankOnlyStep:
-    """Without a network the step forms no feature gradient; its bank
-    gradient keeps the bits of :func:`em_softmax_backward`'s."""
+    """Without a network the step's bank gradient has the bits of
+    :func:`em_softmax_backward` on the bank scored alone, with or without
+    variants in its forward."""
 
     @pytest.mark.parametrize("v", [1, 2, 3, 6])
     @pytest.mark.parametrize("exact", [False, True])
-    def test_bank_gradient_has_the_backwards_bits(self, monkeypatch, v, exact):
+    def test_bank_gradient_has_the_backwards_bits(self, v, exact):
         rng = np.random.default_rng(50 + v)
         x, y = rng.normal(size=(5, 4)), rng.integers(0, 3, size=5)
         heads, variants = rng.normal(size=(v, 4, 3)), rng.normal(size=(v, 2, 4, 3))
         cfg = LossConfig(0.5, 0.1, v, exact)
         want = em_softmax_backward(em_softmax_forward(x, heads, y, cfg))[0]
-
-        def backward(fwd):
-            raise AssertionError("the bank-only step formed the feature gradient")
-
-        monkeypatch.setattr(trainer, "em_softmax_backward", backward)
-        for extra in ((), (variants,)):
-            fwd, feats, grads = trainer._gradients(None, heads, x, y, cfg, *extra)
+        for extra in (None, variants):
+            fwd, feats, grads = trainer._gradients(None, heads, x, y, cfg, variants=extra)
             assert feats is x and len(grads) == 1
             assert np.array_equal(grads[0].view(np.uint64), want.view(np.uint64))
 
@@ -574,10 +570,10 @@ class TestGradCheck:
         calls = []
         forward = trainer.em_softmax_forward
 
-        def counted(x, heads, labels, cfg, *variants):
-            if variants:
-                calls.append(variants[0].shape[:2])
-            return forward(x, heads, labels, cfg, *variants)
+        def counted(x, heads, labels, cfg, variants=None):
+            if variants is not None:
+                calls.append(variants.shape[:2])
+            return forward(x, heads, labels, cfg, variants)
 
         monkeypatch.setattr(trainer, "em_softmax_forward", counted)
         rng = Rng(21)
@@ -673,9 +669,9 @@ class TestBankDifferences:
         calls = []
         forward = trainer.em_softmax_forward
 
-        def counted(x, heads, labels, cfg, *variants):
-            calls.append(variants[0].shape[:2] if variants else None)
-            return forward(x, heads, labels, cfg, *variants)
+        def counted(x, heads, labels, cfg, variants=None):
+            calls.append(None if variants is None else variants.shape[:2])
+            return forward(x, heads, labels, cfg, variants)
 
         monkeypatch.setattr(trainer, "em_softmax_forward", counted)
         grads, got = trainer._differenced_step(None, bank.heads, x, y, cfg)
@@ -736,9 +732,9 @@ class TestBankDifferences:
         shapes = []
         forward = trainer.em_softmax_forward
 
-        def counted(x, heads, labels, cfg, *variants):
-            shapes.append(variants[0].shape)
-            return forward(x, heads, labels, cfg, *variants)
+        def counted(x, heads, labels, cfg, variants=None):
+            shapes.append(variants.shape)
+            return forward(x, heads, labels, cfg, variants)
 
         monkeypatch.setattr(trainer, "em_softmax_forward", counted)
         tracemalloc.start()
