@@ -30,7 +30,9 @@ banks). The bank's heads and the variants then form one head table: the
 per-head work (scores, margin softmax, batch means, column norms and
 centered Grams) runs once per row, and each bank reads its heads' rows
 through cached index tables for the per-bank work (the in-order head
-sums, its kernels, products and penalties). The forward records its
+sums, its kernels, products and penalties). At lambda = 0 a table of
+finite heads forms only the bank's own penalties, since 0 times a finite
+penalty leaves every variant's total as it is. The forward records its
 checked features, the bank, the label index, the diversity triple
 (normalized heads, their column norms and the products ``Wv_hat Kv``)
 and the config in its output, beside the probabilities it returns, and
@@ -465,7 +467,8 @@ def _loss_core(x_batch: np.ndarray, w: np.ndarray, labels: np.ndarray, cfg: Loss
     scored, normalized and Grammed once; the banks of a table then read
     their heads' batch means, normalized heads and Grams through
     ``banks``. Returns (classification, diversity, total), floats of one
-    bank or ``(B,)`` arrays of a table's banks, the margin-adjusted
+    bank or ``(B,)`` arrays of a table's banks (at lambda = 0, a finite
+    table's diversity and triple are only the bank's own), the margin-adjusted
     probabilities of every row ``(R, n, K)``, the label index of
     :func:`_margin_softmax` and the diversity triple of
     :func:`_head_penalties` (None for a single head). Heads are summed in
@@ -481,6 +484,11 @@ def _loss_core(x_batch: np.ndarray, w: np.ndarray, labels: np.ndarray, cfg: Loss
     diversity = 0.0
     triple = None
     if head_means.shape[-1] >= 2:
+        if banks is not None and cfg.diversity_weight == 0.0 and np.isfinite(w).all():
+            # finite heads have finite penalties, and 0 * a finite penalty
+            # adds nothing to a total: only the bank's own are formed
+            heads, others = banks
+            w, banks = w[: heads.shape[-1]], (heads[:1], others[:, :1])
         penalties, triple = _head_penalties(w, banks)
         diversity = _sum_heads(penalties)
     total = classification + cfg.diversity_weight * diversity
@@ -503,7 +511,9 @@ def em_softmax_forward(x_batch: np.ndarray, bank, labels, cfg: LossConfig,
     it gets scored alone. The bank's heads and the variants form one head
     table, checked once against the batch; each of its rows is scored,
     normalized and Grammed once, and only the sums over each bank's
-    heads, its kernels and its penalties are formed per bank.
+    heads, its kernels and its penalties are formed per bank. At lambda
+    = 0 and with every head finite, only the bank's own penalties are
+    formed: they cannot change a total.
     """
     w = _check_bank(bank)
     x_batch, labels = _check_inputs(x_batch, labels, w, cfg)

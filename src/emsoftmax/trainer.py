@@ -372,15 +372,14 @@ def _perturbed_heads(bank_heads: np.ndarray, start: int, stop: int) -> np.ndarra
 
     Variant (v, 2i) is head v with entry start + i set to ``orig +
     _FD_STEP``, and variant (v, 2i + 1) the same with ``orig - _FD_STEP``.
-    One broadcast writes the copies in place; then, with E = d * K, each
+    One ``np.repeat`` makes the copies; then, with E = d * K, each
     head's raveled copies take ``+= _FD_STEP`` at ``start + i * (2E + 1)``
     and ``-= _FD_STEP`` at ``E + start + i * (2E + 1)``, for every head in
     two strided writes.
     """
     num_heads, d, k = bank_heads.shape
     size = d * k
-    variants = np.empty((num_heads, 2 * (stop - start), d, k))
-    variants[...] = bank_heads[:, None]
+    variants = np.repeat(bank_heads[:, None], 2 * (stop - start), axis=1)
     values = variants.reshape(num_heads, -1)
     values[:, start :: 2 * size + 1] += _FD_STEP
     values[:, size + start :: 2 * size + 1] -= _FD_STEP

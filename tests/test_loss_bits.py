@@ -207,6 +207,26 @@ class TestStackedForward:
                     assert_bits(scored.totals[b // 4, b % 4],
                                 ref_loss_totals(x, whole[None], labels, cfg)[0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("lam", [0.0, 0.1])
+    def test_non_finite_variants_keep_their_bits(self, lam, bad):
+        # at lambda = 0 a finite table forms only the bank's own penalties;
+        # a non-finite head has a NaN penalty, which 0 * NaN keeps in its
+        # total, so such a table is scored whole
+        g = np.random.default_rng(77)
+        x, labels = np.abs(g.normal(size=(3, 4))), np.array([0, 2, 1])
+        bank, variants = g.normal(size=(3, 4, 3)), g.normal(size=(3, 2, 4, 3))
+        variants[1, 0, :, 2] = bad
+        cfg = LossConfig(0.5, lam, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            scored = em_softmax_forward(x, bank, labels, cfg, variants)
+            want = ref_loss_totals(x, variant_banks(bank, variants), labels, cfg)
+            alone = em_softmax_forward(x, bank, labels, cfg)
+        assert_bits(scored.totals.ravel(), want)
+        assert_bits([scored.total_loss, scored.diversity_term],
+                    [alone.total_loss, alone.diversity_term])
+
     def test_output_holds_no_view_of_the_stack(self):
         # the record keeps copies of the bank's share, so the table-sized
         # arrays die with the call and the caller may reuse its variants
