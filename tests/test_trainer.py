@@ -641,7 +641,7 @@ class TestGradCheck:
 
 
 class TestBankDifferences:
-    """Every head's perturbed copies, built by one broadcast and two
+    """Every head's perturbed copies, built by one ``np.repeat`` and two
     strided writes per chunk and scored as variants of the live bank in
     the step's own forward, keep every bit of the earlier fancy-indexed
     stack."""
