@@ -155,9 +155,14 @@ class Dataset:
         return total
 
     def take(self, indices) -> "Dataset":
-        """Row subset (copy) with the same class count and mean."""
+        """Row subset (copy) with the same class count and mean; every
+        index must lie in ``[0, n)``."""
         # integer-array indexing always returns a fresh array
         indices = as_integers(indices, "row indices")
+        n = len(self)
+        if indices.size and (np.minimum.reduce(indices, axis=None) < 0
+                             or np.maximum.reduce(indices, axis=None) >= n):
+            raise ValueError(f"row indices must lie in [0, {n})")
         return Dataset(self.features[indices], self.labels[indices], self.num_classes, self.mean)
 
 
@@ -206,7 +211,10 @@ def load_idx_pair(image_path, label_path, num_classes: int | None = None,
     checked, also past ``limit``. The Dataset holds the file's uint8
     pixels, one image per row; with a ``limit`` below the count only the
     kept rows are copied, so the rest of the file's bytes can be freed.
+    A ``limit`` below 1 is a ValueError.
     """
+    if limit is not None and limit < 1:
+        raise ValueError(f"limit must be at least 1, got {limit}")
     images = _read_idx(image_path, _IMAGE_MAGIC, 3)
     count = len(images)
     images = images.reshape(count, -1)

@@ -28,9 +28,10 @@ entry ``v``). The forward can also score ``(V, M, d, K)`` variants, each
 the bank with one head replaced (the gradient checker's perturbed
 banks). The bank's heads and the variants then form one head table: the
 per-head work (scores, margin softmax, batch means, column norms and
-centered Grams) runs once per row, and each bank reads its heads' rows
-through cached index tables for the per-bank work (the in-order head
-sums, its kernels, products and penalties). At lambda = 0 a table of
+centered Grams) runs once per row, and each bank gathers its heads'
+rows through one cached ``(B, V)`` index table for the per-bank work
+(the in-order head sums, its kernels, products and penalties), which
+then runs as it does for one bank. At lambda = 0 a table of
 finite heads forms only the bank's own penalties, since 0 times a finite
 penalty leaves every variant's total as it is. The forward records its
 checked features, the bank, the label index, the diversity triple
@@ -322,28 +323,23 @@ def _other_heads(num_heads: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=128)
-def _variant_banks(num_heads: int, per_head: int) -> tuple[np.ndarray, np.ndarray]:
-    """Where the banks of a head table (see :func:`_head_table`) find
-    their heads, read-only.
+def _variant_banks(num_heads: int, per_head: int) -> np.ndarray:
+    """The table rows of every bank's heads in a head table (see
+    :func:`_head_table`), ``(1 + V * M, V)``, read-only.
 
     Bank 0 is the bank itself; bank ``1 + v * M + m`` is variant (v, m),
-    the bank with head v replaced by table row ``V + v * M + m``. Returns
-    the table rows of every bank's heads, ``(1 + V * M, V)``, and, for
-    every bank and head v, the rows of its heads but v in ascending
-    order along the leading axis, ``(V-1, 1 + V * M, V)``, as
-    :func:`_other_heads` lists them.
+    the bank with head v replaced by table row ``V + v * M + m``.
     """
     rows = np.arange(num_heads * per_head)
     heads = np.tile(np.arange(num_heads), (1 + len(rows), 1))
     heads[1 + rows, rows // per_head] = num_heads + rows
-    others = np.ascontiguousarray(heads[:, _other_heads(num_heads)].transpose(1, 0, 2))
-    heads.flags.writeable = others.flags.writeable = False
-    return heads, others
+    heads.flags.writeable = False
+    return heads
 
 
-def _diversity_kernels(w: np.ndarray, others: np.ndarray | None = None):
+def _diversity_kernels(w: np.ndarray, heads: np.ndarray | None = None):
     """Normalized heads, their column norms and every Kv of a checked
-    ``(..., V, d, K)`` bank, or of a head table.
+    ``(..., V, d, K)`` bank, or of the banks of a head table.
 
     Returns ``Wv_hat`` stacked like ``w``, the ``(..., V, 1, K)`` column
     norms and the Kv (K x K, PSD) stacked as ``(..., V, K, K)``. Each
@@ -351,17 +347,20 @@ def _diversity_kernels(w: np.ndarray, others: np.ndarray | None = None):
     formed once. Every Kv starts from a zero matrix and gains each other
     head's Gram in ascending u; subtracting Gv from the sum of all Grams
     instead would change the last bits of the penalty and both gradients.
-    Of a head table, ``others`` lists the rows each bank's Kv sums (see
-    :func:`_variant_banks`), and the kernels are ``(B, V, K, K)``.
+    Of a head table, ``heads`` lists the rows of every bank's heads (see
+    :func:`_variant_banks`): every row is normalized and Grammed once,
+    the norms stay the table's own, and each bank's ``Wv_hat`` and Grams
+    are gathered through ``heads``, so ``Wv_hat`` is ``(B, V, d, K)`` and
+    the kernels ``(B, V, K, K)``.
 
     The other heads' Grams of every v are gathered into one
-    ``(..., V-1, V, K, K)`` array (of a table, ``(V-1, B, V, K, K)``) and
-    reduced over the V-1 axis from zero in one call, in place of a loop
-    of 2V slice-adds. Each step of that reduction adds whole K x K slices
-    (never fewer than 4 values), so numpy adds them in ascending u, bit
-    for bit like the loop; with that axis in front of the kernels' own,
-    a step is one elementwise add over all of them. The gathered array
-    holds V-1 times the values of the kernels.
+    ``(..., V-1, V, K, K)`` array and reduced over the V-1 axis from zero
+    in one call, in place of a loop of 2V slice-adds. Each step of that
+    reduction adds whole K x K slices (never fewer than 4 values), so
+    numpy adds them in ascending u, bit for bit like the loop; with that
+    axis in front of the kernels' own, a step is one elementwise add over
+    all of them. The gathered array holds V-1 times the values of the
+    kernels.
     """
     k = w.shape[-1]
     if k < 2:
@@ -369,26 +368,22 @@ def _diversity_kernels(w: np.ndarray, others: np.ndarray | None = None):
     h = _frozen_centering(k)
     w_hats, norms = _unit_columns(w)
     grams = h @ (np.swapaxes(w_hats, -1, -2) @ w_hats) @ h
-    if others is None:
-        others = _other_heads(w.shape[-3])
-    gathered = grams[..., others, :, :]
-    return w_hats, norms, np.add.reduce(gathered, axis=-2 - others.ndim, initial=0.0)
+    if heads is not None:
+        w_hats, grams = w_hats[heads], grams[heads]
+    gathered = grams[..., _other_heads(w_hats.shape[-3]), :, :]
+    return w_hats, norms, np.add.reduce(gathered, axis=-4, initial=0.0)
 
 
-def _head_penalties(w: np.ndarray, banks: tuple | None = None):
+def _head_penalties(w: np.ndarray, heads: np.ndarray | None = None):
     """tr(Wv_hat Kv Wv_hat^T) of every head of a checked bank, (..., V),
     and the triple its gradient reads: ``Wv_hat``, the column norms and
     the products ``Wv_hat Kv``.
 
-    Of a head table, ``banks`` is its :func:`_variant_banks` pair; the
-    penalties are ``(B, V)``, and the triple holds every bank's gathered
-    ``Wv_hat`` and products beside the table's own column norms."""
-    if banks is None:
-        w_hats, norms, kernels = _diversity_kernels(w)
-    else:
-        heads, others = banks
-        w_hats, norms, kernels = _diversity_kernels(w, others)
-        w_hats = w_hats[heads]
+    Of a head table, ``heads`` lists the rows of every bank's heads (see
+    :func:`_variant_banks`); the penalties are ``(B, V)``, and the triple
+    holds every bank's gathered ``Wv_hat`` and products beside the
+    table's own column norms."""
+    w_hats, norms, kernels = _diversity_kernels(w, heads)
     products = w_hats @ kernels
     terms = products * w_hats
     penalties = np.add.reduce(terms.reshape(*terms.shape[:-2], -1), axis=-1)
@@ -459,18 +454,18 @@ def _sum_heads(values: np.ndarray):
 
 
 def _loss_core(x_batch: np.ndarray, w: np.ndarray, labels: np.ndarray, cfg: LossConfig,
-               banks: tuple | None = None):
+               heads: np.ndarray | None = None):
     """Loss terms of checked inputs over one bank or a head table.
 
-    ``w`` is one ``(V, d, K)`` bank, or, with ``banks`` (its
-    :func:`_variant_banks` pair), a head table. Every row of ``w`` is
-    scored, normalized and Grammed once; the banks of a table then read
-    their heads' batch means, normalized heads and Grams through
-    ``banks``. Returns (classification, diversity, total), floats of one
-    bank or ``(B,)`` arrays of a table's banks (at lambda = 0, a finite
-    table's diversity and triple are only the bank's own), the margin-adjusted
-    probabilities of every row ``(R, n, K)``, the label index of
-    :func:`_margin_softmax` and the diversity triple of
+    ``w`` is one ``(V, d, K)`` bank, or, with ``heads`` (the rows of
+    every bank's heads, see :func:`_variant_banks`), a head table. Every
+    row of ``w`` is scored, normalized and Grammed once; the banks of a
+    table then read their heads' batch means, normalized heads and Grams
+    through ``heads``. Returns (classification, diversity, total), floats
+    of one bank or ``(B,)`` arrays of a table's banks (at lambda = 0, a
+    finite table's diversity and triple are only the bank's own), the
+    margin-adjusted probabilities of every row ``(R, n, K)``, the label
+    index of :func:`_margin_softmax` and the diversity triple of
     :func:`_head_penalties` (None for a single head). Heads are summed in
     ascending order from zero, each head's batch mean taken on its own
     (the sum over rows divided by n, which is what ``np.mean`` computes),
@@ -478,18 +473,17 @@ def _loss_core(x_batch: np.ndarray, w: np.ndarray, labels: np.ndarray, cfg: Loss
     """
     losses, probs, index = _margin_softmax(np.matmul(x_batch, w), labels, cfg.margin)
     head_means = np.add.reduce(losses, axis=-1) / x_batch.shape[0]
-    if banks is not None:
-        head_means = head_means[banks[0]]
+    if heads is not None:
+        head_means = head_means[heads]
     classification = _sum_heads(head_means)
     diversity = 0.0
     triple = None
     if head_means.shape[-1] >= 2:
-        if banks is not None and cfg.diversity_weight == 0.0 and np.isfinite(w).all():
+        if heads is not None and cfg.diversity_weight == 0.0 and np.isfinite(w).all():
             # finite heads have finite penalties, and 0 * a finite penalty
             # adds nothing to a total: only the bank's own are formed
-            heads, others = banks
-            w, banks = w[: heads.shape[-1]], (heads[:1], others[:, :1])
-        penalties, triple = _head_penalties(w, banks)
+            w, heads = w[: heads.shape[-1]], heads[:1]
+        penalties, triple = _head_penalties(w, heads)
         diversity = _sum_heads(penalties)
     total = classification + cfg.diversity_weight * diversity
     return classification, diversity, total, probs, index, triple

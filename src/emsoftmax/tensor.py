@@ -103,18 +103,11 @@ class Rng:
         self._counter += n
         return _words(ks, self._seed, np.empty_like(ks))
 
-    def uniform(self, size: int | tuple[int, ...] | None = None) -> float | np.ndarray:
-        """Uniform draws in [0, 1) with 53-bit resolution."""
-        if size is None:
-            self._counter += 1
-            raw = _mix_int((self._seed + self._counter * _GAMMA_INT) & _MASK64)
-            return (raw >> 11) * _U53
-        shape = (size,) if isinstance(size, int) else tuple(size)
-        raw = self._raw(math.prod(shape))
-        raw >>= np.uint64(11)
-        out = raw.astype(np.float64)
-        out *= _U53
-        return out.reshape(shape)
+    def uniform(self) -> float:
+        """One uniform draw in [0, 1) with 53-bit resolution."""
+        self._counter += 1
+        raw = _mix_int((self._seed + self._counter * _GAMMA_INT) & _MASK64)
+        return (raw >> 11) * _U53
 
     def normal(self, size: int | tuple[int, ...]) -> np.ndarray:
         """Standard normal draws via the Box-Muller transform.

@@ -208,10 +208,7 @@ def _gradients(net: MlpFeatureExtractor | None, heads: np.ndarray, x, y, cfg: Lo
     features are ``x`` itself.
     """
     feats, cache = (x, None) if net is None else net.forward(x)
-    if variants is None:
-        fwd = em_softmax_forward(feats, heads, y, cfg)
-    else:
-        fwd = em_softmax_forward(feats, heads, y, cfg, variants=variants)
+    fwd = em_softmax_forward(feats, heads, y, cfg, variants=variants)
     grads_bank, grads_feats = em_softmax_backward(fwd)
     grads = [] if net is None else [g for layer in net.backward(cache, grads_feats) for g in layer]
     return fwd, feats, grads + [grads_bank]

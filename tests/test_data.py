@@ -147,6 +147,14 @@ class TestIdxLoading:
         with pytest.raises(IdxFormatError, match="3 images but.*2 labels"):
             load_idx_pair(*paths, limit=1)
 
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_limit_below_one_rejected(self, tmp_path, limit):
+        # -1 would keep all rows but the last, 0 no row at all
+        paths = write_pair(tmp_path, idx_image_bytes(np.zeros((5, 2, 2), dtype=np.uint8)),
+                           idx_label_bytes([0, 1, 2, 0, 1]))
+        with pytest.raises(ValueError, match=f"^limit must be at least 1, got {limit}$"):
+            load_idx_pair(*paths, limit=limit)
+
     def test_pair_default_class_count(self, tmp_path):
         imgs = tmp_path / "imgs"
         labels = tmp_path / "labels"
@@ -186,6 +194,16 @@ class TestDataset:
         dtype = np.asarray(indices).dtype
         with pytest.raises(ValueError, match=f"row indices must be integers, got dtype {dtype}"):
             ds.take(indices)
+
+    @pytest.mark.parametrize("indices", [[-1], [6], [0, 6, 2], np.array([7], dtype=np.uint8)],
+                             ids=["negative", "n", "n among others", "unsigned"])
+    def test_take_rejects_indices_out_of_range(self, indices):
+        # numpy would wrap -1 round to the last row and raise its own
+        # IndexError for 6
+        ds = Dataset(np.arange(12.0).reshape(6, 2), np.arange(6) % 2, 2)
+        with pytest.raises(ValueError, match=r"^row indices must lie in \[0, 6\)$"):
+            ds.take(indices)
+        assert len(ds.take([0, 5])) == 2
 
     def test_unsigned_labels_and_indices_accepted(self):
         ds = Dataset(np.arange(6.0).reshape(3, 2), np.array([0, 1, 1], dtype=np.uint8), 2)

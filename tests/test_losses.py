@@ -281,9 +281,9 @@ class TestDiversity:
         calls = []
         build = losses._diversity_kernels
 
-        def counted(w):
+        def counted(w, heads=None):
             calls.append(w.shape)
-            return build(w)
+            return build(w, heads)
 
         monkeypatch.setattr(losses, "_diversity_kernels", counted)
         terms = diversity_terms(random_bank(np.random.default_rng(8), 4, 3, 6))

@@ -12,6 +12,11 @@ from emsoftmax.tensor import (
 MASK = (1 << 64) - 1
 
 
+def uniforms(rng, n):
+    """The next n scalar uniform draws of ``rng`` as an array."""
+    return np.array([rng.uniform() for _ in range(n)])
+
+
 def splitmix64_reference(seed, count):
     """Pure-int splitmix64 stream, word k = finalize(seed + (k+1)*gamma)."""
     out = []
@@ -31,41 +36,41 @@ class TestRngCore:
             assert got == splitmix64_reference(seed, 16)
 
     def test_same_seed_same_stream(self):
-        a = Rng(123).uniform((50,))
-        b = Rng(123).uniform((50,))
+        a = uniforms(Rng(123), 50)
+        b = uniforms(Rng(123), 50)
         np.testing.assert_array_equal(a, b)
 
     def test_draw_splitting_is_invariant(self):
         r1 = Rng(9)
-        first = r1.uniform((3,))
-        second = r1.uniform((4,))
-        joined = Rng(9).uniform((7,))
+        first = uniforms(r1, 3)
+        second = uniforms(r1, 4)
+        joined = uniforms(Rng(9), 7)
         np.testing.assert_array_equal(np.concatenate([first, second]), joined)
 
     def test_counter_advances(self):
         rng = Rng(5)
         assert rng.counter == 0
-        rng.uniform((10,))
+        uniforms(rng, 10)
         assert rng.counter == 10
 
     def test_spawn_children_differ_from_parent_and_each_other(self):
         root = Rng(7)
-        streams = [root.uniform((20,))] + [
-            root.spawn(t).uniform((20,)) for t in range(5)
+        streams = [uniforms(root, 20)] + [
+            uniforms(root.spawn(t), 20) for t in range(5)
         ]
         for i in range(len(streams)):
             for j in range(i + 1, len(streams)):
                 assert not np.array_equal(streams[i], streams[j])
 
     def test_spawn_is_deterministic(self):
-        a = Rng(7).spawn(3).uniform((8,))
-        b = Rng(7).spawn(3).uniform((8,))
+        a = uniforms(Rng(7).spawn(3), 8)
+        b = uniforms(Rng(7).spawn(3), 8)
         np.testing.assert_array_equal(a, b)
 
 
 class TestRngDistributions:
     def test_uniform_range_and_moments(self):
-        u = Rng(2024).uniform((20000,))
+        u = uniforms(Rng(2024), 20000)
         assert u.min() >= 0.0 and u.max() < 1.0
         assert abs(u.mean() - 0.5) < 0.01
         assert abs(u.var() - 1.0 / 12.0) < 0.005
@@ -73,8 +78,9 @@ class TestRngDistributions:
     def test_uniform_shapes(self):
         rng = Rng(3)
         assert isinstance(rng.uniform(), float)
-        assert rng.uniform(5).shape == (5,)
-        assert rng.uniform((2, 3)).shape == (2, 3)
+        # one draw per call: there is no array form
+        with pytest.raises(TypeError):
+            rng.uniform(5)
 
     def test_normal_moments(self):
         z = Rng(11).normal((20000,))

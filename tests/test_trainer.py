@@ -342,7 +342,8 @@ class TestTrain:
                 inputs = []
                 forward = trainer.em_softmax_forward
 
-                def recording_forward(x_batch, bank, labels, cfg):
+                def recording_forward(x_batch, bank, labels, cfg, variants=None):
+                    assert variants is None
                     inputs[:] = [x_batch, bank, labels, cfg]
                     return forward(x_batch, bank, labels, cfg)
 
@@ -750,7 +751,7 @@ class TestBankDifferences:
             gathered_heads = banks * heads * dims * classes
             scores = rows * n * classes
             assert max(gathered_grams, gathered_heads, scores) <= trainer._FD_CHUNK_VALUES
-        # all that a forward holds at once: the gathered Grams beside the
-        # kernels, the gathered heads and the products (about 1.8 budgets'
-        # worth of float64 on numpy 2.4)
+        # all that a forward holds at once: every bank's gathered heads and
+        # Grams beside the other heads' Grams gathered for its kernels and
+        # the kernels (about 2.0 budgets' worth of float64 on numpy 2.4)
         assert peak <= 3 * 8 * trainer._FD_CHUNK_VALUES
