@@ -41,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensor import Rng, as_integers, as_matrix
+from .tensor import Rng, as_integers, as_matrix, check_integer
 
 __all__ = [
     "Dataset",
@@ -211,9 +211,9 @@ def load_idx_pair(image_path, label_path, num_classes: int | None = None,
     checked, also past ``limit``. The Dataset holds the file's uint8
     pixels, one image per row; with a ``limit`` below the count only the
     kept rows are copied, so the rest of the file's bytes can be freed.
-    A ``limit`` below 1 is a ValueError.
+    A ``limit`` that is not an integer of at least 1 is a ValueError.
     """
-    if limit is not None and limit < 1:
+    if limit is not None and check_integer(limit, "limit") < 1:
         raise ValueError(f"limit must be at least 1, got {limit}")
     images = _read_idx(image_path, _IMAGE_MAGIC, 3)
     count = len(images)

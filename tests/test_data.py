@@ -155,6 +155,14 @@ class TestIdxLoading:
         with pytest.raises(ValueError, match=f"^limit must be at least 1, got {limit}$"):
             load_idx_pair(*paths, limit=limit)
 
+    @pytest.mark.parametrize("limit", [2.5, 2.0, True])
+    def test_non_integer_limit_rejected(self, tmp_path, limit):
+        # a float failed in slicing with a TypeError; True kept one row
+        paths = write_pair(tmp_path, idx_image_bytes(np.zeros((5, 2, 2), dtype=np.uint8)),
+                           idx_label_bytes([0, 1, 2, 0, 1]))
+        with pytest.raises(ValueError, match=f"^limit must be an integer, got {limit!r}$"):
+            load_idx_pair(*paths, limit=limit)
+
     def test_pair_default_class_count(self, tmp_path):
         imgs = tmp_path / "imgs"
         labels = tmp_path / "labels"
