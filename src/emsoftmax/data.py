@@ -155,13 +155,15 @@ class Dataset:
         return total
 
     def take(self, indices) -> "Dataset":
-        """Row subset (copy) with the same class count and mean; every
-        index must lie in ``[0, n)``."""
+        """Row subset (copy) with the same class count and mean; the
+        indices are a non-empty 1-D integer array, each in ``[0, n)``."""
         # integer-array indexing always returns a fresh array
+        indices = np.asarray(indices)
+        if indices.ndim != 1 or indices.size == 0:
+            raise ValueError(f"row indices must be a non-empty 1-D array, got shape {indices.shape}")
         indices = as_integers(indices, "row indices")
         n = len(self)
-        if indices.size and (np.minimum.reduce(indices, axis=None) < 0
-                             or np.maximum.reduce(indices, axis=None) >= n):
+        if np.minimum.reduce(indices) < 0 or np.maximum.reduce(indices) >= n:
             raise ValueError(f"row indices must lie in [0, {n})")
         return Dataset(self.features[indices], self.labels[indices], self.num_classes, self.mean)
 

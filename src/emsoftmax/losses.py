@@ -31,7 +31,9 @@ per-head work (scores, margin softmax, batch means, column norms and
 centered Grams) runs once per row, and each bank gathers its heads'
 rows through one cached ``(B, V)`` index table for the per-bank work
 (the in-order head sums, its kernels, products and penalties), which
-then runs as it does for one bank. At lambda = 0 a table of
+then runs as it does for one bank. The kernels read the table's Grams
+in one gather, through every bank's other heads' rows, as one bank's
+read its own Grams. At lambda = 0 a table of
 finite heads forms only the bank's own penalties, since 0 times a finite
 penalty leaves every variant's total as it is. The forward records its
 checked features, the bank, the label index, the diversity triple
@@ -339,22 +341,24 @@ def _variant_banks(num_heads: int, per_head: int) -> np.ndarray:
 
 def _diversity_kernels(w: np.ndarray, heads: np.ndarray | None = None):
     """Normalized heads, their column norms and every Kv of a checked
-    ``(..., V, d, K)`` bank, or of the banks of a head table.
+    ``(V, d, K)`` bank, or of the banks of a head table.
 
-    Returns ``Wv_hat`` stacked like ``w``, the ``(..., V, 1, K)`` column
-    norms and the Kv (K x K, PSD) stacked as ``(..., V, K, K)``. Each
-    head is normalized and its centered Gram ``Gu = H Wu_hat^T Wu_hat H``
-    formed once. Every Kv starts from a zero matrix and gains each other
-    head's Gram in ascending u; subtracting Gv from the sum of all Grams
-    instead would change the last bits of the penalty and both gradients.
-    Of a head table, ``heads`` lists the rows of every bank's heads (see
+    Returns ``Wv_hat`` (V, d, K), the ``(V, 1, K)`` column norms and the
+    Kv (K x K, PSD) stacked as ``(V, K, K)``. Each head is normalized and
+    its centered Gram ``Gu = H Wu_hat^T Wu_hat H`` formed once. Every Kv
+    starts from a zero matrix and gains each other head's Gram in
+    ascending u; subtracting Gv from the sum of all Grams instead would
+    change the last bits of the penalty and both gradients. Of a head
+    table, ``heads`` lists the rows of every bank's heads (see
     :func:`_variant_banks`): every row is normalized and Grammed once,
-    the norms stay the table's own, and each bank's ``Wv_hat`` and Grams
-    are gathered through ``heads``, so ``Wv_hat`` is ``(B, V, d, K)`` and
-    the kernels ``(B, V, K, K)``.
+    the norms stay the table's own, each bank's ``Wv_hat`` is gathered
+    through ``heads`` into ``(B, V, d, K)``, and the kernels are
+    ``(B, V, K, K)``.
 
-    The other heads' Grams of every v are gathered into one
-    ``(..., V-1, V, K, K)`` array and reduced over the V-1 axis from zero
+    The Grams are gathered once, through the other heads' rows: column v
+    of :func:`_other_heads` for one bank, and its rows of each bank,
+    ``heads[:, others]`` (B, V-1, V), for a table. The gathered
+    ``([B,] V-1, V, K, K)`` array is reduced over the V-1 axis from zero
     in one call, in place of a loop of 2V slice-adds. Each step of that
     reduction adds whole K x K slices (never fewer than 4 values), so
     numpy adds them in ascending u, bit for bit like the loop; with that
@@ -368,21 +372,22 @@ def _diversity_kernels(w: np.ndarray, heads: np.ndarray | None = None):
     h = _frozen_centering(k)
     w_hats, norms = _unit_columns(w)
     grams = h @ (np.swapaxes(w_hats, -1, -2) @ w_hats) @ h
+    others = _other_heads(len(w) if heads is None else heads.shape[-1])
     if heads is not None:
-        w_hats, grams = w_hats[heads], grams[heads]
-    gathered = grams[..., _other_heads(w_hats.shape[-3]), :, :]
-    return w_hats, norms, np.add.reduce(gathered, axis=-4, initial=0.0)
+        others, w_hats = heads[:, others], w_hats[heads]
+    return w_hats, norms, np.add.reduce(grams[others], axis=-4, initial=0.0)
 
 
 def _head_penalties(w: np.ndarray, heads: np.ndarray | None = None):
-    """tr(Wv_hat Kv Wv_hat^T) of every head of a checked bank, (..., V),
+    """tr(Wv_hat Kv Wv_hat^T) of every head of a checked bank, (V,),
     and the triple its gradient reads: ``Wv_hat``, the column norms and
     the products ``Wv_hat Kv``.
 
     Of a head table, ``heads`` lists the rows of every bank's heads (see
     :func:`_variant_banks`); the penalties are ``(B, V)``, and the triple
     holds every bank's gathered ``Wv_hat`` and products beside the
-    table's own column norms."""
+    table's own column norms. Each bank's kernels are reduced straight
+    from the table's Grams (:func:`_diversity_kernels`)."""
     w_hats, norms, kernels = _diversity_kernels(w, heads)
     products = w_hats @ kernels
     terms = products * w_hats

@@ -25,7 +25,7 @@ import zlib
 import numpy as np
 
 from .data import write_atomic
-from .tensor import Rng, as_matrix, gaussian_init, xavier_scale
+from .tensor import Rng, as_matrix, check_integer, gaussian_init, xavier_scale
 
 __all__ = [
     "MlpFeatureExtractor",
@@ -43,10 +43,12 @@ class CheckpointError(Exception):
     """A checkpoint is unreadable: bad magic, version, size, CRC, or shapes."""
 
 
-def _check_layer_dims(dims: list[int]) -> None:
+def _check_layer_dims(dims: list) -> None:
+    """At least an input and an output dim, each a positive integer; a
+    float or a bool is rejected, not truncated."""
     if len(dims) < 2:
         raise ValueError("need at least an input and an output dim")
-    if any(d < 1 for d in dims):
+    if any(check_integer(d, f"layer dim {i}") < 1 for i, d in enumerate(dims)):
         raise ValueError(f"layer dims must be positive, got {dims}")
 
 
@@ -60,9 +62,9 @@ class MlpFeatureExtractor:
     """
 
     def __init__(self, layer_dims, rng: Rng | None = None):
-        dims = [int(d) for d in layer_dims]
+        dims = list(layer_dims)
         _check_layer_dims(dims)
-        self.layer_dims = dims
+        self.layer_dims = dims = [int(d) for d in dims]
         self.weights: list[np.ndarray] = []
         self.biases: list[np.ndarray] = []
         for fan_in, fan_out in zip(dims[:-1], dims[1:]):
@@ -127,9 +129,10 @@ class WeakClassifierBank:
     """
 
     def __init__(self, feature_dim: int, num_classes: int, num_heads: int, rng: Rng):
-        if feature_dim < 1 or num_classes < 1:
+        if check_integer(feature_dim, "feature_dim") < 1 or check_integer(
+                num_classes, "num_classes") < 1:
             raise ValueError("feature_dim and num_classes must be positive")
-        if num_heads < 1:
+        if check_integer(num_heads, "num_heads") < 1:
             raise ValueError("num_heads must be at least 1")
         scale = xavier_scale(feature_dim, num_classes)
         self.heads = np.array([

@@ -1,4 +1,5 @@
 import gzip
+import re
 import struct
 
 import numpy as np
@@ -212,6 +213,16 @@ class TestDataset:
         with pytest.raises(ValueError, match=r"^row indices must lie in \[0, 6\)$"):
             ds.take(indices)
         assert len(ds.take([0, 5])) == 2
+
+    @pytest.mark.parametrize("indices", [3, np.int64(3), [[1, 2]], [], np.array([], dtype=int)],
+                             ids=["int", "numpy int", "2-D", "empty list", "empty array"])
+    def test_take_rejects_indices_not_a_non_empty_row(self, indices):
+        # a scalar or 2-D index would fail with a message about the features
+        ds = Dataset(np.arange(12.0).reshape(6, 2), np.arange(6) % 2, 2)
+        shape = np.shape(indices)
+        with pytest.raises(ValueError, match=rf"^row indices must be a non-empty 1-D array, "
+                                             rf"got shape {re.escape(str(shape))}$"):
+            ds.take(indices)
 
     def test_unsigned_labels_and_indices_accepted(self):
         ds = Dataset(np.arange(6.0).reshape(3, 2), np.array([0, 1, 1], dtype=np.uint8), 2)

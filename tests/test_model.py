@@ -116,6 +116,20 @@ class TestMlpFeatureExtractor:
         with pytest.raises(ValueError):
             net.backward([], np.zeros((1, 2)))
 
+    @pytest.mark.parametrize("dims, bad", [([4.7, 3], "layer dim 0 .* 4.7"),
+                                           ([True, 3], "layer dim 0 .* True"),
+                                           (["4", 3], "layer dim 0 .* '4'"),
+                                           ([4, 3.0], "layer dim 1 .* 3.0")],
+                             ids=["fraction", "bool", "string", "whole float"])
+    def test_non_integer_dims_rejected(self, dims, bad):
+        # int() would build [4, 3] from 4.7 and [1, 3] from True
+        with pytest.raises(ValueError, match=f"^{bad}"):
+            MlpFeatureExtractor(dims)
+
+    def test_numpy_integer_dims_stored_as_ints(self):
+        net = MlpFeatureExtractor(np.array([4, 3]))
+        assert net.layer_dims == [4, 3] and all(type(d) is int for d in net.layer_dims)
+
 
 class TestWeakClassifierBank:
     def test_heads_have_distinct_initializations(self):
@@ -157,6 +171,17 @@ class TestWeakClassifierBank:
             WeakClassifierBank(0, 3, 1, Rng(0))
         with pytest.raises(ValueError):
             WeakClassifierBank(3, 3, 0, Rng(0))
+
+    @pytest.mark.parametrize("sizes, name", [((3.5, 4, 2), "feature_dim"),
+                                             ((3, 4.0, 2), "num_classes"),
+                                             ((3, 4, True), "num_heads"),
+                                             ((3, 4, 2.0), "num_heads")],
+                             ids=["fraction", "whole float", "bool", "whole float heads"])
+    def test_non_integer_sizes_rejected(self, sizes, name):
+        # True would build one head, and 3.5 fail in Rng.normal with a TypeError
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            WeakClassifierBank(*sizes, Rng(0))
+        assert WeakClassifierBank(*np.array([3, 4, 2]), Rng(0)).heads.shape == (2, 3, 4)
 
 
 class TestEnsembleClassifier:

@@ -751,7 +751,7 @@ class TestBankDifferences:
             gathered_heads = banks * heads * dims * classes
             scores = rows * n * classes
             assert max(gathered_grams, gathered_heads, scores) <= trainer._FD_CHUNK_VALUES
-        # all that a forward holds at once: every bank's gathered heads and
-        # Grams beside the other heads' Grams gathered for its kernels and
-        # the kernels (about 2.0 budgets' worth of float64 on numpy 2.4)
+        # all that a forward holds at once: every bank's gathered heads
+        # beside the other heads' Grams gathered for its kernels and the
+        # kernels (about 1.9 budgets' worth of float64 on numpy 2.4)
         assert peak <= 3 * 8 * trainer._FD_CHUNK_VALUES
