@@ -44,8 +44,8 @@ class CheckpointError(Exception):
 
 
 def _check_layer_dims(dims: list) -> None:
-    """At least an input and an output dim, each a positive integer; a
-    float or a bool is rejected, not truncated."""
+    """At least an input and an output dim, each a positive integer;
+    anything else (a float, a bool, a string) is rejected, not truncated."""
     if len(dims) < 2:
         raise ValueError("need at least an input and an output dim")
     if any(check_integer(d, f"layer dim {i}") < 1 for i, d in enumerate(dims)):

@@ -753,5 +753,5 @@ class TestBankDifferences:
             assert max(gathered_grams, gathered_heads, scores) <= trainer._FD_CHUNK_VALUES
         # all that a forward holds at once: every bank's gathered heads
         # beside the other heads' Grams gathered for its kernels and the
-        # kernels (about 1.9 budgets' worth of float64 on numpy 2.4)
+        # kernels (about 1.87 budgets' worth of float64 on numpy 2.4)
         assert peak <= 3 * 8 * trainer._FD_CHUNK_VALUES
