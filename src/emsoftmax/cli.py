@@ -55,7 +55,7 @@ from .model import (
     load_checkpoint,
     save_checkpoint,
 )
-from .tensor import Rng, check_integer, sum_in_order
+from .tensor import Rng, check_count, check_integer, sum_in_order
 from .trainer import SgdConfig, count_hits, evaluate, grad_check, train  # noqa: F401
 
 __all__ = ["ConfigError", "RunConfig", "parse_config_text", "config_to_text", "main"]
@@ -110,6 +110,9 @@ class RunConfig:
                 elif type(f.default) is tuple:
                     for item in value:
                         check_integer(item, f"every {f.name} entry")
+            for key in ("synth_classes", "synth_samples", "synth_eval_samples", "synth_dim",
+                        "log_every", "eval_every", "feature_dim"):
+                check_count(getattr(self, key), key)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if self.dataset not in ("synthetic", "mnist"):
@@ -125,10 +128,6 @@ class RunConfig:
                 "limit_train applies to IDX data only; set synth_samples to size "
                 "the synthetic train split"
             )
-        for key in ("synth_classes", "synth_samples", "synth_eval_samples", "synth_dim",
-                    "log_every", "eval_every", "feature_dim"):
-            if getattr(self, key) < 1:
-                raise ConfigError(f"{key} must be at least 1, got {getattr(self, key)}")
         # evaluations run on log rows only
         if self.eval_every % self.log_every:
             raise ConfigError(

@@ -41,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensor import Rng, as_integers, as_matrix, check_integer
+from .tensor import Rng, as_indices, as_matrix, check_count, check_integer
 
 __all__ = [
     "Dataset",
@@ -87,19 +87,12 @@ class Dataset:
             self.features = as_matrix(self.features, "features")
         elif self.features.ndim != 2 or 0 in self.features.shape:
             raise ValueError(f"pixels must be 2-D and non-empty, got shape {self.features.shape}")
-        self.labels = as_integers(self.labels, "labels").astype(np.int64, copy=False)
-        if self.labels.ndim != 1:
-            raise ValueError(f"labels must be 1-D, got shape {self.labels.shape}")
+        check_count(self.num_classes, "num_classes")
+        self.labels = as_indices(self.labels, self.num_classes, "labels")
         if self.labels.shape[0] != self.features.shape[0]:
             raise ValueError(
                 f"{self.features.shape[0]} feature rows but {self.labels.shape[0]} labels"
             )
-        if self.num_classes < 1:
-            raise ValueError("num_classes must be positive")
-        if self.labels.size and (
-            self.labels.min() < 0 or self.labels.max() >= self.num_classes
-        ):
-            raise ValueError(f"labels must lie in [0, {self.num_classes})")
         if self.mean is not None:
             self.mean = np.asarray(self.mean, dtype=np.float64)
             if self.mean.shape != (self.dim,):
@@ -158,13 +151,7 @@ class Dataset:
         """Row subset (copy) with the same class count and mean; the
         indices are a non-empty 1-D integer array, each in ``[0, n)``."""
         # integer-array indexing always returns a fresh array
-        indices = np.asarray(indices)
-        if indices.ndim != 1 or indices.size == 0:
-            raise ValueError(f"row indices must be a non-empty 1-D array, got shape {indices.shape}")
-        indices = as_integers(indices, "row indices")
-        n = len(self)
-        if np.minimum.reduce(indices) < 0 or np.maximum.reduce(indices) >= n:
-            raise ValueError(f"row indices must lie in [0, {n})")
+        indices = as_indices(indices, len(self), "row indices")
         return Dataset(self.features[indices], self.labels[indices], self.num_classes, self.mean)
 
 
@@ -215,8 +202,8 @@ def load_idx_pair(image_path, label_path, num_classes: int | None = None,
     kept rows are copied, so the rest of the file's bytes can be freed.
     A ``limit`` that is not an integer of at least 1 is a ValueError.
     """
-    if limit is not None and check_integer(limit, "limit") < 1:
-        raise ValueError(f"limit must be at least 1, got {limit}")
+    if limit is not None:
+        check_count(limit, "limit")
     images = _read_idx(image_path, _IMAGE_MAGIC, 3)
     count = len(images)
     images = images.reshape(count, -1)
@@ -322,8 +309,9 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.num_classes < 1 or self.samples_per_class < 1 or self.dim < 1:
-            raise ValueError("num_classes, samples_per_class, dim must be positive")
+        for name in ("num_classes", "samples_per_class", "dim"):
+            check_count(getattr(self, name), name)
+        check_integer(self.seed, "seed")
         if not (math.isfinite(self.noise_std) and self.noise_std > 0):
             raise ValueError("noise_std must be finite and positive")
 
@@ -344,8 +332,7 @@ def synth_blobs(spec: SyntheticSpec) -> Dataset:
 def minibatch_stream(n: int, batch_size: int, rng: Rng):
     """Endless batch indices, one shuffled epoch after another (an epoch's
     last batch may be short); the arguments are checked at the first next."""
-    if not 1 <= batch_size:
-        raise ValueError("batch_size must be positive")
+    check_count(batch_size, "batch_size")
     if n < 1:
         raise ValueError("cannot batch an empty dataset")
     while True:

@@ -51,7 +51,9 @@ softmax rows are reduced column by column in numpy's own order
 1-D index into the raveled scores, every Kv comes from one gathered
 reduction, reductions call ``np.add.reduce`` without numpy's Python
 wrappers, and one bank's head terms are summed as Python floats. No
-quantity is computed or kept twice: the forward's record keeps the heads'
+quantity is computed or kept twice: each row's loss is taken from the
+row max and sum its softmax formed (exact, with no probability floor),
+and the forward's record keeps the heads'
 column norms and the products ``Wv_hat Kv`` its penalties were formed
 from, and the backward reads them there. ``tests/test_loss_bits.py``
 holds the plain numpy formulation and compares every output with it bit
@@ -67,10 +69,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import as_integers, as_matrix, check_integer, sum_in_order
+from .tensor import as_indices, as_matrix, check_count, sum_in_order
 
 __all__ = [
-    "PROB_FLOOR",
     "LossConfig",
     "LossOutput",
     "softmax_probs",
@@ -80,11 +81,6 @@ __all__ = [
     "em_softmax_forward",
     "em_softmax_backward",
 ]
-
-# Probabilities are clamped here before the log so a large margin cannot
-# produce -log(0) early in training.
-PROB_FLOOR = 1e-30
-
 
 @dataclass(frozen=True)
 class LossConfig:
@@ -115,8 +111,7 @@ class LossConfig:
             value = getattr(self, name)
             if not math.isfinite(value) or value < 0:
                 raise ValueError(f"{name} must be finite and non-negative, got {value}")
-        if check_integer(self.num_heads, "num_heads") < 1:
-            raise ValueError("num_heads must be at least 1")
+        check_count(self.num_heads, "num_heads")
 
 
 @dataclass(eq=False)
@@ -172,20 +167,29 @@ def softmax_probs(z: np.ndarray) -> np.ndarray:
     recursively. So does input that is not C-contiguous: numpy may then
     iterate over rows innermost and add the columns in plain order.
     """
+    return _softmax(z)[0]
+
+
+def _softmax(z):
+    """:func:`softmax_probs` of ``z``, with the row max and the row sum of
+    the shifted exponentials it was formed from, each of shape
+    ``z.shape[:-1]``; the row sum is a fresh C-contiguous array."""
     z = np.asarray(z, dtype=np.float64)
     if (z.ndim < 2 or z.size == 0 or z.shape[-1] > _PAIRWISE_BLOCK
             or not z.flags.c_contiguous):
-        shifted = z - np.max(z, axis=-1, keepdims=True)
-        e = np.exp(shifted)
-        return e / np.sum(e, axis=-1, keepdims=True)
+        row_max = np.max(z, axis=-1, keepdims=True)
+        e = np.exp(z - row_max)
+        row_sum = np.sum(e, axis=-1, keepdims=True)
+        return e / row_sum, row_max[..., 0], row_sum[..., 0]
     k = z.shape[-1]
     row_max = np.maximum(z[..., 0], z[..., 1]) if k > 1 else z[..., 0].copy()
     for j in range(2, k):
         np.maximum(row_max, z[..., j], out=row_max)
     e = z - row_max[..., None]
     np.exp(e, out=e)
-    e /= _row_sum(e, k)[..., None]
-    return e
+    row_sum = _row_sum(e, k)
+    e /= row_sum[..., None]
+    return e, row_max, row_sum
 
 
 def _row_sum(e: np.ndarray, k: int) -> np.ndarray:
@@ -215,6 +219,11 @@ def _margin_softmax(scores: np.ndarray, labels: np.ndarray, m: float):
     margin, the label pick and the backward's one-hot subtraction all go
     through that index. C-contiguous ``scores`` are overwritten with the
     adjusted scores; ``labels`` must already be checked.
+
+    A row's loss ``-log p_y`` is taken as ``log(row sum) - (z_y - row
+    max)`` from the max and the sum the softmax forms, with ``z_y`` the
+    adjusted label score. It is exact however small ``p_y`` is, so the
+    loss and its gradient ``p - onehot`` agree at any margin.
     """
     n, k = scores.shape[-2:]
     index = (np.arange(0, scores.size, n * k)[:, None]
@@ -222,11 +231,12 @@ def _margin_softmax(scores: np.ndarray, labels: np.ndarray, m: float):
     adjusted = scores.reshape(-1)
     if m != 0.0:  # x - 0.0 is x, bit for bit
         adjusted[index] -= m
-    probs = softmax_probs(adjusted.reshape(scores.shape))
-    picked = probs.reshape(-1)[index].reshape(scores.shape[:-1])
-    np.maximum(picked, PROB_FLOOR, out=picked)
-    np.log(picked, out=picked)
-    return np.negative(picked, out=picked), probs, index
+    probs, row_max, row_sum = _softmax(adjusted.reshape(scores.shape))
+    shifted = adjusted[index].reshape(row_max.shape)
+    shifted -= row_max
+    losses = np.log(row_sum, out=row_sum)
+    losses -= shifted
+    return losses, probs, index
 
 
 def normalize_classifier(w: np.ndarray) -> np.ndarray:
@@ -288,22 +298,19 @@ def _head_table(w: np.ndarray, variants) -> np.ndarray:
 
 
 def _check_inputs(x_batch, labels, w: np.ndarray, cfg: LossConfig):
-    """The features as a float64 matrix and the labels as int64, checked
-    against a checked bank ``w`` and the config's head count. Labels of
-    a non-integer dtype are rejected, not truncated."""
+    """The features as a float64 matrix and the labels as int64 indices
+    into its classes, checked against a checked bank ``w`` and the
+    config's head count."""
     num_heads, d, k = w.shape
     if num_heads != cfg.num_heads:
         raise ValueError(f"bank has {num_heads} heads, config says {cfg.num_heads}")
     x_batch = as_matrix(x_batch, "x_batch")
     if x_batch.shape[1] != d:
         raise ValueError(f"classifier expects features of dim {d}, got {x_batch.shape[1]}")
-    labels = np.asarray(labels)
-    if labels.shape != (x_batch.shape[0],):
-        raise ValueError(f"expected {x_batch.shape[0]} labels, got shape {labels.shape}")
-    labels = as_integers(labels, "labels")
-    if np.minimum.reduce(labels) < 0 or np.maximum.reduce(labels) >= k:
-        raise ValueError(f"labels must lie in [0, {k})")
-    return x_batch, labels.astype(np.int64)
+    labels = as_indices(labels, k, "labels")
+    if labels.shape[0] != x_batch.shape[0]:
+        raise ValueError(f"expected {x_batch.shape[0]} labels, got {labels.shape[0]}")
+    return x_batch, labels
 
 
 @functools.lru_cache(maxsize=None)

@@ -25,7 +25,7 @@ import zlib
 import numpy as np
 
 from .data import write_atomic
-from .tensor import Rng, as_matrix, check_integer, gaussian_init, xavier_scale
+from .tensor import Rng, as_matrix, check_count, gaussian_init, xavier_scale
 
 __all__ = [
     "MlpFeatureExtractor",
@@ -44,12 +44,12 @@ class CheckpointError(Exception):
 
 
 def _check_layer_dims(dims: list) -> None:
-    """At least an input and an output dim, each a positive integer;
-    anything else (a float, a bool, a string) is rejected, not truncated."""
+    """At least an input and an output dim, each a count (see
+    :func:`~emsoftmax.tensor.check_count`)."""
     if len(dims) < 2:
         raise ValueError("need at least an input and an output dim")
-    if any(check_integer(d, f"layer dim {i}") < 1 for i, d in enumerate(dims)):
-        raise ValueError(f"layer dims must be positive, got {dims}")
+    for i, d in enumerate(dims):
+        check_count(d, f"layer dim {i}")
 
 
 class MlpFeatureExtractor:
@@ -129,11 +129,9 @@ class WeakClassifierBank:
     """
 
     def __init__(self, feature_dim: int, num_classes: int, num_heads: int, rng: Rng):
-        if check_integer(feature_dim, "feature_dim") < 1 or check_integer(
-                num_classes, "num_classes") < 1:
-            raise ValueError("feature_dim and num_classes must be positive")
-        if check_integer(num_heads, "num_heads") < 1:
-            raise ValueError("num_heads must be at least 1")
+        check_count(feature_dim, "feature_dim")
+        check_count(num_classes, "num_classes")
+        check_count(num_heads, "num_heads")
         scale = xavier_scale(feature_dim, num_classes)
         self.heads = np.array([
             gaussian_init(feature_dim, num_classes, scale, rng.spawn(1000 + v))

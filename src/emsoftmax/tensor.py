@@ -2,7 +2,10 @@
 
 Everything downstream (losses, model, trainer) moves data as plain 2-D
 ``numpy.ndarray`` objects in row-major float64. The helpers here add the
-shape checking the rest of the package relies on, plus weight
+shape checking the rest of the package relies on, the two input rules
+every entry point shares (a size is an integer of at least 1:
+:func:`check_count`; an index array lies in ``[0, n)``:
+:func:`as_indices`), plus weight
 initialization driven by a fully-owned random number generator so that
 runs reproduce bit-for-bit across machines regardless of the platform's
 RNG implementation.
@@ -27,8 +30,9 @@ import numpy as np
 
 __all__ = [
     "Rng",
-    "as_integers",
+    "as_indices",
     "as_matrix",
+    "check_count",
     "check_integer",
     "gaussian_init",
     "sum_in_order",
@@ -82,7 +86,7 @@ class Rng:
     """
 
     def __init__(self, seed: int):
-        self._seed = int(seed) & _MASK64
+        self._seed = int(check_integer(seed, "seed")) & _MASK64
         self._counter = 0
 
     @property
@@ -171,13 +175,21 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return out
 
 
-def as_integers(a, name: str) -> np.ndarray:
-    """``a`` as an array of its own integer dtype. Any other dtype (float,
-    bool, object) is rejected, not cast: a cast would truncate it."""
+def as_indices(a, bound: int, name: str) -> np.ndarray:
+    """``a`` as an int64 index array into ``bound`` entries (labels into
+    classes, row indices into rows): a non-empty 1-D array of an integer
+    dtype with every value in ``[0, bound)``, returned without a copy when
+    it already is int64. Anything else is a ValueError naming ``name``: a
+    float or bool array is not truncated to indices, and a negative index
+    is not wrapped round to the last entries."""
     out = np.asarray(a)
+    if out.ndim != 1 or out.size == 0:
+        raise ValueError(f"{name} must be a non-empty 1-D array, got shape {out.shape}")
     if out.dtype.kind not in "iu":
         raise ValueError(f"{name} must be integers, got dtype {out.dtype}")
-    return out
+    if np.minimum.reduce(out) < 0 or np.maximum.reduce(out) >= bound:
+        raise ValueError(f"{name} must lie in [0, {bound})")
+    return out.astype(np.int64, copy=False)
 
 
 def check_integer(value, name: str):
@@ -186,6 +198,16 @@ def check_integer(value, name: str):
     truncated, or fail later with a message about something else."""
     if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def check_count(value, name: str):
+    """``value`` itself when it is an integer (see :func:`check_integer`)
+    of at least 1, as every size and count is; anything else is a
+    ValueError naming ``name``."""
+    check_integer(value, name)
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value!r}")
     return value
 
 

@@ -44,7 +44,7 @@ import numpy as np
 from .data import Dataset, minibatch_stream
 from .losses import LossConfig, em_softmax_backward, em_softmax_forward
 from .model import MlpFeatureExtractor, WeakClassifierBank
-from .tensor import Rng, check_integer
+from .tensor import Rng, check_count, check_integer
 
 __all__ = [
     "SgdConfig",
@@ -103,8 +103,7 @@ class SgdConfig:
         if self.lr_drop_factor <= 0:
             raise ValueError("lr_drop_factor must be positive")
         for name in ("max_iters", "batch_size"):
-            if check_integer(getattr(self, name), name) < 1:
-                raise ValueError(f"{name} must be at least 1")
+            check_count(getattr(self, name), name)
 
 
 class DivergenceError(Exception):
@@ -286,9 +285,8 @@ def train(
     ``eval_acc`` when the run completes, or an evaluation of the kept
     state after a divergence. It stays NaN without an eval set.
     """
-    for name, every in (("log_every", log_every), ("eval_every", eval_every)):
-        if every < 1:
-            raise ValueError(f"{name} must be at least 1, got {every}")
+    check_count(log_every, "log_every")
+    check_count(eval_every, "eval_every")
     if eval_every % log_every:
         raise ValueError(
             f"eval_every ({eval_every}) must be a multiple of log_every ({log_every})"

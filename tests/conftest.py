@@ -24,7 +24,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from emsoftmax.data import Dataset
-from emsoftmax.losses import LossOutput, PROB_FLOOR
+from emsoftmax.losses import LossOutput
 from emsoftmax.tensor import _GAMMA, _MIX1, _MIX2, Rng
 
 
@@ -215,13 +215,16 @@ def ref_softmax_probs(z):
 
 
 def ref_margin_softmax(scores, labels, m):
-    """Per-row losses and probabilities of ``(..., n, K)`` scores; the
-    scores are overwritten with the margin-adjusted ones."""
+    """Per-row losses ``log(row sum) - (z_y - row max)`` and probabilities
+    of ``(..., n, K)`` scores; the scores are overwritten with the
+    margin-adjusted ones."""
     rows = np.arange(scores.shape[-2])
     scores[..., rows, labels] -= m
-    probs = ref_softmax_probs(scores)
-    picked = np.maximum(probs[..., rows, labels], PROB_FLOOR)
-    return -np.log(picked), probs
+    row_max = np.max(scores, axis=-1, keepdims=True)
+    e = np.exp(scores - row_max)
+    row_sum = np.sum(e, axis=-1, keepdims=True)
+    losses = np.log(row_sum[..., 0]) - (scores[..., rows, labels] - row_max[..., 0])
+    return losses, e / row_sum
 
 
 def _ref_normalize(w):

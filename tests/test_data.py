@@ -188,6 +188,13 @@ class TestDataset:
         with pytest.raises(ValueError, match="mean has shape"):
             Dataset(np.zeros((2, 2)), np.array([0, 1]), 2, mean=np.zeros(3))
 
+    @pytest.mark.parametrize("num_classes", [2.5, True, "3"])
+    def test_non_integer_class_count_rejected(self, num_classes):
+        # 2.5 and True were kept as the class count; '3' raised a raw TypeError
+        with pytest.raises(ValueError,
+                           match=rf"^num_classes must be an integer, got {num_classes!r}$"):
+            Dataset(np.zeros((3, 2)), [0, 1, 0], num_classes)
+
     @pytest.mark.parametrize("labels", [[0.5, 1.7], [0.0, 1.0], [False, True]],
                              ids=["fractions", "whole floats", "bool"])
     def test_non_integer_labels_rejected(self, labels):
@@ -323,6 +330,16 @@ class TestSyntheticBlobs:
             SyntheticSpec(1, 1, 1, 0.0, 0)
         with pytest.raises(ValueError, match="finite"):
             SyntheticSpec(1, 1, 1, float("nan"), 0)
+        # a float seed was truncated when the blobs were drawn
+        with pytest.raises(ValueError, match=r"^seed must be an integer, got 1.5$"):
+            SyntheticSpec(seed=1.5)
+
+    @pytest.mark.parametrize("value", [2.5, True])
+    @pytest.mark.parametrize("name", ["num_classes", "samples_per_class", "dim"])
+    def test_non_integer_sizes_rejected(self, name, value):
+        # 2.5 died in Rng.normal with a raw TypeError; True made one
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {value!r}$"):
+            SyntheticSpec(**{name: value})
 
 
 class TestBatching:
@@ -349,3 +366,6 @@ class TestBatching:
             next(minibatch_stream(5, 0, Rng(0)))
         with pytest.raises(ValueError, match="empty"):
             next(minibatch_stream(0, 2, Rng(0)))
+        # a float size died in slicing with a raw TypeError
+        with pytest.raises(ValueError, match=r"^batch_size must be an integer, got 2.5$"):
+            next(minibatch_stream(5, 2.5, Rng(0)))

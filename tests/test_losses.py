@@ -11,12 +11,12 @@ from conftest import (
     ref_diversity_kernel,
     ref_em_softmax_backward,
     ref_hsic,
+    ref_margin_softmax,
     ref_softmax_loss,
     variant_banks,
 )
 from emsoftmax import losses
 from emsoftmax.losses import (
-    PROB_FLOOR,
     LossConfig,
     _frozen_centering,
     diversity_penalty,
@@ -76,10 +76,12 @@ class TestCrossEntropyAndMargin:
         loss, _ = margin_softmax(np.array([[0.0, 0.0]]), [0], 0.0)
         assert loss == pytest.approx(LN2, abs=1e-15)
 
-    def test_cross_entropy_floors_tiny_probabilities(self):
+    def test_cross_entropy_is_exact_for_tiny_probabilities(self):
+        # -log p_y comes from the row max and sum, not from p_y, which
+        # underflows to 0 here
         loss, probs = margin_softmax(np.array([[0.0, 1000.0]]), [0], 0.0)
         assert probs[0, 0] == 0.0
-        assert loss == -np.log(PROB_FLOOR)
+        assert loss == 1000.0
 
     def test_label_out_of_range(self):
         with pytest.raises(ValueError):
@@ -121,10 +123,8 @@ class TestCrossEntropyAndMargin:
         z = rng.normal(size=(6, 4)) * 3
         y = rng.integers(0, 4, size=6)
         loss, probs = margin_softmax(z, y, 0.0)
-        plain = softmax_probs(z)
-        ref = float(np.mean(-np.log(plain[np.arange(6), y])))
-        assert loss == ref
-        np.testing.assert_array_equal(probs, plain)
+        assert loss == float(np.mean(ref_margin_softmax(z.copy(), y, 0.0)[0]))
+        np.testing.assert_array_equal(probs, softmax_probs(z))
 
     def test_loss_increases_with_margin(self):
         z = np.random.default_rng(2).normal(size=(5, 3))

@@ -3,6 +3,7 @@ import pytest
 
 from emsoftmax.tensor import (
     Rng,
+    as_indices,
     as_matrix,
     gaussian_init,
     sum_in_order,
@@ -61,6 +62,12 @@ class TestRngCore:
         for i in range(len(streams)):
             for j in range(i + 1, len(streams)):
                 assert not np.array_equal(streams[i], streams[j])
+
+    @pytest.mark.parametrize("seed", [1.5, True, "3"])
+    def test_non_integer_seed_rejected(self, seed):
+        # 1.5 was truncated to the seed 1
+        with pytest.raises(ValueError, match=rf"^seed must be an integer, got {seed!r}$"):
+            Rng(seed)
 
     def test_spawn_is_deterministic(self):
         a = uniforms(Rng(7).spawn(3), 8)
@@ -127,6 +134,12 @@ class TestMatrixHelpers:
     def test_as_matrix_rejects_empty_dimensions(self):
         with pytest.raises(ValueError):
             as_matrix(np.zeros((0, 3)), "bad")
+
+    def test_as_indices_copies_only_to_reach_int64(self):
+        ids = np.array([2, 0, 1])
+        assert as_indices(ids, 3, "ids") is ids
+        small = as_indices(np.array([2, 0], dtype=np.uint8), 3, "ids")
+        assert small.dtype == np.int64 and small.tolist() == [2, 0]
 
 
 class TestInitializers:

@@ -243,6 +243,17 @@ class TestTrain:
         )
         assert rep.diverged
 
+    def test_loss_above_the_ceiling_diverges(self):
+        # every row's loss is about the margin, above the 1e6 ceiling; a
+        # 1e-30 probability floor once capped it at 69.08
+        ds = blob_dataset()
+        net, bank = fresh_model(ds)
+        heads = bank.heads.copy()
+        rep = train(net, bank, ds, LossConfig(2e6, 0.0, 1), SgdConfig(max_iters=5, batch_size=32),
+                    seed=2)
+        assert rep.diverged and rep.rows == []
+        np.testing.assert_array_equal(bank.heads, heads)
+
     def test_eval_every_off_the_log_rows_raises_before_the_first_step(self, monkeypatch):
         # evaluations run on log rows: every 5 with a row every 3 would
         # evaluate at 15 and 20 only
@@ -270,6 +281,21 @@ class TestTrain:
         with pytest.raises(ValueError, match=f"^{name} must be at least 1, got 0$"):
             train(net, bank, ds, LossConfig(0.0, 0.0, 1), SgdConfig(max_iters=5, batch_size=32),
                   seed=1, eval_dataset=ds, **{name: 0})
+
+    @pytest.mark.parametrize("value", [1.5, True])
+    @pytest.mark.parametrize("name", ["log_every", "eval_every"])
+    def test_non_integer_interval_raises_before_the_first_step(self, monkeypatch, name, value):
+        # log_every = 1.5 with eval_every = 3 logged at iterations 3 and 6
+        ds = blob_dataset()
+        net, bank = fresh_model(ds)
+
+        def step(*args):
+            raise AssertionError("a step ran")
+
+        monkeypatch.setattr(trainer, "_gradients", step)
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {value!r}$"):
+            train(net, bank, ds, LossConfig(0.0, 0.0, 1), SgdConfig(max_iters=5, batch_size=32),
+                  seed=1, eval_dataset=ds, **{name: value})
 
     def test_train_acc_scores_the_model_that_produced_the_loss(self, monkeypatch):
         ds = blob_dataset()
@@ -521,6 +547,16 @@ class TestGradCheck:
         )
         assert res["max_error"] <= 1e-5, res
         assert set(res["block_errors"]) == {"w0", "b0", "w1", "b1", "head0", "head1"}
+
+    @pytest.mark.parametrize("margin", [80.0, 200.0])
+    def test_large_margin_loss_agrees_with_its_gradient(self, margin):
+        # a loss taken through a 1e-30 probability floor stuck at 69.08
+        # from m = 70 on, while its gradient p - onehot did not
+        ds = blob_dataset(classes=3, per=2, dim=4)
+        bank = WeakClassifierBank(4, 3, 1, Rng(4))
+        res = grad_check(None, bank, ds.features[[0, 3]], ds.labels[[0, 3]],
+                         LossConfig(margin, 0.0, 1))
+        assert res["max_error"] <= 1e-5, res
 
     def test_corrupted_network_block_detected(self):
         ds = blob_dataset(per=4, dim=5)

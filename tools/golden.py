@@ -64,7 +64,7 @@ EXPECTED = {
     "h6 model.ckpt":
         "aa3000ca5c0cf76c32c7fb7de2c0a1d5b5e3c31cac005c3ca83699d880072d89",
     "gradcheck --instances 10 stdout":
-        "ccafc9e41ebe602204a642e1b166e372e14929d87bc8a5e387c2160027be752c",
+        "7f208f3f1a59083f71421ee9362570d4aa340057f62a92c29199d889fcf5e49c",
     "sweep.csv":
         "2e291c05dc8fb4d00b3d09c685e4e03adc8175c637dd9e05b555366929d6de08",
     "mnist-shaped model.ckpt":
