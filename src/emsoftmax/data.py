@@ -18,8 +18,8 @@ checked. The only other preprocessing offered is global mean
 subtraction with the training mean applied to every split (or a stored
 mean reapplied). The mean is recorded on each split and subtracted from
 each decoded row, so no float64 copy of a split is ever made; the
-training mean itself is summed over decoded chunks of about
-``_MEAN_CHUNK_BYTES``, in the row order ``np.mean(axis=0)`` uses.
+training mean itself is summed over decoded chunks of a 32nd of the
+split, in the row order ``np.mean(axis=0)`` uses.
 
 When no image data is on disk, :func:`synth_blobs` generates a
 deterministic Gaussian-mixture classification problem from the same
@@ -59,8 +59,13 @@ __all__ = [
 
 _IMAGE_MAGIC = 0x00000803
 _LABEL_MAGIC = 0x00000801
-# decoded bytes per chunk of Dataset.feature_mean
-_MEAN_CHUNK_BYTES = 1 << 16
+
+
+def _mean_chunk_rows(n: int) -> int:
+    """Rows per decoded chunk of :meth:`Dataset.feature_mean` on an
+    n-row split: a 32nd of it, so from 32 rows on a float64 chunk holds at
+    most a quarter of the split's uint8 bytes."""
+    return max(1, n // 32)
 
 
 class IdxFormatError(Exception):
@@ -126,17 +131,18 @@ class Dataset:
         """The mean of the uncentred rows, as ``np.mean(axis=0)`` of the
         decoded split gives it, bit for bit.
 
-        Pixels are decoded ``_MEAN_CHUNK_BYTES`` at a time. numpy adds
-        the rows of an (n, d) array in order, so each chunk's first row
-        takes in the running sum before the chunk is summed. A single
-        column is summed pairwise instead, so it is decoded whole.
+        Pixels are decoded :func:`_mean_chunk_rows` rows at a time.
+        numpy adds the rows of an (n, d) array in order, so each chunk's
+        first row takes in the running sum before the chunk is summed, and
+        the bits do not depend on the chunk size. A single column is summed
+        pairwise instead, so it is decoded whole.
         """
         n, d = self.features.shape
         if self.features.dtype != np.uint8:
             return np.mean(self.features, axis=0)
         if d == 1:
             return np.mean(_decode(self.features), axis=0)
-        step = max(1, _MEAN_CHUNK_BYTES // (8 * d))
+        step = _mean_chunk_rows(n)
         total = np.zeros(d)
         for start in range(0, n, step):
             chunk = _decode(self.features[start : start + step])

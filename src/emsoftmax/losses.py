@@ -46,9 +46,10 @@ one training step builds the kernels once.
 At the shapes this toolkit trains (K = 10 classes, a few heads), numpy's
 per-call and per-row reduction overheads cost more than the arithmetic,
 so the core avoids them without changing a bit of the result: short
-softmax rows are reduced column by column in numpy's own order
-(:func:`softmax_probs`), the margin and the label pick go through one
-1-D index into the raveled scores, every Kv comes from one gathered
+softmax rows are worked class-major, over one contiguous row per class,
+and summed in numpy's own order (:func:`softmax_probs`), the margin and
+the label pick go through one 1-D index into the raveled scores, built
+from row offsets cached per shape, every Kv comes from one gathered
 reduction, reductions call ``np.add.reduce`` without numpy's Python
 wrappers, and one bank's head terms are summed as Python floats. No
 quantity is computed or kept twice: each row's loss is taken from the
@@ -154,18 +155,22 @@ def softmax_probs(z: np.ndarray) -> np.ndarray:
     to 1.
 
     A numpy reduction along a short last axis costs far more than its
-    arithmetic, so for 2-D and higher input with 1 <= K <= 128 the row
-    max and the row sum are taken column by column over the views
-    ``z[..., j]``, in exactly the order numpy reduces a row: the max by
-    K-1 elementwise ``np.maximum`` calls, and the sum in numpy's
-    pairwise order (K < 8: the columns in ascending order; otherwise
-    eight running accumulators, combined as
-    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then the leftover columns in
-    order). The result is bit for bit what ``np.max`` and ``np.sum`` give.
-    1-D and empty input keep numpy's reductions, which cost nothing
-    there, and so does K > 128, where numpy's pairwise sum splits the row
-    recursively. So does input that is not C-contiguous: numpy may then
-    iterate over rows innermost and add the columns in plain order.
+    arithmetic, so for 2-D and higher input with 1 <= K <= 128 the rows
+    are worked class-major: one transposing copy puts class j of every
+    row in row j of a ``(K, R)`` array, and every later call runs over
+    whole contiguous rows of it. The row max is one ``np.maximum.reduce``
+    over its first axis (a max is exact in any order); the shift, the
+    exponential and the division run in place; and the row sum adds its
+    K rows in exactly the order numpy sums a score row (K < 8: the
+    classes in ascending order; otherwise eight running accumulators,
+    combined as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then the
+    leftover classes in order). One copy puts the probabilities back in
+    the input's layout. The result is bit for bit what ``np.max`` and
+    ``np.sum`` along the last axis give. 1-D and empty input keep numpy's
+    reductions, which cost nothing there, and so does K > 128, where
+    numpy's pairwise sum splits the row recursively. So does input that
+    is not C-contiguous: numpy may then iterate over rows innermost and
+    add the columns in plain order.
     """
     return _softmax(z)[0]
 
@@ -173,7 +178,8 @@ def softmax_probs(z: np.ndarray) -> np.ndarray:
 def _softmax(z):
     """:func:`softmax_probs` of ``z``, with the row max and the row sum of
     the shifted exponentials it was formed from, each of shape
-    ``z.shape[:-1]``; the row sum is a fresh C-contiguous array."""
+    ``z.shape[:-1]``; the probabilities and the row sum are fresh
+    C-contiguous arrays."""
     z = np.asarray(z, dtype=np.float64)
     if (z.ndim < 2 or z.size == 0 or z.shape[-1] > _PAIRWISE_BLOCK
             or not z.flags.c_contiguous):
@@ -182,31 +188,44 @@ def _softmax(z):
         row_sum = np.sum(e, axis=-1, keepdims=True)
         return e / row_sum, row_max[..., 0], row_sum[..., 0]
     k = z.shape[-1]
-    row_max = np.maximum(z[..., 0], z[..., 1]) if k > 1 else z[..., 0].copy()
-    for j in range(2, k):
-        np.maximum(row_max, z[..., j], out=row_max)
-    e = z - row_max[..., None]
+    # class-major: e[j] holds class j of every row
+    e = z.reshape(-1, k).T.copy()
+    row_max = np.maximum.reduce(e, axis=0)
+    e -= row_max
     np.exp(e, out=e)
     row_sum = _row_sum(e, k)
-    e /= row_sum[..., None]
-    return e, row_max, row_sum
+    e /= row_sum
+    probs = np.empty(z.shape)
+    probs.reshape(-1, k)[...] = e.T
+    return probs, row_max.reshape(z.shape[:-1]), row_sum.reshape(z.shape[:-1])
 
 
 def _row_sum(e: np.ndarray, k: int) -> np.ndarray:
-    """Sum over the last axis (1 <= K <= 128) in numpy's pairwise order."""
+    """Sum of the K (1 <= K <= 128) rows of a class-major ``(K, R)``
+    array, in the pairwise order numpy sums each score row."""
     if k < 8:
-        total = e[..., 0] + e[..., 1] if k > 1 else e[..., 0].copy()
+        total = e[0] + e[1] if k > 1 else e[0].copy()
         for j in range(2, k):
-            total += e[..., j]
+            total += e[j]
         return total
-    acc = [e[..., j] for j in range(8)]
+    acc = [e[j] for j in range(8)]
     body = k - k % 8
     for i in range(8, body, 8):
-        acc = [acc[j] + e[..., i + j] for j in range(8)]
+        acc = [acc[j] + e[i + j] for j in range(8)]
     total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
     for j in range(body, k):
-        total += e[..., j]
+        total += e[j]
     return total
+
+
+@functools.lru_cache(maxsize=128)
+def _row_offsets(leading: int, n: int, k: int) -> np.ndarray:
+    """Offset of every row's first score in the raveled ``(leading, n, K)``
+    scores, ``(leading, n)``, read-only: each leading row's offset plus
+    ``row * K``."""
+    offsets = np.arange(0, leading * n * k, n * k)[:, None] + np.arange(0, n * k, k)
+    offsets.flags.writeable = False
+    return offsets
 
 
 def _margin_softmax(scores: np.ndarray, labels: np.ndarray, m: float):
@@ -217,8 +236,9 @@ def _margin_softmax(scores: np.ndarray, labels: np.ndarray, m: float):
     probabilities and the 1-D index of every row's label in the raveled
     scores: each leading row's offset plus ``row * K + label``. The
     margin, the label pick and the backward's one-hot subtraction all go
-    through that index. C-contiguous ``scores`` are overwritten with the
-    adjusted scores; ``labels`` must already be checked.
+    through that index, built from the cached offsets of
+    :func:`_row_offsets`. C-contiguous ``scores`` are overwritten with
+    the adjusted scores; ``labels`` must already be checked.
 
     A row's loss ``-log p_y`` is taken as ``log(row sum) - (z_y - row
     max)`` from the max and the sum the softmax forms, with ``z_y`` the
@@ -226,8 +246,7 @@ def _margin_softmax(scores: np.ndarray, labels: np.ndarray, m: float):
     loss and its gradient ``p - onehot`` agree at any margin.
     """
     n, k = scores.shape[-2:]
-    index = (np.arange(0, scores.size, n * k)[:, None]
-             + (np.arange(0, n * k, k) + labels)).ravel()
+    index = (_row_offsets(scores.size // (n * k), n, k) + labels).ravel()
     adjusted = scores.reshape(-1)
     if m != 0.0:  # x - 0.0 is x, bit for bit
         adjusted[index] -= m

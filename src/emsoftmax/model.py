@@ -3,10 +3,12 @@
 The network is deliberately modest: a stack of affine+ReLU layers with a
 linear output producing the feature vector that the bank of weak linear
 classifiers scores. The bank holds its V heads as one ``(V, d, K)``
-array, which the loss scores and SGD updates as one block. At test time
-it collapses into one averaged ``(d, K)`` classifier
-``W = (1/V) sum_v Wv`` so prediction cost does not grow with the
-ensemble size.
+array, which the loss scores as one block. Training rebinds every
+weight, bias and the heads to views of one flat buffer
+(:func:`~emsoftmax.trainer.train`); each keeps its shape and stays
+C-contiguous float64. At test time the bank collapses into one averaged
+``(d, K)`` classifier ``W = (1/V) sum_v Wv`` so prediction cost does not
+grow with the ensemble size.
 
 Checkpoints are a self-describing little-endian binary format (magic,
 version, layer dims, raw float64 payload, CRC-32 trailer). Loading
@@ -84,7 +86,11 @@ class MlpFeatureExtractor:
         return self.layer_dims[-1]
 
     def forward(self, x_batch: np.ndarray):
-        """Features plus the cache of each layer's input the backward needs."""
+        """Features plus the cache of each layer's input the backward needs.
+
+        Each layer's product is the one fresh array it makes: the bias is
+        added to it and the ReLU applied to it in place.
+        """
         a = as_matrix(x_batch, "x_batch")
         if a.shape[1] != self.input_dim:
             raise ValueError(
@@ -94,28 +100,37 @@ class MlpFeatureExtractor:
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             inputs.append(a)
-            a = a @ w + b
+            a = a @ w
+            a += b
             if i < last:
-                a = np.maximum(a, 0.0)
+                np.maximum(a, 0.0, out=a)
         return a, inputs
 
-    def backward(self, cache, grad_features: np.ndarray):
+    def backward(self, cache, grad_features: np.ndarray, out=None):
         """Backpropagate a feature gradient through the stack.
 
-        Returns [(grad_w, grad_b), ...] aligned with the layers. The
-        gradient with respect to the input batch is not formed.
+        Returns [(grad_w, grad_b), ...] aligned with the layers. With
+        ``out``, a list of such pairs shaped like the layers (the views
+        :func:`~emsoftmax.trainer.train` holds into its gradient buffer),
+        each gradient is written straight into its array, and ``out`` is
+        returned; otherwise they are fresh arrays. The gradient with
+        respect to the input batch is not formed.
         """
         grad = as_matrix(grad_features, "grad_features")
         if len(cache) != len(self.weights):
             raise ValueError("cache does not match the network depth")
-        param_grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(self.weights)
+        if out is None:
+            out = [(np.empty(w.shape), np.empty(b.shape))
+                   for w, b in zip(self.weights, self.biases)]
         for i in range(len(self.weights) - 1, -1, -1):
-            param_grads[i] = (cache[i].T @ grad, np.add.reduce(grad, axis=0, keepdims=True))
+            grad_w, grad_b = out[i]
+            np.matmul(cache[i].T, grad, out=grad_w)
+            np.add.reduce(grad, axis=0, keepdims=True, out=grad_b)
             if i > 0:
                 # ReLU mask from this layer's input max(pre, 0), which is
                 # positive exactly where pre > 0 (NaN included).
                 grad = (grad @ self.weights[i].T) * (cache[i] > 0.0)
-        return param_grads
+        return out
 
 
 class WeakClassifierBank:

@@ -12,6 +12,13 @@ listed in ``lr_drop_iters``. Every gradient block is checked for
 non-finite values before any block is updated, so a diverged step
 leaves the whole model at its last consistent state.
 
+:func:`train` moves every block into one float64 buffer, the decayed
+blocks first and then the biases (:func:`_flat_buffer`); the model's
+arrays become views of it, each step's gradients are written into views
+of a gradient buffer of the same layout, and :func:`sgd_step` updates
+two contiguous groups instead of one block per array. The update is
+elementwise, so the bits are those of stepping each block on its own.
+
 :func:`train` and :func:`grad_check` share one step, ``_gradients``,
 whose gradients follow ``_parameters``, the one list of SGD blocks
 (``w0, b0, w1, b1, ...``, then the bank); only those two helpers ask
@@ -196,20 +203,64 @@ def _parameters(net: MlpFeatureExtractor | None, bank: WeakClassifierBank):
     return blocks + [("bank", bank.heads, True)]
 
 
+def _flat_buffer(net: MlpFeatureExtractor | None, bank: WeakClassifierBank):
+    """Move every SGD block of the model into one float64 buffer.
+
+    The decayed blocks come first, in :func:`_parameters` order (``w0,
+    w1, ..., bank``), then the biases (``b0, b1, ...``). Every
+    ``net.weights[i]``, ``net.biases[i]`` and ``bank.heads`` is rebound
+    to a C-contiguous view of the buffer holding its values, in its
+    shape. A gradient buffer of the same layout is made beside it.
+
+    Returns the SGD groups, each ``(params, grads, decayed)`` over one
+    contiguous part of the two buffers (the decayed part, then the biases,
+    which a bank without a network does not have), and the gradient
+    buffer's views aligned with :func:`_parameters`.
+    """
+    blocks = _parameters(net, bank)
+    order = [i for i, (_, _, decayed) in enumerate(blocks) if decayed]
+    split = sum(blocks[i][1].size for i in order)
+    order += [i for i, (_, _, decayed) in enumerate(blocks) if not decayed]
+    params = np.empty(sum(block.size for _, block, _ in blocks))
+    grads = np.empty_like(params)
+    param_views, grad_views = [None] * len(blocks), [None] * len(blocks)
+    start = 0
+    for i in order:
+        block = blocks[i][1]
+        stop = start + block.size
+        param_views[i] = params[start:stop].reshape(block.shape)
+        param_views[i][...] = block
+        grad_views[i] = grads[start:stop].reshape(block.shape)
+        start = stop
+    if net is not None:
+        net.weights[:] = param_views[0:-1:2]
+        net.biases[:] = param_views[1:-1:2]
+    bank.heads = param_views[-1]
+    groups = [(params[:split], grads[:split], True), (params[split:], grads[split:], False)]
+    return [group for group in groups if group[0].size], grad_views
+
+
 def _gradients(net: MlpFeatureExtractor | None, heads: np.ndarray, x, y, cfg: LossConfig,
-               variants=None):
+               variants=None, out=None):
     """One step's loss forward, features and gradients.
 
     ``heads`` is the bank's ``(V, d, K)`` array; ``variants``, when
     given, are scored in the same forward (see :func:`em_softmax_forward`)
     and leave the gradients alone. Returns ``(fwd, feats, grads)``,
-    ``grads`` aligned with :func:`_parameters`. Without a network the
-    features are ``x`` itself.
+    ``grads`` aligned with :func:`_parameters`: fresh arrays, or, with
+    ``out`` (arrays aligned the same way, such as the views of
+    :func:`_flat_buffer`), the arrays of ``out`` with the gradients
+    written into them. Without a network the features are ``x`` itself.
     """
     feats, cache = (x, None) if net is None else net.forward(x)
     fwd = em_softmax_forward(feats, heads, y, cfg, variants=variants)
     grads_bank, grads_feats = em_softmax_backward(fwd)
-    grads = [] if net is None else [g for layer in net.backward(cache, grads_feats) for g in layer]
+    pairs = None if out is None else list(zip(out[0:-1:2], out[1:-1:2]))
+    grads = [] if net is None else [g for layer in net.backward(cache, grads_feats, pairs)
+                                    for g in layer]
+    if out is not None:
+        out[-1][...] = grads_bank
+        grads_bank = out[-1]
     return fwd, feats, grads + [grads_bank]
 
 
@@ -268,9 +319,15 @@ def train(
     log_every: int = 100,
     eval_every: int = 1000,
 ) -> TrainReport:
-    """Run the SGD loop, mutating ``net`` and ``bank`` in place.
+    """Run the SGD loop, updating ``net`` and ``bank``.
 
-    ``net`` may be None to train the bank directly on raw features. The
+    Before the first step, every weight, bias and the bank's heads are
+    moved into one buffer (see :func:`_flat_buffer`): ``net.weights[i]``,
+    ``net.biases[i]`` and ``bank.heads`` become C-contiguous float64
+    views of it, with the shapes and values they had, and the loop
+    updates them in place. Arrays taken from the model before the call
+    are no longer its parameters. ``net`` may be None to train the bank
+    directly on raw features. The
     batch order is fully determined by ``seed``. Parts that do not fit
     together (dims, head count) raise ValueError from the network's or
     the loss's own checks in the first step, before any update; a
@@ -295,7 +352,8 @@ def train(
     batch_rng = Rng(seed).spawn(7)
     batches = minibatch_stream(len(dataset), min(sgd_cfg.batch_size, len(dataset)), batch_rng)
 
-    _, params, decay_flags = zip(*_parameters(net, bank))
+    groups, grad_views = _flat_buffer(net, bank)
+    params, grads, decay_flags = zip(*groups)
     velocities = [np.zeros_like(p) for p in params]
 
     t0 = time.perf_counter()
@@ -309,7 +367,7 @@ def train(
                 x = dataset.rows(idx)
                 y = dataset.labels[idx]
 
-                fwd, feats, grads = _gradients(net, bank.heads, x, y, loss_cfg)
+                fwd, feats, _ = _gradients(net, bank.heads, x, y, loss_cfg, out=grad_views)
                 if not np.isfinite(fwd.total_loss) or fwd.total_loss > _LOSS_CEILING:
                     raise DivergenceError(f"loss {fwd.total_loss:g}, ceiling {_LOSS_CEILING:g}")
                 last = it == sgd_cfg.max_iters - 1

@@ -5,7 +5,8 @@ package (log-sum-exp instead of max-shifted exponentials, the expanded
 HSIC trace instead of explicit centering) so agreement actually means
 something. The exceptions are the references that pin the package's
 operation order bit for bit: ``ref_diversity_kernel``,
-``ref_em_softmax_backward``, ``ref_mlp_backward``, ``ref_sgd_step`` and
+``ref_em_softmax_backward``, ``ref_mlp_forward``, ``ref_mlp_backward``,
+``ref_sgd_step`` and
 the earlier loss core (``ref_softmax_probs``, ``ref_margin_softmax``,
 ``ref_kernel_loop``, ``ref_loss_forward``, ``ref_loss_totals`` and
 ``ref_loss_backward``), the earlier finite differences of a bank
@@ -142,6 +143,21 @@ def ref_em_softmax_backward(x_batch, bank, labels, cfg, fwd):
         grads.append(grad_w)
         grads_x += delta @ w.T
     return np.stack(grads), grads_x
+
+
+def ref_mlp_forward(net, x_batch):
+    """The MLP forward with out-of-place temporaries: ``max(a @ w + b, 0)``
+    on every hidden layer, ``a @ w + b`` on the last. Returns the features
+    and each layer's input, which the package's in-place forward must
+    equal with ``==``."""
+    a = np.asarray(x_batch, dtype=np.float64)
+    inputs = []
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        inputs.append(a)
+        a = a @ w + b
+        if i < len(net.weights) - 1:
+            a = np.maximum(a, 0.0)
+    return a, inputs
 
 
 def ref_mlp_backward(net, cache, grad_features):

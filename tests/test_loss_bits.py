@@ -1,6 +1,6 @@
 """Bit-for-bit guards: the loss core against the earlier formulation.
 
-The package takes short-axis maxima and sums column by column, gathers
+The package takes short-axis maxima and sums class-major, gathers
 the diversity kernels in one reduction and sums one bank's heads as
 Python floats. Each of those must give exactly the bits of numpy's own
 reductions, fancy indexing and slice loops, kept in ``conftest`` as
@@ -259,6 +259,18 @@ class TestStackedForward:
             assert part.base is None
         for got, expected in zip(em_softmax_backward(scored), want):
             assert_bits(got, expected)
+
+    @pytest.mark.parametrize("variants", [False, True], ids=["bank", "head table"])
+    def test_probabilities_are_contiguous_and_own_their_data(self, variants):
+        # the backward subtracts the one-hot through a flat index into
+        # a copy of them; at the surrogate shape: V = 6, d = 24, K = 10, n = 128
+        g = np.random.default_rng(11)
+        x, labels = g.normal(size=(128, 24)), g.integers(0, 10, size=128)
+        bank = g.normal(size=(6, 24, 10))
+        extra = g.normal(size=(6, 2, 24, 10)) if variants else None
+        probs = em_softmax_forward(x, bank, labels, LossConfig(0.5, 0.1, 6), extra).probs_per_head
+        assert probs.shape == (6, 128, 10)
+        assert probs.flags.c_contiguous and probs.flags.owndata and probs.base is None
 
     @pytest.mark.parametrize("shape", [(5, 2, 4, 3), (4, 3), (3,), (0, 4, 3), (2, 0, 3),
                                        (2, 4, 0)],

@@ -5,7 +5,7 @@ import zlib
 import numpy as np
 import pytest
 
-from conftest import central_diff, ref_mlp_backward
+from conftest import central_diff, ref_mlp_backward, ref_mlp_forward
 from emsoftmax import data
 from emsoftmax.data import Dataset
 from emsoftmax.model import (
@@ -104,6 +104,27 @@ class TestMlpFeatureExtractor:
             assert len(got) == len(ref_grads)
             for (gw, gb), (rw, rb) in zip(got, ref_grads):
                 assert (gw == rw).all() and (gb == rb).all()
+            # written into given arrays, as train's gradient views take them
+            out = [(np.full(w.shape, np.nan), np.full(b.shape, np.nan))
+                   for w, b in zip(net.weights, net.biases)]
+            assert net.backward(cache, grad, out) is out
+            for (gw, gb), (rw, rb) in zip(out, ref_grads):
+                assert (gw == rw).all() and (gb == rb).all()
+
+    @pytest.mark.parametrize("dims", [[7, 4], [9, 6, 5], [8, 10, 6, 4]])
+    def test_forward_matches_reference_bitwise(self, dims):
+        rng = np.random.default_rng(10 + len(dims))
+        net = MlpFeatureExtractor(dims, Rng(4))
+        for b in net.biases:
+            b += rng.normal(size=b.shape)
+        for n in (1, 5, 32):
+            x = rng.normal(size=(n, dims[0]))
+            feats, cache = net.forward(x)
+            ref_feats, ref_cache = ref_mlp_forward(net, x)
+            assert len(cache) == len(ref_cache)
+            for got, want in zip([feats, *cache], [ref_feats, *ref_cache]):
+                assert got.shape == want.shape
+                assert (got.view(np.uint64) == want.view(np.uint64)).all()
 
     def test_validation(self):
         with pytest.raises(ValueError):

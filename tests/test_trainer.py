@@ -10,13 +10,19 @@ from conftest import (
     ref_bank_differences,
     ref_em_softmax_backward,
     ref_loss_totals,
+    ref_mlp_backward,
     ref_sgd_step,
 )
 from emsoftmax.cli import RunConfig, run_training
-from emsoftmax.data import Dataset, SyntheticSpec, synth_blobs
+from emsoftmax.data import Dataset, SyntheticSpec, minibatch_stream, synth_blobs
 from emsoftmax.losses import LossConfig, em_softmax_backward, em_softmax_forward
 from emsoftmax import cli, trainer
-from emsoftmax.model import MlpFeatureExtractor, WeakClassifierBank
+from emsoftmax.model import (
+    MlpFeatureExtractor,
+    WeakClassifierBank,
+    load_checkpoint,
+    save_checkpoint,
+)
 from emsoftmax.tensor import Rng
 from emsoftmax.trainer import (
     DivergenceError,
@@ -303,8 +309,8 @@ class TestTrain:
         snapshots = []
         gradients = trainer._gradients
 
-        def recording(net, heads, x, y, cfg):
-            fwd, feats, grads = gradients(net, heads, x, y, cfg)
+        def recording(net, heads, x, y, cfg, **kwargs):
+            fwd, feats, grads = gradients(net, heads, x, y, cfg, **kwargs)
             snapshots.append((feats, heads.copy(), y))
             return fwd, feats, grads
 
@@ -398,6 +404,129 @@ class TestSharedStep:
         assert [(name, decayed) for name, _, decayed in blocks] == expected + [("bank", True)]
         assert blocks[-1][1] is bank.heads
         assert [g.shape for g in grads] == [p.shape for _, p, _ in blocks]
+
+
+def model_arrays(net, bank):
+    """Every array of the model: the network's weights and biases, then the bank."""
+    return ([] if net is None else [*net.weights, *net.biases]) + [bank.heads]
+
+
+def ref_train(net, bank, dataset, loss_cfg, sgd_cfg, seed):
+    """The SGD loop block by block: each of the model's arrays updated on
+    its own by ``ref_sgd_step``, the network's gradients taken by
+    ``ref_mlp_backward``, the batches drawn as ``train`` draws them."""
+    batches = minibatch_stream(len(dataset), min(sgd_cfg.batch_size, len(dataset)),
+                               Rng(seed).spawn(7))
+    _, params, flags = zip(*trainer._parameters(net, bank))
+    velocities = [np.zeros_like(p) for p in params]
+    for it in range(sgd_cfg.max_iters):
+        idx = next(batches)
+        x, y = dataset.rows(idx), dataset.labels[idx]
+        feats, cache = (x, None) if net is None else net.forward(x)
+        grads_bank, grads_feats = em_softmax_backward(
+            em_softmax_forward(feats, bank.heads, y, loss_cfg))
+        grads = [] if net is None else [
+            g for layer in ref_mlp_backward(net, cache, grads_feats)[0] for g in layer]
+        ref_sgd_step(params, grads + [grads_bank], velocities, flags,
+                     learning_rate(sgd_cfg, it), sgd_cfg)
+
+
+class TestFlatParameters:
+    """``train`` moves the model into one buffer and steps it in two groups;
+    every bit must be that of updating each array on its own."""
+
+    @pytest.mark.parametrize("with_net", [True, False], ids=["v6-net", "bank-only"])
+    def test_train_matches_the_per_block_reference(self, with_net):
+        ds = blob_dataset(per=40)
+        loss_cfg = LossConfig(0.5, 0.1, 6)
+        sgd_cfg = SgdConfig(max_iters=25, batch_size=32, lr_drop_iters=(10,))
+        models = []
+        for _ in range(2):
+            net, bank = fresh_model(ds, heads=6)
+            if not with_net:
+                net, bank = None, WeakClassifierBank(ds.dim, ds.num_classes, 6, Rng(2))
+            models.append((net, bank))
+        (net, bank), (ref_net, ref_bank) = models
+        # a second call on the same model packs its views into a new buffer
+        for seed in (1, 2):
+            rep = train(net, bank, ds, loss_cfg, sgd_cfg, seed=seed)
+            ref_train(ref_net, ref_bank, ds, loss_cfg, sgd_cfg, seed)
+            assert not rep.diverged
+            got, want = model_arrays(net, bank), model_arrays(ref_net, ref_bank)
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert a.shape == b.shape and (a == b).all()
+
+    def test_model_arrays_stay_contiguous_and_round_trip(self, tmp_path):
+        ds = blob_dataset()
+        net, bank = fresh_model(ds, heads=6, hidden=(16, 9))
+        shapes = [a.shape for a in model_arrays(net, bank)]
+        train(net, bank, ds, LossConfig(0.5, 0.1, 6), SgdConfig(max_iters=5, batch_size=32),
+              seed=1)
+        arrays = model_arrays(net, bank)
+        assert [a.shape for a in arrays] == shapes
+        for a in arrays:
+            assert a.dtype == np.float64 and a.flags.c_contiguous
+        # every array is a view of one buffer
+        assert len({id(a.base) for a in arrays}) == 1 and arrays[0].base is not None
+        save_checkpoint(tmp_path / "model.ckpt", net, bank)
+        loaded = model_arrays(*load_checkpoint(tmp_path / "model.ckpt"))
+        for a, b in zip(arrays, loaded):
+            assert a.shape == b.shape and (a == b).all()
+
+    def test_buffer_holds_decayed_blocks_then_biases(self):
+        ds = blob_dataset()
+        net, bank = fresh_model(ds, heads=2, hidden=(5, 4), feat=3)
+        before = [p.copy() for _, p, _ in trainer._parameters(net, bank)]
+        groups, grad_views = trainer._flat_buffer(net, bank)
+        blocks = trainer._parameters(net, bank)
+        for (_, p, _), b, g in zip(blocks, before, grad_views):
+            assert (p == b).all() and g.shape == p.shape
+        (decayed, _, flag), (biases, _, no_flag) = groups
+        assert flag and not no_flag
+        order = ["w0", "w1", "w2", "bank", "b0", "b1", "b2"]
+        by_name = {name: p for name, p, _ in blocks}
+        assert np.array_equal(np.concatenate([decayed, biases]),
+                              np.concatenate([by_name[name].ravel() for name in order]))
+        assert np.shares_memory(decayed, bank.heads) and np.shares_memory(biases, net.biases[0])
+
+    def test_non_finite_bias_gradient_leaves_both_groups_unchanged(self):
+        ds = blob_dataset()
+        net, bank = fresh_model(ds, heads=3)
+        groups, grad_views = trainer._flat_buffer(net, bank)
+        params, grads, flags = zip(*groups)
+        rng = np.random.default_rng(7)
+        velocities = [rng.normal(size=p.shape) for p in params]
+        for g in grads:
+            g[...] = rng.normal(size=g.shape)
+        grad_views[1][0, 2] = np.nan  # b0
+        before = [a.copy() for a in params + tuple(velocities)]
+        with pytest.raises(DivergenceError):
+            sgd_step(params, grads, velocities, flags, 0.1, SgdConfig())
+        for a, b in zip(before, params + tuple(velocities)):
+            assert a.tobytes() == b.tobytes()
+
+    def test_non_finite_bias_gradient_in_train_keeps_the_last_step(self, monkeypatch):
+        ds = blob_dataset()
+        loss_cfg, sgd_cfg = LossConfig(0.5, 0.1, 2), SgdConfig(max_iters=4, batch_size=32)
+        net, bank = fresh_model(ds, heads=2)
+        ref_net, ref_bank = fresh_model(ds, heads=2)
+        gradients = trainer._gradients
+        steps = []
+
+        def poisoned(*args, **kwargs):
+            fwd, feats, grads = gradients(*args, **kwargs)
+            steps.append(None)
+            if len(steps) == 4:
+                grads[1][0, 0] = np.inf  # b0
+            return fwd, feats, grads
+
+        monkeypatch.setattr(trainer, "_gradients", poisoned)
+        assert train(net, bank, ds, loss_cfg, sgd_cfg, seed=3).diverged
+        monkeypatch.undo()
+        train(ref_net, ref_bank, ds, loss_cfg, replace(sgd_cfg, max_iters=3), seed=3)
+        for a, b in zip(model_arrays(net, bank), model_arrays(ref_net, ref_bank)):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestBankOnlyStep:
