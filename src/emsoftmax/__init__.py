@@ -17,7 +17,6 @@ from .losses import (
     em_softmax_backward,
     em_softmax_forward,
     normalize_classifier,
-    softmax_probs,
 )
 from .model import (
     MlpFeatureExtractor,
@@ -43,7 +42,6 @@ __all__ = [
     "em_softmax_backward",
     "em_softmax_forward",
     "normalize_classifier",
-    "softmax_probs",
     "MlpFeatureExtractor",
     "WeakClassifierBank",
     "load_checkpoint",

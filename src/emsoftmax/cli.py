@@ -475,6 +475,14 @@ _GRID_HEADS = (1, 2, 3)
 _GRID_BLOCKS = tuple(f"head{v}" for v in range(min(_GRID_HEADS)))
 
 
+def _check_grid_args(instances, tolerance, prefix: str = "") -> None:
+    """A ValueError unless ``instances`` is a count and ``tolerance`` is
+    finite and positive, naming each as ``prefix`` plus its name."""
+    check_count(instances, f"{prefix}instances")
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ValueError(f"{prefix}tolerance must be finite and positive, got {tolerance}")
+
+
 def run_gradcheck_grid(
     seed: int,
     instances: int,
@@ -489,8 +497,11 @@ def run_gradcheck_grid(
     n <= 3). This is the one place that judges :func:`grad_check`'s
     errors: a cell passes when its worst error is at most ``tolerance``,
     and a NaN error fails its cell and the grid. Returns (passed, worst
-    relative error), the worst being NaN when any error is.
+    relative error), the worst being NaN when any error is. Fewer than
+    one instance, or a tolerance that is not finite and positive, would
+    pass without judging anything: either is a ValueError.
     """
+    _check_grid_args(instances, tolerance)
     root = Rng(seed)
     worst = 0.0
     cell = 0
@@ -524,10 +535,10 @@ def run_gradcheck_grid(
 
 
 def cmd_gradcheck(args) -> int:
-    if args.instances < 1:
-        raise ConfigError(f"--instances must be at least 1, got {args.instances}")
-    if not (math.isfinite(args.tolerance) and args.tolerance > 0):
-        raise ConfigError(f"--tolerance must be finite and positive, got {args.tolerance}")
+    try:
+        _check_grid_args(args.instances, args.tolerance, "--")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if args.corrupt is not None and args.corrupt not in _GRID_BLOCKS:
         raise ConfigError(
             f"--corrupt must name a block every grid cell has ({', '.join(_GRID_BLOCKS)}), "

@@ -45,9 +45,10 @@ one training step builds the kernels once.
 
 At the shapes this toolkit trains (K = 10 classes, a few heads), numpy's
 per-call and per-row reduction overheads cost more than the arithmetic,
-so the core avoids them without changing a bit of the result: short
-softmax rows are worked class-major, over one contiguous row per class,
-and summed in numpy's own order (:func:`softmax_probs`), the margin and
+so the core avoids them without changing a bit of the result: the
+softmax, which runs only inside the margin loss (:func:`_softmax`),
+works short rows class-major, over one contiguous row per class, and
+sums them in numpy's own order, the margin and
 the label pick go through one 1-D index into the raveled scores, built
 from row offsets cached per shape, every Kv comes from one gathered
 reduction, reductions call ``np.add.reduce`` without numpy's Python
@@ -75,7 +76,6 @@ from .tensor import as_indices, as_matrix, check_count, sum_in_order
 __all__ = [
     "LossConfig",
     "LossOutput",
-    "softmax_probs",
     "normalize_classifier",
     "diversity_terms",
     "diversity_penalty",
@@ -147,47 +147,33 @@ class LossOutput:
 _PAIRWISE_BLOCK = 128
 
 
-def softmax_probs(z: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with max-subtraction for overflow safety.
-
-    Accepts a single score vector or an n x K batch (or any stack of
-    them); the result has the same shape and each probability row sums
-    to 1.
+def _softmax(z: np.ndarray):
+    """Row-wise softmax of C-contiguous float64 ``(..., n, K)`` scores, with
+    the row max and the row sum of the shifted exponentials it was formed
+    from, each of shape ``z.shape[:-1]``; the probabilities and the row
+    sum are fresh C-contiguous arrays, and ``z`` is left as it is.
 
     A numpy reduction along a short last axis costs far more than its
-    arithmetic, so for 2-D and higher input with 1 <= K <= 128 the rows
-    are worked class-major: one transposing copy puts class j of every
-    row in row j of a ``(K, R)`` array, and every later call runs over
-    whole contiguous rows of it. The row max is one ``np.maximum.reduce``
-    over its first axis (a max is exact in any order); the shift, the
-    exponential and the division run in place; and the row sum adds its
-    K rows in exactly the order numpy sums a score row (K < 8: the
-    classes in ascending order; otherwise eight running accumulators,
-    combined as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then the
-    leftover classes in order). One copy puts the probabilities back in
-    the input's layout. The result is bit for bit what ``np.max`` and
-    ``np.sum`` along the last axis give. 1-D and empty input keep numpy's
-    reductions, which cost nothing there, and so does K > 128, where
-    numpy's pairwise sum splits the row recursively. So does input that
-    is not C-contiguous: numpy may then iterate over rows innermost and
-    add the columns in plain order.
+    arithmetic, so for K <= 128 the rows are worked class-major: one
+    transposing copy puts class j of every row in row j of a ``(K, R)``
+    array, and every later call runs over whole contiguous rows of it.
+    The row max is one ``np.maximum.reduce`` over its first axis (a max
+    is exact in any order); the shift, the exponential and the division
+    run in place; and the row sum adds its K rows in exactly the order
+    numpy sums a score row (K < 8: the classes in ascending order;
+    otherwise eight running accumulators, combined as
+    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then the leftover classes in
+    order). One copy puts the probabilities back in the input's layout.
+    The result is bit for bit what ``np.max`` and ``np.sum`` along the
+    last axis give. K > 128 keeps numpy's reductions: its pairwise sum
+    splits such a row recursively.
     """
-    return _softmax(z)[0]
-
-
-def _softmax(z):
-    """:func:`softmax_probs` of ``z``, with the row max and the row sum of
-    the shifted exponentials it was formed from, each of shape
-    ``z.shape[:-1]``; the probabilities and the row sum are fresh
-    C-contiguous arrays."""
-    z = np.asarray(z, dtype=np.float64)
-    if (z.ndim < 2 or z.size == 0 or z.shape[-1] > _PAIRWISE_BLOCK
-            or not z.flags.c_contiguous):
+    k = z.shape[-1]
+    if k > _PAIRWISE_BLOCK:
         row_max = np.max(z, axis=-1, keepdims=True)
         e = np.exp(z - row_max)
         row_sum = np.sum(e, axis=-1, keepdims=True)
         return e / row_sum, row_max[..., 0], row_sum[..., 0]
-    k = z.shape[-1]
     # class-major: e[j] holds class j of every row
     e = z.reshape(-1, k).T.copy()
     row_max = np.maximum.reduce(e, axis=0)

@@ -2,7 +2,9 @@
 
 The network is deliberately modest: a stack of affine+ReLU layers with a
 linear output producing the feature vector that the bank of weak linear
-classifiers scores. The bank holds its V heads as one ``(V, d, K)``
+classifiers scores. Both draw their starting weights from an
+:class:`~emsoftmax.tensor.Rng`; a loaded checkpoint builds them around
+its arrays instead. The bank holds its V heads as one ``(V, d, K)``
 array, which the loss scores as one block. Training rebinds every
 weight, bias and the heads to views of one flat buffer
 (:func:`~emsoftmax.trainer.train`); each keeps its shape and stays
@@ -58,23 +60,20 @@ class MlpFeatureExtractor:
     """Affine+ReLU stack with a linear final layer.
 
     layer_dims lists every width from input to feature output, e.g.
-    ``[784, 512, 256]`` is 784 -> ReLU(512) -> 256. Weights are Gaussian
-    with Xavier scale sqrt(2/(fan_in+fan_out)) when an Rng is given and
-    zero otherwise (useful for handcrafted tests); biases start at zero.
+    ``[784, 512, 256]`` is 784 -> ReLU(512) -> 256. Weights are drawn from
+    ``rng``, Gaussian with Xavier scale sqrt(2/(fan_in+fan_out)); biases
+    start at zero.
     """
 
-    def __init__(self, layer_dims, rng: Rng | None = None):
+    def __init__(self, layer_dims, rng: Rng):
         dims = list(layer_dims)
         _check_layer_dims(dims)
         self.layer_dims = dims = [int(d) for d in dims]
         self.weights: list[np.ndarray] = []
         self.biases: list[np.ndarray] = []
         for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-            if rng is None:
-                w = np.zeros((fan_in, fan_out))
-            else:
-                w = gaussian_init(fan_in, fan_out, xavier_scale(fan_in, fan_out), rng)
-            self.weights.append(w)
+            self.weights.append(
+                gaussian_init(fan_in, fan_out, xavier_scale(fan_in, fan_out), rng))
             self.biases.append(np.zeros((1, fan_out)))
 
     @property
@@ -272,7 +271,7 @@ def load_checkpoint(path) -> tuple[MlpFeatureExtractor, WeakClassifierBank]:
         _check_layer_dims(dims)
     except ValueError as exc:
         raise CheckpointError(f"bad layer dims {dims}: {exc}") from exc
-    # built around the arrays just read, without zero weights to replace
+    # built around the arrays just read, without drawing weights to replace
     net = MlpFeatureExtractor.__new__(MlpFeatureExtractor)
     net.layer_dims, net.weights, net.biases = dims, weights, biases
     num_heads = r.u32()

@@ -84,13 +84,17 @@ def family_accuracies():
         "lam0": (TUNED_MARGIN, 0.0, 2),
         "lam001": (TUNED_MARGIN, 0.01, 2),
         "lam1": (TUNED_MARGIN, 1.0, 2),
-        "one_head": (TUNED_MARGIN, 0.1, 1),
         "six_heads": (TUNED_MARGIN, 0.1, 6),
     }
-    return {
+    accuracies = {
         name: float(np.mean([train_cell(HARD, m, lam, v, s) for s in SEEDS]))
         for name, (m, lam, v) in cells.items()
     }
+    # one head (m = 0.5, lambda = 0.1) trains bit for bit as "margin", at
+    # lambda = 0: a single head has no diversity term
+    # (test_trainer.py::TestTrain::test_single_head_ignores_the_diversity_weight)
+    accuracies["one_head"] = accuracies["margin"]
+    return accuracies
 
 
 @pytest.fixture(scope="module")

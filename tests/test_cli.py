@@ -892,6 +892,23 @@ class TestGradcheckCommand:
         assert "emsoftmax: error: --tolerance must be finite and positive" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("instances", [0, -2, 1.5])
+    def test_grid_rejects_instances_below_one(self, instances):
+        # zero instances would print twelve [ok] cells without a check
+        lines = []
+        with pytest.raises(ValueError, match="^instances must be"):
+            cli.run_gradcheck_grid(0, instances, printer=lines.append)
+        assert lines == []
+
+    @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_grid_rejects_unusable_tolerance(self, tolerance):
+        # inf would pass a corrupted gradient
+        lines = []
+        with pytest.raises(ValueError, match="^tolerance must be finite and positive"):
+            cli.run_gradcheck_grid(0, 1, tolerance=tolerance, corrupt_block="head0",
+                                   printer=lines.append)
+        assert lines == []
+
     def test_nan_errors_fail_every_cell_and_the_grid(self, capsys, monkeypatch):
         monkeypatch.setattr(trainer, "em_softmax_forward", nan_variant_totals(trainer))
         lines = []

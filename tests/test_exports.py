@@ -1,0 +1,19 @@
+"""Every name the package and its modules export resolves."""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import emsoftmax
+
+MODULES = ["emsoftmax", *(f"emsoftmax.{m.name}" for m in pkgutil.iter_modules(emsoftmax.__path__))]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(name)
+    exported = module.__all__
+    assert len(set(exported)) == len(exported), exported
+    assert [n for n in exported if not hasattr(module, n)] == []
+

@@ -34,13 +34,13 @@ from emsoftmax.losses import (
     LossConfig,
     _diversity_kernels,
     _margin_softmax,
+    _softmax,
     _sum_heads,
     _variant_banks,
     diversity_penalty,
     diversity_terms,
     em_softmax_backward,
     em_softmax_forward,
-    softmax_probs,
 )
 from emsoftmax.tensor import Rng, _GAMMA, _MIX1, _MIX2, sum_in_order
 
@@ -77,30 +77,35 @@ class TestSoftmax:
         with np.errstate(invalid="ignore"):
             for k in ks:
                 z = g.normal(scale=4.0, size=(*lead, k))
-                assert_bits(softmax_probs(z), ref_softmax_probs(z))
+                assert_bits(_softmax(z)[0], ref_softmax_probs(z))
                 if lead:
                     z = scores_with_specials(g, (*lead, k))
-                    assert_bits(softmax_probs(z), ref_softmax_probs(z))
+                    assert_bits(_softmax(z)[0], ref_softmax_probs(z))
 
     @pytest.mark.parametrize("k", K_VALUES)
     def test_non_contiguous_input_matches_numpy_reductions(self, k):
-        # numpy may reduce such rows with the rows innermost, in plain order
+        # the softmax takes C-contiguous scores only: its one caller, the
+        # margin softmax, gives it the C-order copy of strided scores
         g = np.random.default_rng(50 + k)
+        labels = g.integers(0, k, size=40)
         for z in (g.normal(scale=4.0, size=(k, 40)).T,
                   np.asfortranarray(g.normal(scale=4.0, size=(3, 40, k))),
                   g.normal(scale=4.0, size=(40, 2 * k))[:, ::2]):
             assert not z.flags.c_contiguous or k == 1
-            assert_bits(softmax_probs(z), ref_softmax_probs(z))
+            ref_losses, ref_probs = ref_margin_softmax(np.array(z, order="C"), labels, 0.0)
+            losses, probs, _ = _margin_softmax(z, labels, 0.0)
+            assert_bits(losses, ref_losses)
+            assert_bits(probs, ref_probs)
 
     def test_input_left_unchanged(self):
         z = np.random.default_rng(0).normal(size=(4, 10))
         before = z.copy()
-        softmax_probs(z)
+        _softmax(z)
         assert_bits(z, before)
 
     @pytest.mark.parametrize("shape", [(0, 5), (3, 0, 4)])
     def test_empty_input(self, shape):
-        assert softmax_probs(np.zeros(shape)).shape == shape
+        assert _softmax(np.zeros(shape))[0].shape == shape
 
 
 class TestMarginSoftmax:

@@ -19,13 +19,13 @@ from emsoftmax import losses
 from emsoftmax.losses import (
     LossConfig,
     _frozen_centering,
+    _softmax,
     diversity_penalty,
     diversity_terms,
     em_softmax_backward,
     em_softmax_forward,
     LossOutput,
     normalize_classifier,
-    softmax_probs,
 )
 
 LN2 = 0.6931471805599453
@@ -45,7 +45,7 @@ def margin_softmax(z, labels, m):
 
 class TestSoftmaxProbs:
     def test_known_values(self):
-        p = softmax_probs(np.array([1.0, 2.0, 3.0]))
+        p = _softmax(np.array([1.0, 2.0, 3.0]))[0]
         np.testing.assert_allclose(
             p,
             [0.090030573170380458, 0.24472847105479765, 0.66524095577482189],
@@ -55,12 +55,12 @@ class TestSoftmaxProbs:
 
     def test_rows_sum_to_one(self):
         z = np.random.default_rng(0).normal(size=(40, 7)) * 5
-        p = softmax_probs(z)
+        p = _softmax(z)[0]
         np.testing.assert_allclose(p.sum(axis=1), np.ones(40), atol=1e-14)
         assert (p > 0).all()
 
     def test_huge_logits_do_not_overflow(self):
-        p = softmax_probs(np.array([[1000.0, 999.0, -1000.0]]))
+        p = _softmax(np.array([[1000.0, 999.0, -1000.0]]))[0]
         assert np.isfinite(p).all()
         assert p[0, 0] > p[0, 1] > p[0, 2]
 
@@ -68,7 +68,7 @@ class TestSoftmaxProbs:
     @settings(deadline=None, max_examples=30)
     def test_shift_invariance(self, shift):
         z = np.array([[0.3, -1.2, 2.0, 0.0]])
-        np.testing.assert_allclose(softmax_probs(z + shift), softmax_probs(z), atol=1e-14)
+        np.testing.assert_allclose(_softmax(z + shift)[0], _softmax(z)[0], atol=1e-14)
 
 
 class TestCrossEntropyAndMargin:
@@ -92,7 +92,7 @@ class TestCrossEntropyAndMargin:
     def test_margin_adjusts_only_true_class(self):
         z = np.array([[1.0, 2.0, 3.0]])
         _, probs = margin_softmax(z, [1], 0.7)
-        np.testing.assert_array_equal(probs, softmax_probs(np.array([[1.0, 1.3, 3.0]])))
+        np.testing.assert_array_equal(probs, _softmax(np.array([[1.0, 1.3, 3.0]]))[0])
         np.testing.assert_array_equal(z, [[1.0, 2.0, 3.0]])
 
     def test_negative_margin_rejected(self):
@@ -124,7 +124,7 @@ class TestCrossEntropyAndMargin:
         y = rng.integers(0, 4, size=6)
         loss, probs = margin_softmax(z, y, 0.0)
         assert loss == float(np.mean(ref_margin_softmax(z.copy(), y, 0.0)[0]))
-        np.testing.assert_array_equal(probs, softmax_probs(z))
+        np.testing.assert_array_equal(probs, _softmax(z)[0])
 
     def test_loss_increases_with_margin(self):
         z = np.random.default_rng(2).normal(size=(5, 3))

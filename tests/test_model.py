@@ -20,20 +20,15 @@ from emsoftmax.trainer import count_hits
 
 
 class TestMlpFeatureExtractor:
-    def test_zero_init_without_rng(self):
-        net = MlpFeatureExtractor([4, 3, 2])
-        assert all(np.all(w == 0) for w in net.weights)
-        assert all(np.all(b == 0) for b in net.biases)
-        assert net.input_dim == 4 and net.feature_dim == 2
-
     def test_gaussian_init_with_rng(self):
         net = MlpFeatureExtractor([100, 80], Rng(1))
         w = net.weights[0]
         assert abs(w.std() - np.sqrt(2.0 / 180.0)) < 0.005
         assert np.all(net.biases[0] == 0)
+        assert net.input_dim == 100 and net.feature_dim == 80
 
     def test_forward_manual_relu_stack(self):
-        net = MlpFeatureExtractor([2, 2, 1])
+        net = MlpFeatureExtractor([2, 2, 1], Rng(0))
         net.weights[0] = np.array([[1.0, -1.0], [0.0, 2.0]])
         net.biases[0] = np.array([[0.5, -0.5]])
         net.weights[1] = np.array([[1.0], [3.0]])
@@ -44,7 +39,7 @@ class TestMlpFeatureExtractor:
         assert len(cache) == 2
 
     def test_relu_clips_negative_preactivations(self):
-        net = MlpFeatureExtractor([1, 1, 1])
+        net = MlpFeatureExtractor([1, 1, 1], Rng(0))
         net.weights[0] = np.array([[1.0]])
         net.weights[1] = np.array([[1.0]])
         feats, _ = net.forward(np.array([[-3.0]]))
@@ -128,10 +123,10 @@ class TestMlpFeatureExtractor:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            MlpFeatureExtractor([4])
+            MlpFeatureExtractor([4], Rng(0))
         with pytest.raises(ValueError):
-            MlpFeatureExtractor([4, 0, 2])
-        net = MlpFeatureExtractor([4, 2])
+            MlpFeatureExtractor([4, 0, 2], Rng(0))
+        net = MlpFeatureExtractor([4, 2], Rng(0))
         with pytest.raises(ValueError, match="input dim"):
             net.forward(np.zeros((1, 5)))
         with pytest.raises(ValueError):
@@ -145,10 +140,10 @@ class TestMlpFeatureExtractor:
     def test_non_integer_dims_rejected(self, dims, bad):
         # int() would build [4, 3] from 4.7 and [1, 3] from True
         with pytest.raises(ValueError, match=f"^{bad}"):
-            MlpFeatureExtractor(dims)
+            MlpFeatureExtractor(dims, Rng(0))
 
     def test_numpy_integer_dims_stored_as_ints(self):
-        net = MlpFeatureExtractor(np.array([4, 3]))
+        net = MlpFeatureExtractor(np.array([4, 3]), Rng(0))
         assert net.layer_dims == [4, 3] and all(type(d) is int for d in net.layer_dims)
 
 

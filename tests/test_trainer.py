@@ -239,6 +239,24 @@ class TestTrain:
         for wa, wb in zip(outs[0][1], outs[1][1]):
             np.testing.assert_array_equal(wa, wb)
 
+    def test_single_head_ignores_the_diversity_weight(self):
+        # one head has no diversity term, so lambda changes no bit of a run
+        ds = blob_dataset()
+        runs = []
+        for lam in (0.0, 0.1):
+            net, bank = fresh_model(ds)
+            rep = train(
+                net, bank, ds, LossConfig(0.5, lam, 1),
+                SgdConfig(max_iters=120, batch_size=32, lr_drop_iters=(80,)),
+                seed=9, eval_dataset=ds, log_every=20, eval_every=40,
+            )
+            # every row but its wall-clock column; NaN where no eval ran
+            rows = np.array([row[:7] for row in rep.rows])
+            runs.append([rows, *net.weights, *net.biases, bank.heads])
+        assert len(runs[0][0]) == 6
+        for a, b in zip(*runs):
+            assert a.shape == b.shape and (a.view(np.uint64) == b.view(np.uint64)).all()
+
     def test_divergence_flagged_not_raised(self):
         ds = blob_dataset()
         net, bank = fresh_model(ds)
