@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import math
 import os
 import sys
 from dataclasses import dataclass, fields, replace
@@ -55,7 +54,7 @@ from .model import (
     load_checkpoint,
     save_checkpoint,
 )
-from .tensor import Rng, check_count, check_integer, sum_in_order
+from .tensor import Rng, check_count, check_integer, check_real, sum_in_order
 from .trainer import SgdConfig, count_hits, evaluate, grad_check, train  # noqa: F401
 
 __all__ = ["ConfigError", "RunConfig", "parse_config_text", "config_to_text", "main"]
@@ -102,17 +101,27 @@ class RunConfig:
     out_dir: str = "out"
 
     def __post_init__(self):
+        # check each field by its default's kind; keep a real as the float its line reads as
         try:
             for f in fields(self):
-                value = getattr(self, f.name)
-                if type(f.default) is int:
-                    check_integer(value, f.name)
-                elif type(f.default) is tuple:
+                key, kind, value = _FIELD_TO_KEY[f.name], type(f.default), getattr(self, f.name)
+                if kind is int:
+                    check_integer(value, key)
+                elif kind is float:
+                    positive = key in ("synth_noise", "base_lr", "lr_drop_factor")
+                    object.__setattr__(self, f.name, float(check_real(value, key, positive)))
+                elif not isinstance(value, kind):
+                    raise ValueError(f"{key} must be a {kind.__name__}, got {value!r}")
+                elif kind is tuple:
                     for item in value:
-                        check_integer(item, f"every {f.name} entry")
+                        check_integer(item, f"every {key} entry")
+                elif kind is str and (value.split("#")[0].strip() != value
+                                      or len(value.splitlines()) > 1):
+                    raise ValueError(f"{key} cannot be written as one config line: {value!r}")
             for key in ("synth_classes", "synth_samples", "synth_eval_samples", "synth_dim",
-                        "log_every", "eval_every", "feature_dim"):
+                        "log_every", "eval_every", "feature_dim", "heads"):
                 check_count(getattr(self, key), key)
+            _component_configs(self)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if self.dataset not in ("synthetic", "mnist"):
@@ -134,8 +143,6 @@ class RunConfig:
                 f"eval_every ({self.eval_every}) must be a multiple of log_every "
                 f"({self.log_every})"
             )
-        if not (math.isfinite(self.synth_noise) and self.synth_noise > 0):
-            raise ConfigError(f"synth_noise must be finite and positive, got {self.synth_noise}")
         if any(width < 1 for width in self.hidden_dims):
             raise ConfigError(f"hidden_dims must all be at least 1, got {_fmt(self.hidden_dims)}")
         num_classes = _MNIST_CLASSES if self.dataset == "mnist" else self.synth_classes
@@ -144,10 +151,6 @@ class RunConfig:
                 f"heads = {self.heads} needs at least 2 classes for the diversity term, "
                 f"the data has {num_classes}"
             )
-        try:
-            _component_configs(self)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
 
 
 def _parse_bool(tok: str) -> bool:
@@ -169,8 +172,6 @@ def _fmt(value) -> str:
         return "true" if value else "false"
     if isinstance(value, tuple):
         return ",".join(str(v) for v in value)
-    if isinstance(value, float):
-        return repr(value)
     return str(value)
 
 
@@ -475,14 +476,6 @@ _GRID_HEADS = (1, 2, 3)
 _GRID_BLOCKS = tuple(f"head{v}" for v in range(min(_GRID_HEADS)))
 
 
-def _check_grid_args(instances, tolerance, prefix: str = "") -> None:
-    """A ValueError unless ``instances`` is a count and ``tolerance`` is
-    finite and positive, naming each as ``prefix`` plus its name."""
-    check_count(instances, f"{prefix}instances")
-    if not (math.isfinite(tolerance) and tolerance > 0):
-        raise ValueError(f"{prefix}tolerance must be finite and positive, got {tolerance}")
-
-
 def run_gradcheck_grid(
     seed: int,
     instances: int,
@@ -501,7 +494,8 @@ def run_gradcheck_grid(
     one instance, or a tolerance that is not finite and positive, would
     pass without judging anything: either is a ValueError.
     """
-    _check_grid_args(instances, tolerance)
+    check_count(instances, "instances")
+    check_real(tolerance, "tolerance", positive=True)
     root = Rng(seed)
     worst = 0.0
     cell = 0
@@ -536,7 +530,8 @@ def run_gradcheck_grid(
 
 def cmd_gradcheck(args) -> int:
     try:
-        _check_grid_args(args.instances, args.tolerance, "--")
+        check_count(args.instances, "--instances")
+        check_real(args.tolerance, "--tolerance", positive=True)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if args.corrupt is not None and args.corrupt not in _GRID_BLOCKS:

@@ -41,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensor import Rng, as_indices, as_matrix, check_count, check_integer
+from .tensor import Rng, as_indices, as_matrix, check_count, check_integer, check_real
 
 __all__ = [
     "Dataset",
@@ -196,18 +196,17 @@ def _read_idx(path, magic: int, n_dims: int) -> np.ndarray:
     return np.frombuffer(blob, dtype=np.uint8, offset=need).reshape(shape)
 
 
-def load_idx_pair(image_path, label_path, num_classes: int | None = None,
-                  limit: int | None = None) -> Dataset:
+def load_idx_pair(image_path, label_path, num_classes: int, limit: int | None = None) -> Dataset:
     """Matched image/label files as one Dataset, or its first ``limit`` rows.
 
-    The class count defaults to max(label) + 1, which is 10 for the usual
-    digit files; a given count that some label reaches is a format error
-    naming the label file. Every label and both files' row counts are
-    checked, also past ``limit``. The Dataset holds the file's uint8
-    pixels, one image per row; with a ``limit`` below the count only the
-    kept rows are copied, so the rest of the file's bytes can be freed.
-    A ``limit`` that is not an integer of at least 1 is a ValueError.
+    A label that reaches ``num_classes`` is a format error naming the
+    label file. Every label and both files' row counts are checked, also
+    past ``limit``. The Dataset holds the file's uint8 pixels, one image
+    per row; with a ``limit`` below the count only the kept rows are
+    copied, so the rest of the file's bytes can be freed. A count that is
+    not an integer of at least 1 is a ValueError.
     """
+    check_count(num_classes, "num_classes")
     if limit is not None:
         check_count(limit, "limit")
     images = _read_idx(image_path, _IMAGE_MAGIC, 3)
@@ -223,9 +222,7 @@ def load_idx_pair(image_path, label_path, num_classes: int | None = None,
             f"{image_path} has {count} images but {label_path} has {len(labels)} labels"
         )
     top = int(labels.max())
-    if num_classes is None:
-        num_classes = top + 1
-    elif top >= num_classes:
+    if top >= num_classes:
         raise IdxFormatError(
             f"{label_path}: label {top} out of range for {num_classes} classes"
         )
@@ -318,8 +315,7 @@ class SyntheticSpec:
         for name in ("num_classes", "samples_per_class", "dim"):
             check_count(getattr(self, name), name)
         check_integer(self.seed, "seed")
-        if not (math.isfinite(self.noise_std) and self.noise_std > 0):
-            raise ValueError("noise_std must be finite and positive")
+        check_real(self.noise_std, "noise_std", positive=True)
 
 
 def synth_blobs(spec: SyntheticSpec) -> Dataset:

@@ -65,13 +65,12 @@ for bit.
 from __future__ import annotations
 
 import functools
-import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import as_indices, as_matrix, check_count, sum_in_order
+from .tensor import as_indices, as_matrix, check_count, check_real, sum_in_order
 
 __all__ = [
     "LossConfig",
@@ -108,10 +107,8 @@ class LossConfig:
     exact_diversity_grad: bool = False
 
     def __post_init__(self):
-        for name in ("margin", "diversity_weight"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value < 0:
-                raise ValueError(f"{name} must be finite and non-negative, got {value}")
+        check_real(self.margin, "margin")
+        check_real(self.diversity_weight, "diversity_weight")
         check_count(self.num_heads, "num_heads")
 
 

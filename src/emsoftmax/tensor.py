@@ -2,10 +2,9 @@
 
 Everything downstream (losses, model, trainer) moves data as plain 2-D
 ``numpy.ndarray`` objects in row-major float64. The helpers here add the
-shape checking the rest of the package relies on, the two input rules
-every entry point shares (a size is an integer of at least 1:
-:func:`check_count`; an index array lies in ``[0, n)``:
-:func:`as_indices`), plus weight
+shape checking the rest of the package relies on, the three input rules
+every entry point shares (sizes: :func:`check_count`; index arrays:
+:func:`as_indices`; real settings: :func:`check_real`), plus weight
 initialization driven by a fully-owned random number generator so that
 runs reproduce bit-for-bit across machines regardless of the platform's
 RNG implementation.
@@ -24,6 +23,7 @@ place without ``np.errstate``: integer *array* arithmetic wraps modulo
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
@@ -34,6 +34,7 @@ __all__ = [
     "as_matrix",
     "check_count",
     "check_integer",
+    "check_real",
     "gaussian_init",
     "sum_in_order",
     "xavier_scale",
@@ -211,6 +212,23 @@ def check_count(value, name: str):
     return value
 
 
+def check_real(value, name: str, positive: bool = False):
+    """``value`` itself when it is a Python or numpy real number that a float
+    holds finitely, at least 0 (above 0 with ``positive``); anything else, a
+    bool, a string or None included, is a ValueError naming ``name``."""
+    real = value
+    # a float, the common case, skips the kind test; a bool is an int
+    if type(value) is not float:
+        real = math.nan
+        if type(value) is not bool and isinstance(value, (int, float, np.integer, np.floating)):
+            with contextlib.suppress(OverflowError):  # an int that no float holds
+                real = float(value)
+    if (0.0 < real if positive else 0.0 <= real) and real < math.inf:
+        return value
+    sign = "positive" if positive else "non-negative"
+    raise ValueError(f"{name} must be finite and {sign}, got {value!r}")
+
+
 def xavier_scale(rows: int, cols: int) -> float:
     """Xavier/Glorot standard deviation sqrt(2 / (fan_in + fan_out))."""
     return math.sqrt(2.0 / (rows + cols))
@@ -218,10 +236,9 @@ def xavier_scale(rows: int, cols: int) -> float:
 
 def gaussian_init(rows: int, cols: int, scale: float, rng: Rng) -> np.ndarray:
     """rows x cols matrix of i.i.d. N(0, scale^2) entries from ``rng``."""
-    if rows < 1 or cols < 1:
-        raise ValueError("gaussian_init needs positive dimensions")
-    if scale <= 0:
-        raise ValueError("gaussian_init scale must be positive")
+    check_count(rows, "gaussian_init rows")
+    check_count(cols, "gaussian_init cols")
+    check_real(scale, "gaussian_init scale", positive=True)
     out = rng.normal((rows, cols))
     out *= scale
     return out

@@ -41,7 +41,6 @@ change the features, so they are still differenced entry by entry.
 
 from __future__ import annotations
 
-import math
 import time
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
@@ -51,7 +50,7 @@ import numpy as np
 from .data import Dataset, minibatch_stream
 from .losses import LossConfig, em_softmax_backward, em_softmax_forward
 from .model import MlpFeatureExtractor, WeakClassifierBank
-from .tensor import Rng, check_count, check_integer
+from .tensor import Rng, check_count, check_integer, check_real
 
 __all__ = [
     "SgdConfig",
@@ -90,15 +89,12 @@ class SgdConfig:
     batch_size: int = 256
 
     def __post_init__(self):
-        for name in ("base_lr", "weight_decay", "lr_drop_factor"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.base_lr <= 0:
-            raise ValueError("base_lr must be positive")
-        if not 0 <= self.momentum < 1:
+        check_real(self.base_lr, "base_lr", positive=True)
+        check_real(self.momentum, "momentum")
+        check_real(self.weight_decay, "weight_decay")
+        check_real(self.lr_drop_factor, "lr_drop_factor", positive=True)
+        if self.momentum >= 1:
             raise ValueError("momentum must lie in [0, 1)")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be non-negative")
         drops = tuple(
             int(check_integer(i, "every lr_drop_iters entry")) for i in self.lr_drop_iters
         )
@@ -107,8 +103,6 @@ class SgdConfig:
         if any(i < 0 for i in drops):
             raise ValueError("lr_drop_iters must be non-negative")
         object.__setattr__(self, "lr_drop_iters", drops)
-        if self.lr_drop_factor <= 0:
-            raise ValueError("lr_drop_factor must be positive")
         for name in ("max_iters", "batch_size"):
             check_count(getattr(self, name), name)
 

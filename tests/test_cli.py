@@ -13,6 +13,8 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import nan_variant_totals
 from emsoftmax import cli, trainer
@@ -132,6 +134,28 @@ class TestConfigFormat:
         cfg = parse_config_text("hidden_dims =\nlr_drop_iters =")
         assert cfg.hidden_dims == ()
         assert cfg.lr_drop_iters == ()
+        assert parse_config_text(config_to_text(cfg)) == cfg
+
+    @given(
+        st.sampled_from([f.name for f in fields(RunConfig)]),
+        st.one_of(
+            st.integers(), st.floats(), st.booleans(), st.text(max_size=6), st.none(),
+            st.lists(st.integers(), max_size=3), st.lists(st.integers(), max_size=3).map(tuple),
+        ),
+    )
+    @settings(deadline=None, max_examples=200)
+    def test_any_field_value_is_rejected_or_reads_back(self, name, value):
+        # st.floats() draws nan, +-inf and -0.0 too
+        try:
+            cfg = RunConfig(**{name: value})
+        except ConfigError:
+            return
+        assert parse_config_text(config_to_text(cfg)) == cfg
+
+    def test_reals_are_stored_as_floats(self):
+        # np.float64(0.5) was written as "np.float64(0.5)", which does not parse
+        cfg = RunConfig(margin=1, base_lr=np.float32(0.25), momentum=np.float64(0.5))
+        assert [type(v) for v in (cfg.margin, cfg.base_lr, cfg.momentum)] == [float] * 3
         assert parse_config_text(config_to_text(cfg)) == cfg
 
 
@@ -335,8 +359,7 @@ class TestTrainCommand:
         if command == "sweep":
             argv += ["--sweep-param", "v", "--sweep-values", "2", "--sweep-seeds", "4"]
         assert main(argv) == 1
-        field = "diversity_weight" if key == "lambda" else key
-        assert f"{field} must be finite" in capsys.readouterr().err
+        assert f"{key} must be finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key", ["log_every", "eval_every"])
     def test_zero_logging_interval_exits_one(self, tmp_path, capsys, key):
@@ -395,10 +418,11 @@ INVALID_VALUES = [
     ({"dataset": "cifar"}, "dataset must be 'synthetic' or 'mnist', got 'cifar'"),
     ({"limit_train": "-1"}, "limit_train must be non-negative"),
     ({"limit_train": "20"}, "limit_train applies to IDX data only; set synth_samples"),
-    ({"heads": "0"}, "num_heads must be at least 1"),
+    ({"heads": "0"}, "heads must be at least 1"),
     ({"momentum": "1.5"}, "momentum must lie in [0, 1)"),
     ({"lr_drop_iters": "80,40"}, "lr_drop_iters must be strictly increasing"),
     ({"log_every": "3", "eval_every": "5"}, "eval_every (5) must be a multiple of log_every (3)"),
+    ({"lambda": "-0.1"}, "lambda must be finite and non-negative, got -0.1"),
 ]
 # values that describe eval's dataset; the others describe the model, which
 # eval takes from the checkpoint, but a config must be valid as a whole
@@ -463,6 +487,23 @@ class TestConfigValidation:
             " must be an integer, got ")
         with pytest.raises(ConfigError, match=f"^{message}"):
             replace(valid, **{name: value})
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("mean_subtract", "no", "mean_subtract must be a bool, got 'no'"),
+        ("hidden_dims", [8], "hidden_dims must be a tuple, got [8]"),
+        ("out_dir", None, "out_dir must be a str, got None"),
+        ("mnist_dir", "data#1", "mnist_dir cannot be written as one config line: 'data#1'"),
+        ("out_dir", "run\n2", "out_dir cannot be written as one config line: 'run\\n2'"),
+        ("margin", "1", "margin must be finite and non-negative, got '1'"),
+        ("diversity_weight", True, "lambda must be finite and non-negative, got True"),
+        ("base_lr", None, "base_lr must be finite and positive, got None"),
+        ("synth_noise", True, "synth_noise must be finite and positive, got True"),
+    ])
+    def test_wrong_kind_rejected_under_its_key(self, name, value, message):
+        # mean_subtract "no" trained with the mean subtracted, and its
+        # resolved.cfg then read back as false
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+            replace(parse_config_text(QUICK), **{name: value})
 
     @pytest.mark.parametrize("overrides, message", INVALID_VALUES)
     def test_no_invalid_config_can_be_built(self, tmp_path, overrides, message):
@@ -900,7 +941,7 @@ class TestGradcheckCommand:
             cli.run_gradcheck_grid(0, instances, printer=lines.append)
         assert lines == []
 
-    @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), 0.0, -1.0])
+    @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), 0.0, -1.0, "x", True])
     def test_grid_rejects_unusable_tolerance(self, tolerance):
         # inf would pass a corrupted gradient
         lines = []

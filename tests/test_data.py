@@ -44,7 +44,7 @@ class TestIdxLoading:
     def test_image_values_and_scaling(self, tmp_path):
         pixels = np.array([[[0, 128], [255, 1]]], dtype=np.uint8)
         ds = load_idx_pair(*write_pair(tmp_path, idx_image_bytes(pixels),
-                                       idx_label_bytes([0])))
+                                       idx_label_bytes([0])), 10)
         assert ds.features.dtype == np.uint8
         feats = ds.rows(slice(None))
         assert feats.shape == (1, 4)
@@ -57,13 +57,13 @@ class TestIdxLoading:
         gz.write_bytes(gzip.compress(idx_image_bytes(pixels)))
         labels_gz = tmp_path / "labels.gz"
         labels_gz.write_bytes(gzip.compress(idx_label_bytes([0])))
-        np.testing.assert_array_equal(load_idx_pair(raw, labels).features,
-                                      load_idx_pair(gz, labels_gz).features)
+        np.testing.assert_array_equal(load_idx_pair(raw, labels, 10).features,
+                                      load_idx_pair(gz, labels_gz, 10).features)
 
     def test_labels(self, tmp_path):
         pixels = np.zeros((3, 1, 1), dtype=np.uint8)
         labels = load_idx_pair(*write_pair(tmp_path, idx_image_bytes(pixels),
-                                           idx_label_bytes([3, 0, 9]))).labels
+                                           idx_label_bytes([3, 0, 9])), 10).labels
         assert labels.dtype == np.int64
         np.testing.assert_array_equal(labels, [3, 0, 9])
 
@@ -71,18 +71,18 @@ class TestIdxLoading:
         paths = write_pair(tmp_path, struct.pack(">IIII", 0xDEAD, 1, 1, 1) + b"\x00",
                            idx_label_bytes([0]), image_name="weird")
         with pytest.raises(IdxFormatError, match="weird.*magic"):
-            load_idx_pair(*paths)
+            load_idx_pair(*paths, 10)
 
     def test_truncated_payload(self, tmp_path):
         paths = write_pair(tmp_path, idx_image_bytes(np.zeros((2, 2, 2), dtype=np.uint8))[:-3],
                            idx_label_bytes([0, 0]))
         with pytest.raises(IdxFormatError, match="header implies"):
-            load_idx_pair(*paths)
+            load_idx_pair(*paths, 10)
 
     def test_truncated_header(self, tmp_path):
         paths = write_pair(tmp_path, b"\x00\x00", idx_label_bytes([0]))
         with pytest.raises(IdxFormatError, match="truncated"):
-            load_idx_pair(*paths)
+            load_idx_pair(*paths, 10)
 
     @pytest.mark.parametrize("image_shape, label_count, name", [
         ((0, 28, 28), 0, "imgs"), ((5, 0, 28), 5, "imgs"), ((2, 3, 3), 0, "labels"),
@@ -91,7 +91,7 @@ class TestIdxLoading:
         paths = write_pair(tmp_path, idx_image_bytes(np.zeros(image_shape, dtype=np.uint8)),
                            idx_label_bytes([0] * label_count))
         with pytest.raises(IdxFormatError, match=f"{name}: header dims .* include a zero"):
-            load_idx_pair(*paths)
+            load_idx_pair(*paths, 10)
 
     @pytest.mark.parametrize("damage", ["truncated", "bad crc", "bad deflate block"])
     def test_damaged_gzip_names_the_file(self, tmp_path, damage):
@@ -106,7 +106,7 @@ class TestIdxLoading:
             blob = blob[:10] + b"\xff" * 20
         paths = write_pair(tmp_path, blob, idx_label_bytes([0, 1, 2]), image_name="imgs.gz")
         with pytest.raises(IdxFormatError, match="imgs.gz: bad gzip stream"):
-            load_idx_pair(*paths)
+            load_idx_pair(*paths, 10)
 
     def test_pair_count_mismatch(self, tmp_path):
         imgs = tmp_path / "imgs"
@@ -114,7 +114,7 @@ class TestIdxLoading:
         imgs.write_bytes(idx_image_bytes(np.zeros((3, 2, 2), dtype=np.uint8)))
         labels.write_bytes(idx_label_bytes([0, 1]))
         with pytest.raises(IdxFormatError, match="3 images but.*2 labels"):
-            load_idx_pair(imgs, labels)
+            load_idx_pair(imgs, labels, 10)
 
     def test_label_out_of_range_names_the_label_file(self, tmp_path):
         paths = write_pair(tmp_path, idx_image_bytes(np.zeros((3, 1, 1), dtype=np.uint8)),
@@ -129,8 +129,8 @@ class TestIdxLoading:
         paths = write_pair(tmp_path,
                            idx_image_bytes(g.integers(0, 256, (50, 5, 7), dtype=np.uint8)),
                            idx_label_bytes(g.integers(0, 10, 50)))
-        kept = load_idx_pair(*paths, limit=limit)
-        ref = load_idx_pair(*paths).take(np.arange(min(limit, 50)))
+        kept = load_idx_pair(*paths, 10, limit=limit)
+        ref = load_idx_pair(*paths, 10).take(np.arange(min(limit, 50)))
         assert kept.num_classes == ref.num_classes
         kept_rows, ref_rows = kept.rows(slice(None)), ref.rows(slice(None))
         assert kept_rows.dtype == ref_rows.dtype == np.float64
@@ -142,11 +142,10 @@ class TestIdxLoading:
                            idx_label_bytes([0, 1, 12]))
         with pytest.raises(IdxFormatError, match="labels: label 12 out of range for 10"):
             load_idx_pair(*paths, num_classes=10, limit=1)
-        assert load_idx_pair(*paths, limit=1).num_classes == 13
         paths = write_pair(tmp_path, idx_image_bytes(np.zeros((3, 1, 1), dtype=np.uint8)),
                            idx_label_bytes([0, 1]))
         with pytest.raises(IdxFormatError, match="3 images but.*2 labels"):
-            load_idx_pair(*paths, limit=1)
+            load_idx_pair(*paths, num_classes=10, limit=1)
 
     @pytest.mark.parametrize("limit", [0, -1])
     def test_limit_below_one_rejected(self, tmp_path, limit):
@@ -154,7 +153,7 @@ class TestIdxLoading:
         paths = write_pair(tmp_path, idx_image_bytes(np.zeros((5, 2, 2), dtype=np.uint8)),
                            idx_label_bytes([0, 1, 2, 0, 1]))
         with pytest.raises(ValueError, match=f"^limit must be at least 1, got {limit}$"):
-            load_idx_pair(*paths, limit=limit)
+            load_idx_pair(*paths, 10, limit=limit)
 
     @pytest.mark.parametrize("limit", [2.5, 2.0, True])
     def test_non_integer_limit_rejected(self, tmp_path, limit):
@@ -162,15 +161,7 @@ class TestIdxLoading:
         paths = write_pair(tmp_path, idx_image_bytes(np.zeros((5, 2, 2), dtype=np.uint8)),
                            idx_label_bytes([0, 1, 2, 0, 1]))
         with pytest.raises(ValueError, match=f"^limit must be an integer, got {limit!r}$"):
-            load_idx_pair(*paths, limit=limit)
-
-    def test_pair_default_class_count(self, tmp_path):
-        imgs = tmp_path / "imgs"
-        labels = tmp_path / "labels"
-        imgs.write_bytes(idx_image_bytes(np.zeros((3, 1, 1), dtype=np.uint8)))
-        labels.write_bytes(idx_label_bytes([0, 4, 2]))
-        ds = load_idx_pair(imgs, labels)
-        assert ds.num_classes == 5
+            load_idx_pair(*paths, 10, limit=limit)
 
 
 class TestDataset:
@@ -330,6 +321,9 @@ class TestSyntheticBlobs:
             SyntheticSpec(1, 1, 1, 0.0, 0)
         with pytest.raises(ValueError, match="finite"):
             SyntheticSpec(1, 1, 1, float("nan"), 0)
+        # True was taken as a noise of 1
+        with pytest.raises(ValueError, match=r"^noise_std must be finite and positive, got True$"):
+            SyntheticSpec(noise_std=True)
         # a float seed was truncated when the blobs were drawn
         with pytest.raises(ValueError, match=r"^seed must be an integer, got 1.5$"):
             SyntheticSpec(seed=1.5)

@@ -109,7 +109,8 @@ class TestCrossEntropyAndMargin:
         with pytest.raises(ValueError, match=rf"^num_heads must be an integer, got {value!r}$"):
             LossConfig(num_heads=value)
 
-    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    # a bool was taken as 0 or 1, a string or None raised a TypeError
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), True, "1", None])
     @pytest.mark.parametrize("name", ["margin", "diversity_weight"])
     def test_non_finite_hyperparameters_rejected(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be finite"):

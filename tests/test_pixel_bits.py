@@ -66,8 +66,8 @@ def test_rows_and_mean_keep_the_eager_bits(tmp_path, d, n, limit, gz):
     limit = n if limit == "n" else limit
     train_paths = write_split(tmp_path, "train", n, d, seed=d + n, gz=gz)
     eval_paths = write_split(tmp_path, "eval", EVAL_ROWS, d, seed=d + n + 1, gz=gz)
-    train = load_idx_pair(*train_paths, limit=limit)
-    other = load_idx_pair(*eval_paths)
+    train = load_idx_pair(*train_paths, 10, limit=limit)
+    other = load_idx_pair(*eval_paths, 10)
     assert train.features.dtype == np.uint8
     ref_train = ref_idx_features(train_paths[0], limit)
     ref_eval = ref_idx_features(eval_paths[0])
@@ -102,7 +102,7 @@ def test_mean_does_not_depend_on_the_chunk_size(tmp_path, monkeypatch, d, step):
 
 def test_rows_decode_fresh_arrays_and_keep_the_pixels(tmp_path):
     paths = write_split(tmp_path, "train", 12, 784, seed=5, gz=False)
-    ds = load_idx_pair(*paths)
+    ds = load_idx_pair(*paths, 10)
     pixels = ds.features.copy()
     mean_subtract(ds)
     first = ds.rows(slice(0, 4))

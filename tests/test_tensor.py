@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from emsoftmax.tensor import (
     Rng,
     as_indices,
     as_matrix,
+    check_real,
     gaussian_init,
     sum_in_order,
     xavier_scale,
@@ -142,6 +145,31 @@ class TestMatrixHelpers:
         assert small.dtype == np.int64 and small.tolist() == [2, 0]
 
 
+class TestCheckReal:
+    @pytest.mark.parametrize("value", [
+        True, np.bool_(False), "1", None, [0.5], float("nan"), float("inf"), float("-inf"),
+        -1, -0.5, np.float64(-2.0), 10**400,
+    ])
+    def test_anything_but_a_finite_real_of_at_least_zero_rejected(self, value):
+        # a bool was taken as 0 or 1; a string or None raised a TypeError
+        message = rf"^x must be finite and non-negative, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
+            check_real(value, "x")
+
+    @pytest.mark.parametrize("value", [0, 0.0, -0.0, np.float64(0.0), np.int8(0)])
+    def test_zero_is_not_positive(self, value):
+        assert check_real(value, "x") is value
+        with pytest.raises(ValueError, match=r"^x must be finite and positive, got "):
+            check_real(value, "x", positive=True)
+
+    @pytest.mark.parametrize("value", [
+        2, 0.5, 1e300, np.int64(3), np.uint8(1), np.float32(0.25), np.float64(1e-300),
+    ])
+    def test_python_and_numpy_reals_returned_as_given(self, value):
+        assert check_real(value, "x") is value
+        assert check_real(value, "x", positive=True) is value
+
+
 class TestInitializers:
     def test_xavier_scale_value(self):
         assert xavier_scale(3, 5) == 0.5
@@ -163,6 +191,17 @@ class TestInitializers:
             gaussian_init(0, 3, 0.1, Rng(0))
         with pytest.raises(ValueError):
             gaussian_init(3, 3, 0.0, Rng(0))
+
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf"), -0.5, True])
+    def test_gaussian_init_rejects_a_scale_that_is_not_finite_and_positive(self, scale):
+        # a NaN or infinite scale gave NaN or infinite weights
+        with pytest.raises(ValueError, match="^gaussian_init scale must be finite and positive"):
+            gaussian_init(2, 2, scale, Rng(0))
+
+    @pytest.mark.parametrize("rows, cols", [(2.5, 2), (2, True)])
+    def test_gaussian_init_rejects_sizes_that_are_not_counts(self, rows, cols):
+        with pytest.raises(ValueError, match="^gaussian_init (rows|cols) must be an integer"):
+            gaussian_init(rows, cols, 0.1, Rng(0))
 
 
 def test_sum_in_order_adds_plainly_from_zero():

@@ -71,8 +71,10 @@ class TestSgdConfig:
         with pytest.raises(ValueError):
             SgdConfig(batch_size=0)
 
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
-    @pytest.mark.parametrize("name", ["base_lr", "weight_decay", "lr_drop_factor"])
+    # a bool was taken as 0 or 1, a string or None raised a TypeError
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), True, "0.5",
+                                       None])
+    @pytest.mark.parametrize("name", ["base_lr", "momentum", "weight_decay", "lr_drop_factor"])
     def test_non_finite_values_rejected(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             SgdConfig(**{name: value})
