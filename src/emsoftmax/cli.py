@@ -115,9 +115,15 @@ class RunConfig:
                 elif kind is tuple:
                     for item in value:
                         check_integer(item, f"every {key} entry")
-                elif kind is str and (value.split("#")[0].strip() != value
-                                      or len(value.splitlines()) > 1):
-                    raise ValueError(f"{key} cannot be written as one config line: {value!r}")
+                elif kind is str:
+                    if value.split("#")[0].strip() != value or len(value.splitlines()) > 1:
+                        raise ValueError(f"{key} cannot be written as one config line: {value!r}")
+                    # an undecodable path byte reaches argv as a lone surrogate, which
+                    # resolved.cfg could not store once the run had trained
+                    try:
+                        value.encode()
+                    except UnicodeEncodeError:
+                        raise ValueError(f"{key} is not UTF-8 text: {value!r}") from None
             for key in ("synth_classes", "synth_samples", "synth_eval_samples", "synth_dim",
                         "log_every", "eval_every", "feature_dim", "heads"):
                 check_count(getattr(self, key), key)

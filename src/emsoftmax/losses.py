@@ -21,19 +21,21 @@ those Grams.
 
 One private core computes the loss over the heads stacked as one
 ``(V, d, K)`` bank. Inputs are validated once, where they enter:
-:func:`em_softmax_forward` checks one bank with its features and labels,
-and :func:`diversity_terms` checks a bank and returns every head's
-penalty from one build of the kernels (:func:`diversity_penalty` is its
-entry ``v``). The forward can also score ``(V, M, d, K)`` variants, each
-the bank with one head replaced (the gradient checker's perturbed
-banks). The bank's heads and the variants then form one head table: the
-per-head work (scores, margin softmax, batch means, column norms and
-centered Grams) runs once per row, and each bank gathers its heads'
-rows through one cached ``(B, V)`` index table for the per-bank work
-(the in-order head sums, its kernels, products and penalties), which
-then runs as it does for one bank. The kernels read the table's Grams
-in one gather, through every bank's other heads' rows, as one bank's
-read its own Grams. At lambda = 0 a table of
+:func:`em_softmax_forward` checks one bank with its features and labels
+(unless its caller already has: :func:`~emsoftmax.trainer.train` checks
+its bank, feature width and labels once per run and passes
+``check_inputs=False`` each step), and :func:`diversity_terms` checks a
+bank and returns every head's penalty from one build of the kernels
+(:func:`diversity_penalty` is its entry ``v``). The forward can also
+score ``(V, M, d, K)`` variants, each the bank with one head replaced
+(the gradient checker's perturbed banks). The bank's heads and the
+variants then form one head table: the per-head work (scores, margin
+softmax, batch means, column norms and centered Grams) runs once per
+row, and each bank gathers its heads' rows through one cached ``(B, V)``
+index table for the per-bank work (the in-order head sums, its kernels,
+products and penalties), which then runs as it does for one bank. The
+kernels read the table's Grams in one gather, through every bank's other
+heads' rows, as one bank's read its own Grams. At lambda = 0 a table of
 finite heads forms only the bank's own penalties, since 0 times a finite
 penalty leaves every variant's total as it is. The forward records its
 checked features, the bank, the label index, the diversity triple
@@ -110,6 +112,11 @@ class LossConfig:
         check_real(self.margin, "margin")
         check_real(self.diversity_weight, "diversity_weight")
         check_count(self.num_heads, "num_heads")
+        # a string or 1 would pick a mode by its truth value; np.bool_ too is refused
+        if type(self.exact_diversity_grad) is not bool:
+            raise ValueError(
+                f"exact_diversity_grad must be a bool, got {self.exact_diversity_grad!r}"
+            )
 
 
 @dataclass(eq=False)
@@ -260,7 +267,7 @@ def _unit_columns(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``(..., 1, K)`` column norms; zero columns stay zero, with a warning
     that points at the caller's caller."""
     norms = np.sqrt(np.add.reduce(w * w, axis=-2, keepdims=True))
-    if norms.all():
+    if np.logical_and.reduce(norms, axis=None):
         return w / norms, norms
     degenerate = norms == 0.0
     warnings.warn(
@@ -299,17 +306,24 @@ def _head_table(w: np.ndarray, variants) -> np.ndarray:
     return np.concatenate((w, variants.reshape(-1, d, k)))
 
 
-def _check_inputs(x_batch, labels, w: np.ndarray, cfg: LossConfig):
-    """The features as a float64 matrix and the labels as int64 indices
-    into its classes, checked against a checked bank ``w`` and the
-    config's head count."""
+def _check_fit(w: np.ndarray, dim: int, labels, cfg: LossConfig) -> np.ndarray:
+    """The labels as int64 indices into the classes of a checked bank
+    ``w``, after checking its head count against the config and its
+    feature dim against ``dim``."""
     num_heads, d, k = w.shape
     if num_heads != cfg.num_heads:
         raise ValueError(f"bank has {num_heads} heads, config says {cfg.num_heads}")
+    if dim != d:
+        raise ValueError(f"classifier expects features of dim {d}, got {dim}")
+    return as_indices(labels, k, "labels")
+
+
+def _check_inputs(x_batch, labels, w: np.ndarray, cfg: LossConfig):
+    """The features as a float64 matrix and the labels as int64 indices
+    into its classes, checked against a checked bank ``w`` and the
+    config's head count (see :func:`_check_fit`)."""
     x_batch = as_matrix(x_batch, "x_batch")
-    if x_batch.shape[1] != d:
-        raise ValueError(f"classifier expects features of dim {d}, got {x_batch.shape[1]}")
-    labels = as_indices(labels, k, "labels")
+    labels = _check_fit(w, x_batch.shape[1], labels, cfg)
     if labels.shape[0] != x_batch.shape[0]:
         raise ValueError(f"expected {x_batch.shape[0]} labels, got {labels.shape[0]}")
     return x_batch, labels
@@ -443,7 +457,7 @@ def _diversity_grads(w_hats, norms, products, exact: bool) -> np.ndarray:
         g_hat -= w_hats * np.add.reduce(w_hats * g_hat, axis=-2, keepdims=True)
     else:
         g_hat = 2.0 * products
-    if norms.all():
+    if np.logical_and.reduce(norms, axis=None):
         g_hat /= norms
         return g_hat
     zero = norms == 0.0
@@ -504,7 +518,7 @@ def _loss_core(x_batch: np.ndarray, w: np.ndarray, labels: np.ndarray, cfg: Loss
 
 
 def em_softmax_forward(x_batch: np.ndarray, bank, labels, cfg: LossConfig,
-                       variants=None) -> LossOutput:
+                       variants=None, *, check_inputs: bool = True) -> LossOutput:
     """Forward pass of the combined loss over a feature batch.
 
     classification = sum over heads of the batch-mean margin softmax
@@ -522,9 +536,20 @@ def em_softmax_forward(x_batch: np.ndarray, bank, labels, cfg: LossConfig,
     heads, its kernels and its penalties are formed per bank. At lambda
     = 0 and with every head finite, only the bank's own penalties are
     formed: they cannot change a total.
+
+    ``check_inputs=False`` trusts the caller, as
+    :func:`~emsoftmax.trainer.train` does after checking its parts once:
+    ``bank`` must then be a ``(V, d, K)`` float64 array of
+    ``cfg.num_heads`` heads, ``x_batch`` a float64 ``(n, d)`` matrix and
+    ``labels`` ``n`` int64 indices in ``[0, K)``.
+    The forward checks none of them and records ``bank`` itself, not a
+    copy, so the bank must not change before the backward has run.
     """
-    w = _check_bank(bank)
-    x_batch, labels = _check_inputs(x_batch, labels, w, cfg)
+    if check_inputs:
+        w = _check_bank(bank)
+        x_batch, labels = _check_inputs(x_batch, labels, w, cfg)
+    else:
+        w = bank
     if variants is None:
         classification, diversity, total, probs, index, triple = _loss_core(
             x_batch, w, labels, cfg)
@@ -566,9 +591,12 @@ def em_softmax_backward(fwd: LossOutput) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("forward output was not produced by em_softmax_forward")
     x, w, index, triple, cfg = record
 
-    delta = fwd.probs_per_head.copy()
-    delta.reshape(-1)[index] -= 1.0
-    delta /= x.shape[0]
+    # p / n everywhere, then (p - 1) / n at the labels: the bits of
+    # subtracting the one-hot and dividing the whole array
+    n = x.shape[0]
+    probs = fwd.probs_per_head
+    delta = np.divide(probs, n)
+    delta.reshape(-1)[index] = (probs.reshape(-1)[index] - 1.0) / n
     grads_bank = np.matmul(x.T, delta)
     if triple is not None and cfg.diversity_weight != 0.0:
         grads_bank += cfg.diversity_weight * _diversity_grads(

@@ -128,7 +128,8 @@ class MlpFeatureExtractor:
             if i > 0:
                 # ReLU mask from this layer's input max(pre, 0), which is
                 # positive exactly where pre > 0 (NaN included).
-                grad = (grad @ self.weights[i].T) * (cache[i] > 0.0)
+                grad = grad @ self.weights[i].T
+                grad *= cache[i] > 0.0
         return out
 
 

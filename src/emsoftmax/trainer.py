@@ -8,16 +8,20 @@ L2 regularization folded into the gradient:
 
 Biases are exempt from weight decay. The learning rate starts at
 ``base_lr`` and is multiplied by ``lr_drop_factor`` at each iteration
-listed in ``lr_drop_iters``. Every gradient block is checked for
-non-finite values before any block is updated, so a diverged step
+listed in ``lr_drop_iters``. The whole gradient is checked for
+non-finite values before anything is updated, so a diverged step
 leaves the whole model at its last consistent state.
 
 :func:`train` moves every block into one float64 buffer, the decayed
 blocks first and then the biases (:func:`_flat_buffer`); the model's
 arrays become views of it, each step's gradients are written into views
-of a gradient buffer of the same layout, and :func:`sgd_step` updates
-two contiguous groups instead of one block per array. The update is
+of a gradient buffer of the same layout, and :func:`sgd_step` makes one
+update over the whole buffer instead of one per array. The update is
 elementwise, so the bits are those of stepping each block on its own.
+
+:func:`train` is the boundary of the loop: it checks its bank, feature
+width and labels against the loss config once, before the first step,
+and each step's forward then runs with ``check_inputs=False``.
 
 :func:`train` and :func:`grad_check` share one step, ``_gradients``,
 whose gradients follow ``_parameters``, the one list of SGD blocks
@@ -41,6 +45,7 @@ change the features, so they are still differenced entry by entry.
 
 from __future__ import annotations
 
+import math
 import time
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
@@ -48,7 +53,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import Dataset, minibatch_stream
-from .losses import LossConfig, em_softmax_backward, em_softmax_forward
+from .losses import LossConfig, _check_bank, _check_fit, em_softmax_backward, em_softmax_forward
 from .model import MlpFeatureExtractor, WeakClassifierBank
 from .tensor import Rng, check_count, check_integer, check_real
 
@@ -119,32 +124,35 @@ def learning_rate(cfg: SgdConfig, iteration: int) -> float:
     return cfg.base_lr * cfg.lr_drop_factor**drops
 
 
-def sgd_step(params, grads, velocities, decay_flags, lr: float, cfg: SgdConfig) -> None:
-    """One in-place momentum update over parallel parameter lists.
+def sgd_step(params: np.ndarray, grads: np.ndarray, velocity: np.ndarray, decayed: int,
+             lr: float, cfg: SgdConfig) -> None:
+    """One in-place momentum update of a flat parameter buffer.
 
-    decay_flags marks which entries receive weight decay (weights yes,
-    biases no). Every block's shapes and gradient are checked before any
-    block moves: a non-finite gradient anywhere raises DivergenceError
-    and leaves every parameter and velocity as it was. Each block then
-    takes one temporary, ``lr * (g + wd * p)`` computed in place.
+    ``params``, ``grads`` and ``velocity`` are arrays of one shape, such
+    as the buffers of :func:`_flat_buffer`; the first ``decayed`` entries
+    (weights and the bank) take weight decay, the rest (biases) do not.
+    The whole gradient is checked before anything moves: a non-finite
+    entry raises DivergenceError and leaves every parameter and velocity
+    as it was. One step array then takes ``lr * (g + wd * p)`` on the
+    decayed entries and ``lr * g`` on the rest, and the velocity and the
+    parameters are updated once over the whole buffer.
     """
-    if not (len(params) == len(grads) == len(velocities) == len(decay_flags)):
-        raise ValueError("parameter, gradient, velocity, flag lists must align")
-    for p, g, vel in zip(params, grads, velocities):
-        if p.shape != g.shape or p.shape != vel.shape:
-            raise ValueError(f"shape mismatch: {p.shape} vs {g.shape} vs {vel.shape}")
-        if not np.isfinite(g).all():
-            raise DivergenceError("non-finite gradient")
-    for p, g, vel, decayed in zip(params, grads, velocities, decay_flags):
-        if decayed:
-            step = np.multiply(p, cfg.weight_decay)
-            step += g
-            step *= lr
-        else:
-            step = np.multiply(g, lr)
-        vel *= cfg.momentum
-        vel -= step
-        p += vel
+    if params.shape != grads.shape or params.shape != velocity.shape:
+        raise ValueError(f"shape mismatch: {params.shape} vs {grads.shape} vs {velocity.shape}")
+    if not 0 <= decayed <= params.size:
+        raise ValueError(f"decayed must lie in [0, {params.size}], got {decayed}")
+    if not np.logical_and.reduce(np.isfinite(grads), axis=None):
+        raise DivergenceError("non-finite gradient")
+    step = np.empty(params.shape)
+    flat, p, g = step.reshape(-1), params.reshape(-1), grads.reshape(-1)
+    head = flat[:decayed]
+    np.multiply(p[:decayed], cfg.weight_decay, out=head)
+    head += g[:decayed]
+    head *= lr
+    np.multiply(g[decayed:], lr, out=flat[decayed:])
+    velocity *= cfg.momentum
+    velocity -= step
+    params += velocity
 
 
 @dataclass
@@ -206,10 +214,10 @@ def _flat_buffer(net: MlpFeatureExtractor | None, bank: WeakClassifierBank):
     to a C-contiguous view of the buffer holding its values, in its
     shape. A gradient buffer of the same layout is made beside it.
 
-    Returns the SGD groups, each ``(params, grads, decayed)`` over one
-    contiguous part of the two buffers (the decayed part, then the biases,
-    which a bank without a network does not have), and the gradient
-    buffer's views aligned with :func:`_parameters`.
+    Returns the parameter buffer, the gradient buffer, the number of
+    leading entries that take weight decay (the arguments of
+    :func:`sgd_step`, with a velocity) and the gradient buffer's views
+    aligned with :func:`_parameters`.
     """
     blocks = _parameters(net, bank)
     order = [i for i, (_, _, decayed) in enumerate(blocks) if decayed]
@@ -230,24 +238,28 @@ def _flat_buffer(net: MlpFeatureExtractor | None, bank: WeakClassifierBank):
         net.weights[:] = param_views[0:-1:2]
         net.biases[:] = param_views[1:-1:2]
     bank.heads = param_views[-1]
-    groups = [(params[:split], grads[:split], True), (params[split:], grads[split:], False)]
-    return [group for group in groups if group[0].size], grad_views
+    return params, grads, split, grad_views
 
 
 def _gradients(net: MlpFeatureExtractor | None, heads: np.ndarray, x, y, cfg: LossConfig,
-               variants=None, out=None):
+               variants=None, out=None, check_inputs=True):
     """One step's loss forward, features and gradients.
 
     ``heads`` is the bank's ``(V, d, K)`` array; ``variants``, when
     given, are scored in the same forward (see :func:`em_softmax_forward`)
-    and leave the gradients alone. Returns ``(fwd, feats, grads)``,
+    and leave the gradients alone; ``check_inputs=False``, which
+    :func:`train` passes for the inputs it checked once, is passed on to
+    the forward. Returns ``(fwd, feats, grads)``,
     ``grads`` aligned with :func:`_parameters`: fresh arrays, or, with
     ``out`` (arrays aligned the same way, such as the views of
     :func:`_flat_buffer`), the arrays of ``out`` with the gradients
     written into them. Without a network the features are ``x`` itself.
     """
     feats, cache = (x, None) if net is None else net.forward(x)
-    fwd = em_softmax_forward(feats, heads, y, cfg, variants=variants)
+    if check_inputs:
+        fwd = em_softmax_forward(feats, heads, y, cfg, variants=variants)
+    else:  # train's steps, on inputs it checked once
+        fwd = em_softmax_forward(feats, heads, y, cfg, variants=variants, check_inputs=False)
     grads_bank, grads_feats = em_softmax_backward(fwd)
     pairs = None if out is None else list(zip(out[0:-1:2], out[1:-1:2]))
     grads = [] if net is None else [g for layer in net.backward(cache, grads_feats, pairs)
@@ -322,12 +334,18 @@ def train(
     updates them in place. Arrays taken from the model before the call
     are no longer its parameters. ``net`` may be None to train the bank
     directly on raw features. The
-    batch order is fully determined by ``seed``. Parts that do not fit
-    together (dims, head count) raise ValueError from the network's or
-    the loss's own checks in the first step, before any update; a
-    ``log_every`` or ``eval_every`` below 1, or an ``eval_every`` that is
-    not a multiple of ``log_every`` (evaluations run on log rows only),
-    raises before that step.
+    batch order is fully determined by ``seed``.
+
+    The loss's own checks run once, before the first step and before the
+    model is moved: the bank against ``loss_cfg``'s head count, the
+    feature width (the network's output, or the dataset's dim without a
+    network) against the bank's, and every label of ``dataset`` against
+    the bank's classes. Parts that do not fit raise ValueError from them,
+    or, for the network's input dim, from the network's check in the
+    first step, before any update. Each step's loss forward then runs
+    with ``check_inputs=False``. A ``log_every`` or ``eval_every`` below
+    1, or an ``eval_every`` that is not a multiple of ``log_every``
+    (evaluations run on log rows only), raises before the first step too.
 
     On divergence (loss above 1e6 or non-finite values) the loop halts,
     keeps the state from before the failing update, and flags the report
@@ -342,13 +360,14 @@ def train(
         raise ValueError(
             f"eval_every ({eval_every}) must be a multiple of log_every ({log_every})"
         )
+    width = dataset.dim if net is None else net.feature_dim
+    labels = _check_fit(_check_bank(bank.heads), width, dataset.labels, loss_cfg)
     report = TrainReport()
     batch_rng = Rng(seed).spawn(7)
     batches = minibatch_stream(len(dataset), min(sgd_cfg.batch_size, len(dataset)), batch_rng)
 
-    groups, grad_views = _flat_buffer(net, bank)
-    params, grads, decay_flags = zip(*groups)
-    velocities = [np.zeros_like(p) for p in params]
+    params, grads, decayed, grad_views = _flat_buffer(net, bank)
+    velocity = np.zeros_like(params)
 
     t0 = time.perf_counter()
     # Divergence shows up as overflow/NaN in the forward pass before the
@@ -359,10 +378,11 @@ def train(
             for it in range(sgd_cfg.max_iters):
                 idx = next(batches)
                 x = dataset.rows(idx)
-                y = dataset.labels[idx]
+                y = labels[idx]
 
-                fwd, feats, _ = _gradients(net, bank.heads, x, y, loss_cfg, out=grad_views)
-                if not np.isfinite(fwd.total_loss) or fwd.total_loss > _LOSS_CEILING:
+                fwd, feats, _ = _gradients(net, bank.heads, x, y, loss_cfg, out=grad_views,
+                                           check_inputs=False)
+                if not math.isfinite(fwd.total_loss) or fwd.total_loss > _LOSS_CEILING:
                     raise DivergenceError(f"loss {fwd.total_loss:g}, ceiling {_LOSS_CEILING:g}")
                 last = it == sgd_cfg.max_iters - 1
                 logged = (it + 1) % log_every == 0 or last
@@ -371,7 +391,7 @@ def train(
                     batch = Dataset(feats, y, bank.num_classes)
                     train_acc = count_hits(None, bank, batch)[0] / len(y)
                 lr = learning_rate(sgd_cfg, it)
-                sgd_step(params, grads, velocities, decay_flags, lr, sgd_cfg)
+                sgd_step(params, grads, velocity, decayed, lr, sgd_cfg)
 
                 if logged:
                     eval_acc = float("nan")

@@ -505,6 +505,23 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
             replace(parse_config_text(QUICK), **{name: value})
 
+    @pytest.mark.parametrize("name", ["out_dir", "mnist_dir"])
+    def test_string_utf8_cannot_encode_rejected_under_its_key(self, name):
+        # the lone surrogate an undecodable argv byte becomes
+        with pytest.raises(ConfigError, match=rf"^{name} is not UTF-8 text: 'run\\udcff'$"):
+            replace(parse_config_text(QUICK), **{name: "run\udcff"})
+
+    def test_out_dir_utf8_cannot_encode_exits_one_before_training(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        # it trained, wrote report.csv, then died writing resolved.cfg
+        monkeypatch.setattr(cli, "train", lambda *a, **k: pytest.fail("training ran"))
+        monkeypatch.chdir(tmp_path)
+        argv = ["train", "--config", str(write_quick(tmp_path)), "--out", "run\udcff"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["emsoftmax: error: out_dir is not UTF-8 text: 'run\\udcff'"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
     @pytest.mark.parametrize("overrides, message", INVALID_VALUES)
     def test_no_invalid_config_can_be_built(self, tmp_path, overrides, message):
         with pytest.raises(ConfigError, match=re.escape(message)):

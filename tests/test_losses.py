@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -108,6 +109,14 @@ class TestCrossEntropyAndMargin:
         # 2.5 heads failed later with "bank has 2 heads, config says 2.5"
         with pytest.raises(ValueError, match=rf"^num_heads must be an integer, got {value!r}$"):
             LossConfig(num_heads=value)
+
+    # the string 'no' picked the exact gradient by its truth value
+    @pytest.mark.parametrize("value", ["no", 1, None, np.bool_(True)],
+                             ids=["string", "int", "None", "numpy bool"])
+    def test_non_bool_gradient_mode_rejected(self, value):
+        message = f"exact_diversity_grad must be a bool, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            LossConfig(exact_diversity_grad=value)
 
     # a bool was taken as 0 or 1, a string or None raised a TypeError
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), True, "1", None])
@@ -353,6 +362,27 @@ class TestForward:
         dtype = np.asarray(labels).dtype
         with pytest.raises(ValueError, match=f"labels must be integers, got dtype {dtype}"):
             em_softmax_forward(np.ones((2, 3)), np.ones((1, 3, 2)), labels, LossConfig())
+
+    @pytest.mark.parametrize("v", [1, 2, 6])
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_unchecked_forward_matches_the_checked_one(self, v, exact):
+        # inputs train has checked: the unchecked forward gives the bits of
+        # the checked one, and a backward of the same bits
+        rng = np.random.default_rng(30 + v)
+        x, bank = rng.normal(size=(7, 4)), rng.normal(size=(v, 4, 5))
+        y, cfg = rng.integers(0, 5, size=7), LossConfig(0.5, 0.1, v, exact)
+        checked = em_softmax_forward(x, bank, y, cfg)
+        unchecked = em_softmax_forward(x, bank, y, cfg, check_inputs=False)
+        assert (checked.probs_per_head == unchecked.probs_per_head).all()
+        for name in ("total_loss", "classification_term", "diversity_term"):
+            assert getattr(checked, name) == getattr(unchecked, name)
+        for a, b in zip(em_softmax_backward(checked), em_softmax_backward(unchecked)):
+            assert a.shape == b.shape and (a == b).all()
+
+    def test_unchecked_forward_records_the_bank_itself(self):
+        x, bank, cfg = np.eye(3)[:2], np.arange(12.0).reshape(2, 3, 2), LossConfig(0.5, 0.1, 2)
+        assert em_softmax_forward(x, bank, [1, 0], cfg, check_inputs=False)._record[1] is bank
+        assert em_softmax_forward(x, bank, [1, 0], cfg)._record[1] is not bank
 
     def test_unsigned_labels_score_like_int64(self):
         x, bank = np.eye(3)[:2], np.arange(9.0).reshape(1, 3, 3)

@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from conftest import ref_raw
 from emsoftmax.tensor import (
     Rng,
     as_indices,
@@ -107,6 +108,16 @@ class TestRngDistributions:
         for n in (0, 1, 2, 17, 256):
             p = Rng(6).permutation(n)
             assert sorted(p.tolist()) == list(range(n))
+
+    @pytest.mark.parametrize("seed", [0, 6, 2**64 - 1])
+    def test_permutation_is_the_stable_argsort_of_its_words(self, seed):
+        # the words are distinct, so an unstable sort gives the stable order
+        rng, words = Rng(seed), Rng(seed)
+        for n in (0, 1, 2, 1500, 5000):
+            want = np.argsort(ref_raw(words, n), kind="stable")
+            got = rng.permutation(n)
+            assert got.shape == want.shape and (got == want).all()
+        assert rng.counter == words.counter
 
     def test_permutations_vary_over_draws(self):
         rng = Rng(8)

@@ -119,12 +119,22 @@ class TestLearningRate:
             learning_rate(SgdConfig(), -1)
 
 
+def flat_views(buffer, shapes):
+    """Views of ``buffer``'s consecutive blocks, one per shape."""
+    views, start = [], 0
+    for shape in shapes:
+        stop = start + int(np.prod(shape))
+        views.append(buffer[start:stop].reshape(shape))
+        start = stop
+    return views
+
+
 class TestSgdStep:
     def test_two_steps_match_hand_computation(self):
         cfg = SgdConfig(base_lr=0.1, momentum=0.9, weight_decay=0.01)
-        p = np.array([[1.0, 2.0]])
+        p = np.array([1.0, 2.0])
         vel = np.zeros_like(p)
-        g = np.array([[0.5, -1.0]])
+        g = np.array([0.5, -1.0])
 
         ref_p, ref_v = p.copy(), np.zeros_like(p)
         for _ in range(2):
@@ -132,27 +142,21 @@ class TestSgdStep:
             ref_p = ref_p + ref_v
 
         for _ in range(2):
-            sgd_step([p], [g], [vel], [True], 0.1, cfg)
+            sgd_step(p, g, vel, p.size, 0.1, cfg)
         np.testing.assert_allclose(p, ref_p, atol=1e-15)
         np.testing.assert_allclose(vel, ref_v, atol=1e-15)
 
     def test_weight_decay_skipped_for_unflagged_params(self):
         cfg = SgdConfig(weight_decay=0.5, momentum=0.0)
-        p = np.array([[2.0]])
-        sgd_step([p], [np.array([[0.0]])], [np.zeros((1, 1))], [False], 0.1, cfg)
-        assert p[0, 0] == 2.0  # zero grad, no decay => unchanged
+        p = np.array([2.0, 2.0])
+        sgd_step(p, np.zeros(2), np.zeros(2), 1, 0.1, cfg)
+        assert p[1] == 2.0  # zero grad, no decay => unchanged
+        assert p[0] < 2.0  # the decayed prefix shrinks
 
     def test_non_finite_gradient_raises(self):
         cfg = SgdConfig()
         with pytest.raises(DivergenceError):
-            sgd_step(
-                [np.zeros((1, 1))],
-                [np.array([[np.nan]])],
-                [np.zeros((1, 1))],
-                [True],
-                0.1,
-                cfg,
-            )
+            sgd_step(np.zeros(1), np.array([np.nan]), np.zeros(1), 1, 0.1, cfg)
 
     def test_bank_block_equals_per_head_blocks_bitwise(self):
         # the bank is updated as one (V, d, K) block; the update is
@@ -165,47 +169,56 @@ class TestSgdStep:
         head_vels = [np.zeros_like(w) for w in heads]
         for lr in (0.1, 0.1, 0.01):
             grads = rng.normal(size=bank.shape)
-            sgd_step([bank], [grads], [vel], [True], lr, cfg)
-            sgd_step(heads, list(grads), head_vels, [True] * 6, lr, cfg)
+            sgd_step(bank.reshape(-1), grads.reshape(-1), vel.reshape(-1), bank.size, lr, cfg)
+            for w, g, v in zip(heads, grads, head_vels):
+                sgd_step(w, g, v, w.size, lr, cfg)
         assert (bank == np.stack(heads)).all()
         assert (vel == np.stack(head_vels)).all()
 
     def test_shape_mismatch(self):
         cfg = SgdConfig()
         with pytest.raises(ValueError):
-            sgd_step([np.zeros((2, 2))], [np.zeros((2, 1))], [np.zeros((2, 2))], [True], 0.1, cfg)
+            sgd_step(np.zeros(4), np.zeros(2), np.zeros(4), 4, 0.1, cfg)
+
+    @pytest.mark.parametrize("decayed", [-1, 5])
+    def test_decayed_prefix_outside_the_buffer_rejected(self, decayed):
+        with pytest.raises(ValueError, match="decayed"):
+            sgd_step(np.zeros(4), np.zeros(4), np.zeros(4), decayed, 0.1, SgdConfig())
 
     def test_non_finite_later_block_leaves_every_block_unchanged(self):
-        # the check covers every block before the first update, so a
-        # diverged step cannot leave the earlier blocks half-stepped
+        # the check covers the whole gradient before the first write, so a
+        # diverged step cannot leave the decayed prefix half-stepped
         cfg = SgdConfig(momentum=0.9, weight_decay=0.01)
         rng = np.random.default_rng(6)
-        params = [rng.normal(size=(4, 3)), rng.normal(size=(1, 3)), rng.normal(size=(2, 3, 5))]
-        velocities = [rng.normal(size=p.shape) for p in params]
-        grads = [rng.normal(size=p.shape) for p in params]
-        grads[-1][1, 2, 0] = np.nan
-        before = [a.copy() for a in params + velocities]
+        params, velocity, grads = (rng.normal(size=12 + 30 + 3) for _ in range(3))
+        grads[-1] = np.nan  # in a bias, past the decayed prefix
+        before = [a.copy() for a in (params, velocity)]
         with pytest.raises(DivergenceError):
-            sgd_step(params, grads, velocities, [True, False, True], 0.1, cfg)
-        for a, b in zip(before, params + velocities):
+            sgd_step(params, grads, velocity, 42, 0.1, cfg)
+        for a, b in zip(before, (params, velocity)):
             assert a.tobytes() == b.tobytes()
 
     def test_matches_reference_bitwise(self):
-        # several steps over decayed and undecayed blocks across two lr drops
+        # several steps over decayed and undecayed blocks across two lr
+        # drops: the flat buffer, stepped once, and the blocks stepped on
+        # their own by the reference agree block by block
         cfg = SgdConfig(base_lr=0.1, momentum=0.9, weight_decay=0.0005, lr_drop_iters=(3, 5))
         rng = np.random.default_rng(8)
-        shapes = [(13, 7), (7, 5), (1, 7), (1, 5), (3, 5, 4)]
-        flags = [True, True, False, False, True]
-        params = [rng.normal(size=s) for s in shapes]
-        ref_params = [p.copy() for p in params]
-        vels = [np.zeros(s) for s in shapes]
+        shapes = [(13, 7), (7, 5), (3, 5, 4), (1, 7), (1, 5)]
+        flags = [True, True, True, False, False]
+        size = sum(int(np.prod(s)) for s in shapes)
+        decayed = sum(int(np.prod(s)) for s, flag in zip(shapes, flags) if flag)
+        params, grads, vel = rng.normal(size=size), np.empty(size), np.zeros(size)
+        blocks, grad_blocks, vels = (flat_views(a, shapes) for a in (params, grads, vel))
+        ref_params = [p.copy() for p in blocks]
         ref_vels = [np.zeros(s) for s in shapes]
         for it in range(8):
             lr = learning_rate(cfg, it)
-            grads = [rng.normal(scale=10.0 ** rng.integers(-6, 3), size=s) for s in shapes]
-            sgd_step(params, grads, vels, flags, lr, cfg)
-            ref_sgd_step(ref_params, grads, ref_vels, flags, lr, cfg)
-            for a, b in zip(params + vels, ref_params + ref_vels):
+            for g in grad_blocks:
+                g[...] = rng.normal(scale=10.0 ** rng.integers(-6, 3), size=g.shape)
+            sgd_step(params, grads, vel, decayed, lr, cfg)
+            ref_sgd_step(ref_params, grad_blocks, ref_vels, flags, lr, cfg)
+            for a, b in zip(blocks + vels, ref_params + ref_vels):
                 assert (a == b).all()
 
 
@@ -368,6 +381,25 @@ class TestTrain:
         after = [p for _, p, _ in trainer._parameters(net, bank)]
         assert [a.tobytes() for a in before] == [a.tobytes() for a in after]
 
+    @pytest.mark.parametrize("with_net", [True, False])
+    def test_label_past_the_bank_rejected_before_any_update(self, with_net):
+        # one row of a class the bank does not score, outside the first
+        # batch: the per-step check met it only after some updates
+        ds = blob_dataset()
+        first = next(minibatch_stream(len(ds), 32, Rng(0).spawn(7)))
+        labels = ds.labels.copy()
+        labels[np.setdiff1d(np.arange(len(ds)), first)[0]] = ds.num_classes
+        wide = Dataset(ds.features, labels, ds.num_classes + 1)
+        net, bank = fresh_model(ds)
+        if not with_net:
+            net, bank = None, WeakClassifierBank(ds.dim, ds.num_classes, 1, Rng(2))
+        before = [p.copy() for _, p, _ in trainer._parameters(net, bank)]
+        with pytest.raises(ValueError, match=rf"labels must lie in \[0, {ds.num_classes}\)"):
+            train(net, bank, wide, LossConfig(0, 0, 1), SgdConfig(max_iters=20, batch_size=32),
+                  seed=0)
+        after = [p for _, p, _ in trainer._parameters(net, bank)]
+        assert [a.tobytes() for a in before] == [a.tobytes() for a in after]
+
     def test_bank_only_training_without_network(self):
         ds = blob_dataset(noise=0.6)
         bank = WeakClassifierBank(ds.dim, ds.num_classes, 1, Rng(4))
@@ -394,10 +426,11 @@ class TestTrain:
                 inputs = []
                 forward = trainer.em_softmax_forward
 
-                def recording_forward(x_batch, bank, labels, cfg, variants=None):
+                def recording_forward(x_batch, bank, labels, cfg, variants=None, *,
+                                      check_inputs=True):
                     assert variants is None
                     inputs[:] = [x_batch, bank, labels, cfg]
-                    return forward(x_batch, bank, labels, cfg)
+                    return forward(x_batch, bank, labels, cfg, check_inputs=check_inputs)
 
                 monkeypatch.setattr(trainer, "em_softmax_forward", recording_forward)
                 monkeypatch.setattr(
@@ -452,7 +485,7 @@ def ref_train(net, bank, dataset, loss_cfg, sgd_cfg, seed):
 
 
 class TestFlatParameters:
-    """``train`` moves the model into one buffer and steps it in two groups;
+    """``train`` moves the model into one buffer and steps it in one update;
     every bit must be that of updating each array on its own."""
 
     @pytest.mark.parametrize("with_net", [True, False], ids=["v6-net", "bank-only"])
@@ -498,32 +531,30 @@ class TestFlatParameters:
         ds = blob_dataset()
         net, bank = fresh_model(ds, heads=2, hidden=(5, 4), feat=3)
         before = [p.copy() for _, p, _ in trainer._parameters(net, bank)]
-        groups, grad_views = trainer._flat_buffer(net, bank)
+        params, grads, decayed, grad_views = trainer._flat_buffer(net, bank)
         blocks = trainer._parameters(net, bank)
         for (_, p, _), b, g in zip(blocks, before, grad_views):
-            assert (p == b).all() and g.shape == p.shape
-        (decayed, _, flag), (biases, _, no_flag) = groups
-        assert flag and not no_flag
+            assert (p == b).all() and g.shape == p.shape and np.shares_memory(g, grads)
+        assert grads.shape == params.shape
+        assert decayed == sum(p.size for _, p, flag in blocks if flag)
         order = ["w0", "w1", "w2", "bank", "b0", "b1", "b2"]
         by_name = {name: p for name, p, _ in blocks}
-        assert np.array_equal(np.concatenate([decayed, biases]),
-                              np.concatenate([by_name[name].ravel() for name in order]))
-        assert np.shares_memory(decayed, bank.heads) and np.shares_memory(biases, net.biases[0])
+        assert np.array_equal(params, np.concatenate([by_name[name].ravel() for name in order]))
+        assert np.shares_memory(params[:decayed], bank.heads)
+        assert np.shares_memory(params[decayed:], net.biases[0])
 
     def test_non_finite_bias_gradient_leaves_both_groups_unchanged(self):
         ds = blob_dataset()
         net, bank = fresh_model(ds, heads=3)
-        groups, grad_views = trainer._flat_buffer(net, bank)
-        params, grads, flags = zip(*groups)
+        params, grads, decayed, grad_views = trainer._flat_buffer(net, bank)
         rng = np.random.default_rng(7)
-        velocities = [rng.normal(size=p.shape) for p in params]
-        for g in grads:
-            g[...] = rng.normal(size=g.shape)
+        velocity = rng.normal(size=params.shape)
+        grads[...] = rng.normal(size=grads.shape)
         grad_views[1][0, 2] = np.nan  # b0
-        before = [a.copy() for a in params + tuple(velocities)]
+        before = [a.copy() for a in (params, velocity)]
         with pytest.raises(DivergenceError):
-            sgd_step(params, grads, velocities, flags, 0.1, SgdConfig())
-        for a, b in zip(before, params + tuple(velocities)):
+            sgd_step(params, grads, velocity, decayed, 0.1, SgdConfig())
+        for a, b in zip(before, (params, velocity)):
             assert a.tobytes() == b.tobytes()
 
     def test_non_finite_bias_gradient_in_train_keeps_the_last_step(self, monkeypatch):
